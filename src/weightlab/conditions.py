@@ -32,7 +32,7 @@ import numpy as np
 from . import _kernels, growth
 from .core import (Associated, Dilated, Exp, GridSpec, Log, LogPower, Normalized,
                    PiecewiseLogLinear, Power, Scaled, WeightFunction)
-from .errors import ChainViolation, HorizonTooSmall, NotMonotone
+from .errors import ChainViolation, HorizonTooSmall, NotMonotone, UnknownCondition
 from .verdict import Status, Verdict, conjunction, fails, holds, inconclusive
 
 __all__ = [
@@ -361,7 +361,7 @@ def _check_unbounded(w, grid):
 
 def check_condition(w: WeightFunction, cond: str, grid: GridSpec = DEFAULT_GRID) -> Verdict:
     if cond not in CONDITION_IDS:
-        raise ValueError(f"unknown condition {cond!r}; choose from {CONDITION_IDS}")
+        raise UnknownCondition(f"unknown condition {cond!r}; choose from {CONDITION_IDS}")
     if cond in _ASYMPTOTIC:
         _require_decades(grid)
 

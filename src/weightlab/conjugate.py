@@ -7,7 +7,8 @@ For a weight w let phi(u) = w(e^u).  The conjugate is
 with the supremum restricted to y >= 0 when w is normalized (phi vanishes
 there anyway).  Piecewise-linear profiles get an exact closed-form
 conjugate through convex duality; analytic families are handled by a grid
-supremum refined with a bounded scalar optimizer.
+supremum, taken for all requested x at once and refined by zooming in on
+each argmax.
 """
 
 from __future__ import annotations
@@ -16,9 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
-from . import _kernels
 from .core import GridSpec, PiecewiseLogLinear, WeightFunction
 from .errors import (EmptyInput, NotMatrixAdmissible, Om3Violated,
                      ValidationFailed, YHorizonTooSmall)
@@ -127,6 +126,16 @@ def omega_iota(w: WeightFunction, t: float) -> float:
 # the conjugate itself
 # ---------------------------------------------------------------------------
 
+# the numeric supremum samples phi on a fixed y-grid, then zooms in on each
+# argmax: every round resamples its two neighbouring grid cells, so the
+# bracket shrinks by (_ZOOM_POINTS - 1) / 2 per round
+_Y_SAMPLES = 2001
+_ZOOM_POINTS = 33
+_ZOOM_ROUNDS = 6
+# x values per block, so the x-by-y sample matrix stays a few MB
+_X_BLOCK = 256
+
+
 @dataclass
 class ConjugateProfile:
     """phi* on [0, x_max].
@@ -162,30 +171,38 @@ class ConjugateProfile:
                          - self._hull_vs[None, :], axis=1)
             out = np.maximum(out, 0.0) if self._hull_vs[0] == 0.0 else out
         else:
-            out = np.array([self._numeric_value(float(xx)) for xx in arr])
+            out = np.empty_like(arr)
+            for i in range(0, len(arr), _X_BLOCK):
+                out[i:i + _X_BLOCK] = self._numeric_values(arr[i:i + _X_BLOCK])
         if np.isscalar(x) or np.asarray(x).ndim == 0:
             return float(out[0])
         return out
 
     __call__ = value
 
-    def _numeric_value(self, x):
-        w = self._weight
-        ys = np.linspace(self._y_lo, self._y_hi, 2001)
-        g = x * ys - self._phi(ys)
-        k = int(np.nanargmax(g))
-        if k >= len(ys) - 2 and x > 0:
+    def _numeric_values(self, xs):
+        """sup_y (x*y - phi(y)) for every x in xs, on [_y_lo, _y_hi]."""
+        ys = np.linspace(self._y_lo, self._y_hi, _Y_SAMPLES)
+        g = xs[:, None] * ys[None, :] - self._phi(ys)[None, :]
+        k = np.argmax(g, axis=1)
+        hit = (k >= len(ys) - 2) & (xs > 0)
+        if np.any(hit):
             raise YHorizonTooSmall(
-                f"supremum argmax hit the y-horizon {self._y_hi:g} at x={x:g}")
-        lo = ys[max(k - 1, 0)]
-        hi = ys[min(k + 1, len(ys) - 1)]
-        res = minimize_scalar(lambda y: -(x * y - float(self._phi(np.array([y]))[0])),
-                              bounds=(lo, hi), method="bounded",
-                              options={"xatol": 1e-12})
-        val = max(float(g[k]), -float(res.fun))
-        if self._weight.normalized or self._hull_vs is None:
-            val = max(val, 0.0) if w.normalized else val
-        return val
+                f"supremum argmax hit the y-horizon {self._y_hi:g} at x={xs[hit][0]:g}")
+        rows = np.arange(len(xs))
+        best = g[rows, k]
+        lo = ys[np.maximum(k - 1, 0)]
+        hi = ys[np.minimum(k + 1, len(ys) - 1)]
+        t = np.linspace(0.0, 1.0, _ZOOM_POINTS)
+        for _ in range(_ZOOM_ROUNDS):
+            yz = lo[:, None] + (hi - lo)[:, None] * t[None, :]
+            gz = xs[:, None] * yz - self._phi(yz.ravel()).reshape(yz.shape)
+            j = np.argmax(gz, axis=1)
+            best = np.maximum(best, gz[rows, j])
+            step = (hi - lo) / (_ZOOM_POINTS - 1)
+            lo, hi = (np.maximum(yz[rows, j] - step, lo),
+                      np.minimum(yz[rows, j] + step, hi))
+        return np.maximum(best, 0.0) if self._weight.normalized else best
 
     def _phi(self, ys):
         vals = np.asarray(self._weight._phi_unchecked(ys), dtype=float)
@@ -232,16 +249,8 @@ def young_conjugate(w: WeightFunction, x_max: float) -> ConjugateProfile:
                             _weight=w, _y_lo=y_lo, _y_hi=y_hi)
     xs = np.linspace(0.0, x_max, 9) if x_max > 0 else np.array([0.0])
     prof.breakpoints = xs
-    prof.values = np.array([prof._numeric_value(float(x)) if x > 0
-                            else _conjugate_at_zero(prof) for x in xs])
+    prof.values = prof.value(xs)
     return prof
-
-
-def _conjugate_at_zero(prof):
-    if prof._weight.normalized:
-        return 0.0
-    ys = np.linspace(prof._y_lo, prof._y_hi, 2001)
-    return float(np.max(-prof._phi(ys)))
 
 
 def _exact_conjugate(w: PiecewiseLogLinear, x_max: float) -> ConjugateProfile:

@@ -455,14 +455,18 @@ def load_weight(source) -> WeightFunction:
                           increase_from=int(doc.get("increase_from", 0)))
     family = doc.get("family")
     params = doc.get("params", {})
-    if family in _FAMILIES:
-        return _FAMILIES[family](params)
-    if family == "scaled":
-        return Scaled(params["c"], load_weight(doc["base"]))
-    if family == "dilated":
-        return Dilated(params["c"], load_weight(doc["base"]))
-    if family == "normalized":
-        return Normalized(load_weight(doc["base"]))
+    try:
+        if family in _FAMILIES:
+            return _FAMILIES[family](params)
+        if family == "scaled":
+            return Scaled(params["c"], load_weight(doc["base"]))
+        if family == "dilated":
+            return Dilated(params["c"], load_weight(doc["base"]))
+        if family == "normalized":
+            return Normalized(load_weight(doc["base"]))
+    except KeyError as exc:
+        raise ValidationFailed(
+            f"{family!r} weight document lacks {exc.args[0]!r}") from None
     raise ValidationFailed(f"unknown weight document: {doc!r}")
 
 

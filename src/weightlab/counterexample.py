@@ -162,7 +162,7 @@ def construct(delta: AdmissibleDelta, t1: float, J: int) -> CounterexampleProfil
         log_x[i + 1] = math.log(j + 1) + math.log(2 * j) - math.log1p(-j * t[i]) \
             + log_x[i]
         if log_x[i + 1] > _LOG_CAP:
-            raise OverflowAtJ(j + 1, j)
+            raise OverflowAtJ(j + 1, j - 1)
         x[i + 1] = (j + 1) * y[i]
         if j < J:
             t[i + 1] = 0.5 * (1.0 / j - t[i])

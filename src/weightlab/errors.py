@@ -13,10 +13,6 @@ class NotMonotone(WeightlabError):
     """Operation requires a nondecreasing weight."""
 
 
-# some call sites use the older name
-NonMonotoneInput = NotMonotone
-
-
 class HorizonTooSmall(WeightlabError):
     """A finite scan hit its boundary before the quantity of interest settled."""
 
@@ -100,6 +96,10 @@ class MismatchedCorners(WeightlabError):
 
 class ValidationFailed(WeightlabError):
     pass
+
+
+class UnknownCondition(WeightlabError, ValueError):
+    """A condition id outside ``conditions.CONDITION_IDS``."""
 
 
 class WitnessConstructionFailed(WeightlabError):

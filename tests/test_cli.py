@@ -52,6 +52,17 @@ def test_error_exit_code(tmp_path):
     assert code == 1
 
 
+def test_malformed_input_one_line_error(weight_file, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"family": "dilated", "params": {"lam": 2},
+                               "base": {"family": "log", "params": {}}}))
+    for argv in (["analyze", "--weight", str(bad)],
+                 ["analyze", "--weight", weight_file, "--conditions", "om9"]):
+        assert cli.run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_classify_and_report(weight_file, tmp_path):
     assert cli.run(["classify", "--weight", weight_file,
                     "--out", str(tmp_path / "c.json")]) == 0

@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 
 from weightlab import (Exp, GridSpec, Log, LogPower, Normalized,
                        PiecewiseLogLinear, Power, Scaled, conditions)
+from weightlab.errors import WeightlabError
 from weightlab.verdict import Status
 
 H, F = "holds", "fails"
@@ -36,8 +37,9 @@ def test_family_truth_table(w):
 
 
 def test_unknown_condition_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as exc:
         conditions.check_condition(Power(1.0), "om99")
+    assert isinstance(exc.value, WeightlabError)
 
 
 def test_verdicts_carry_evidence():

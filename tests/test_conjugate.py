@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from weightlab import (Gevrey, Log, PiecewiseLogLinear, Power, conjugate)
+import weightlab
+from weightlab import (Gevrey, Log, Normalized, LogPower, PiecewiseLogLinear,
+                       Power, conjugate)
 from weightlab.errors import (NotMatrixAdmissible, Om3Violated,
                               ValidationFailed, YHorizonTooSmall)
 
@@ -16,6 +21,37 @@ def test_linear_weight_conjugate_closed_form():
         expect = x * math.log(x) - x
         assert prof.value(float(x)) == pytest.approx(expect, rel=1e-8, abs=1e-8)
     assert prof.value(math.e) == pytest.approx(0.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 2.0])
+def test_power_conjugate_closed_form(alpha):
+    # phi(y) = e^{alpha y}: the supremum sits at y = log(x/alpha)/alpha
+    prof = conjugate.young_conjugate(Power(alpha), x_max=50.0)
+    xs = np.geomspace(1e-2, 50.0, 30)
+    expect = (xs / alpha) * (np.log(xs / alpha) - 1.0)
+    np.testing.assert_allclose(prof.value(xs), expect, rtol=1e-9, atol=1e-9)
+
+
+@pytest.mark.parametrize("w", [Power(0.5), Normalized(LogPower(2.0))])
+def test_conjugate_array_matches_pointwise(w):
+    prof = conjugate.young_conjugate(w, x_max=20.0)
+    xs = np.linspace(0.0, 20.0, 301)
+    one_by_one = np.array([prof.value(float(x)) for x in xs])
+    np.testing.assert_array_equal(prof.value(xs), one_by_one)
+
+
+def test_numeric_paths_do_not_import_scipy():
+    code = ("import sys\n"
+            "from weightlab import Normalized, LogPower, Power, conjugate, growth\n"
+            "growth.kappa(Normalized(LogPower(2.0)), 0.5)\n"
+            "conjugate.young_conjugate(Power(0.5), 10.0).value([1.0, 5.0])\n"
+            "conjugate.associated_weight_matrix(Power(0.5), 1.0, 20)\n"
+            "print('scipy' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(weightlab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_conjugate_against_brute_force_sup():

@@ -105,6 +105,10 @@ def test_load_weight_rejects_garbage():
         load_weight({"family": "nope", "params": {}})
     with pytest.raises(ValidationFailed):
         load_weight({"unknown": 1})
+    # a wrapper with a misnamed parameter names the one it expected
+    with pytest.raises(ValidationFailed, match="'c'"):
+        load_weight({"family": "dilated", "params": {"lam": 2},
+                     "base": {"family": "power", "params": {"alpha": 0.5}}})
 
 
 def test_weight_sequence_and_associated():

@@ -89,6 +89,13 @@ def test_overflow_is_reported():
     with pytest.raises(OverflowAtJ) as exc:
         counterexample.construct(counterexample.default_delta(300), 0.5, 300)
     assert exc.value.max_safe_j < 300
+    # the reported J is the largest one construct actually builds
+    J = exc.value.max_safe_j
+    p = counterexample.construct(counterexample.default_delta(J), 0.5, J)
+    assert p.J == J
+    with pytest.raises(OverflowAtJ) as exc_next:
+        counterexample.construct(counterexample.default_delta(J + 1), 0.5, J + 1)
+    assert exc_next.value.max_safe_j == J
 
 
 def test_profile_weight_matches_blocks(plateau_profile_small):
