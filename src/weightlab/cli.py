@@ -279,7 +279,8 @@ _COMMANDS = {
 # argument plumbing
 # ---------------------------------------------------------------------------
 
-def _build_parser():
+def _build_parser(defaults=None):
+    """The argument parser; `defaults` replace the subcommands' own."""
     ap = argparse.ArgumentParser(prog="weightlab",
                                  description="weight-function calculus toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -293,6 +294,8 @@ def _build_parser():
         p.add_argument("--expect", choices=["holds"], default=None)
         p.add_argument("--strict", action="store_true")
         p.add_argument("--plot-dir", default=".")
+        if defaults:
+            p.set_defaults(**defaults)
 
     p = sub.add_parser("analyze")
     p.add_argument("--weight", required=True)
@@ -366,27 +369,26 @@ def _build_parser():
     return ap
 
 
-def _apply_config(args):
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            cfg = json.load(fh)
-        for key, value in cfg.items():
-            attr = key.replace("-", "_")
-            if hasattr(args, attr) and getattr(args, attr) in (None, False):
-                setattr(args, attr, value)
-    return args
+def _parse(argv):
+    """Parse argv; a --config file fills every flag the command line omits."""
+    args = _build_parser().parse_args(argv)
+    if not args.config:
+        return args
+    with open(args.config) as fh:
+        cfg = json.load(fh)
+    flags = vars(args).keys() - {"command"}
+    defaults = {key.replace("-", "_"): value for key, value in cfg.items()}
+    defaults = {key: value for key, value in defaults.items() if key in flags}
+    return _build_parser(defaults).parse_args(argv)
 
 
 def run(argv=None) -> int:
-    ap = _build_parser()
-    try:
-        args = _apply_config(ap.parse_args(argv))
-    except SystemExit as exc:
-        return int(exc.code or 0)
-
     threads = os.environ.get("WEIGHTLAB_THREADS")
     try:
+        args = _parse(argv)
         result = _COMMANDS[args.command](args)
+    except SystemExit as exc:
+        return int(exc.code or 0)
     except (WeightlabError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -32,7 +32,8 @@ import numpy as np
 from . import _kernels, growth
 from .core import (Associated, Dilated, Exp, GridSpec, Log, LogPower, Normalized,
                    PiecewiseLogLinear, Power, Scaled, WeightFunction)
-from .errors import ChainViolation, HorizonTooSmall, NotMonotone, UnknownCondition
+from .errors import (ChainViolation, HorizonTooSmall, NotMonotone, UnknownCondition,
+                     WeightlabError)
 from .verdict import Status, Verdict, conjunction, fails, holds, inconclusive
 
 __all__ = [
@@ -326,7 +327,7 @@ def _check_normalized(w, grid):
 
 
 def _check_nondecreasing(w, grid):
-    tg = np.concatenate([np.linspace(0, 1, 50)[1:], grid.points()])
+    tg = np.union1d(np.linspace(0, 1, 50)[1:], grid.points())
     vals = np.asarray(w.evaluate(tg))
     diffs = np.diff(vals)
     scale = max(1.0, float(np.max(np.abs(vals))))
@@ -457,7 +458,7 @@ def classify(w: WeightFunction, grid: GridSpec = DEFAULT_GRID) -> ClassReport:
     if not bb.holds:
         try:
             ke = growth.kappa_equivalence_check(w, T=grid.t_max)
-        except Exception as exc:  # evaluation trouble should not sink the report
+        except WeightlabError as exc:  # evaluation trouble should not sink the report
             ke = inconclusive(notes=f"kappa equivalence unavailable: {exc}")
         classes["bb_equivalent"] = conjunction({
             "kappa_equivalence": ke, "om3w": conds["om3w"],
@@ -490,7 +491,6 @@ def check_implication_chain(w: WeightFunction, grid: GridSpec = DEFAULT_GRID,
     if not w.nondecreasing:
         raise NotMonotone("implication chain requires a nondecreasing weight")
 
-    est = growth_gt1 = None
     est = growth.growth_index(w, gamma_grid=(1.25, 2.0), T=index_horizon, refine=False)
     if est.lower_bound > 1.0:
         growth_gt1 = holds({"lower_bound": est.lower_bound})

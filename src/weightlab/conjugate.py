@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import GridSpec, PiecewiseLogLinear, WeightFunction
 from .errors import (EmptyInput, NotMatrixAdmissible, Om3Violated,
-                     ValidationFailed, YHorizonTooSmall)
+                     ValidationFailed, WeightlabError, YHorizonTooSmall)
 
 __all__ = [
     "ConjugateProfile",
@@ -223,7 +223,7 @@ def _om3_status(w):
     from . import conditions
     try:
         return conditions.check_condition(w, "om3")
-    except Exception:
+    except WeightlabError:
         from .verdict import inconclusive
         return inconclusive(notes="om3 check unavailable")
 

@@ -334,7 +334,10 @@ class Associated(WeightFunction):
         return associated_weight_function(self.M, t)
 
     def to_json_dict(self):
-        return {"sequence": [float(x) for x in self.M.logM]}
+        doc = {"sequence": [float(x) for x in self.M.logM]}
+        if self.increase_from:
+            doc["increase_from"] = self.increase_from
+        return doc
 
 
 class Scaled(WeightFunction):

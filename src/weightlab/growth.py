@@ -3,19 +3,24 @@
 All improper integrals are computed after the substitution t = e^v, which
 turns  int_1^oo w(y t) / t^2 dt  into  int_0^oo phi(log y + v) e^{-v} dv.
 This keeps every intermediate quantity in a safe range even for weights
-whose interesting behaviour lives at astronomically large t.  The finite
-part is integrated by adaptive Gauss-Legendre panels, evaluated all at
-once in each refinement round.
+whose interesting behaviour lives at astronomically large t.  Where phi
+is piecewise linear (profiles, and the weights associated with sequences)
+the integral is a closed-form sum over the kinks of phi; for every other
+weight the finite part is integrated by adaptive Gauss-Legendre panels,
+evaluated all at once in each refinement round.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Dilated, Log, LogPower, PiecewiseLogLinear, Power, Scaled, WeightFunction
+from . import conjugate
+from .core import (Associated, Dilated, Log, LogPower, PiecewiseLogLinear, Power, Scaled,
+                   WeightFunction, WeightSequence)
 from .errors import HorizonTooSmall, NotMonotone, QuadratureFailure
 from .verdict import Verdict, fails, holds, inconclusive
 
@@ -70,44 +75,39 @@ class KappaResult:
         return self.kind == "divergent"
 
 
-def _segment_integral(alpha, beta, v1, v2):
-    """int_{v1}^{v2} (alpha + beta*v) e^{-v} dv, v2 may be +inf."""
+def _kinked_integral(phi, u0, kinks, slopes, v_max=math.inf):
+    """int_0^{v_max} phi(u0 + v) e^{-v} dv for a continuous phi that is
+    affine between the sorted kinks.
 
-    def anti(v):
-        return -(alpha + beta + beta * v) * math.exp(-v)
-
-    upper = 0.0 if math.isinf(v2) else anti(v2)
-    return upper - anti(v1)
-
-
-def _kappa_profile_exact(w: PiecewiseLogLinear, u0: float) -> float:
-    """Exact integral of phi(u0 + v) e^{-v} over [0, oo) for a profile."""
-    # v-breakpoints where u0 + v crosses a corner
-    vs = [v for v in (w.us - u0) if v > 0]
-    vs = [0.0] + sorted(vs)
-    total = 0.0
-    for i, v1 in enumerate(vs):
-        v2 = vs[i + 1] if i + 1 < len(vs) else math.inf
-        # phi is affine on (u0+v1, u0+v2): value + slope
-        umid = u0 + v1
-        p1 = float(w.phi(u0 + v1))
-        if math.isinf(v2):
-            slope = w.final_slope if umid >= w.us[-1] - 1e-300 else _local_slope(w, umid)
-        else:
-            slope = (float(w.phi(u0 + v2)) - p1) / (v2 - v1)
-        # phi(u0+v) = p1 + slope*(v - v1) on the segment
-        total += _segment_integral(p1 - slope * v1, slope, v1, v2)
+    slopes[k] is the slope of phi left of kinks[k], slopes[-1] its slope
+    right of the last kink.  Integration by parts gives
+        phi(u0) - e^{-v_max} phi(u0 + v_max)
+          + sum_k slopes[k] (e^{-a_k} - e^{-b_k}),
+    with [a_k, b_k] the part of [0, v_max] where u0 + v lies on piece k.
+    """
+    edges = np.clip(np.asarray(kinks, dtype=float) - u0, 0.0, v_max)
+    decay = np.exp(-np.concatenate([[0.0], edges, [v_max]]))
+    total = float(phi(u0)) + float(np.dot(slopes, decay[:-1] - decay[1:]))
+    if math.isfinite(v_max):
+        total -= math.exp(-v_max) * float(phi(u0 + v_max))
     return total
 
 
-def _local_slope(w: PiecewiseLogLinear, u: float) -> float:
-    if u < w.us[0]:
-        return 0.0
-    if u >= w.us[-1]:
-        return w.final_slope
-    k = int(np.searchsorted(w.us, u, side="right")) - 1
-    k = min(max(k, 0), len(w.slopes) - 1)
-    return float(w.slopes[k])
+@functools.lru_cache(maxsize=64)
+def _sequence_kinks(M: WeightSequence):
+    """Kinks and slopes of phi(u) = max_p (p u - (log M_p - log M_0)).
+
+    The maximum runs over the lower convex hull of the points (p, log M_p):
+    between hull vertices p_i < p_j phi has slope p_i, and it turns to
+    slope p_j where both lines meet.
+    """
+    lm = np.asarray(M.logM) - M.logM[0]
+    hull = np.array(conjugate._hull(list(zip(range(len(lm)), lm)), upper=False))
+    p, L = hull[:, 0], hull[:, 1]
+    kinks = np.diff(L) / np.diff(p)
+    # the cache hands the same arrays to every caller
+    kinks.flags.writeable = p.flags.writeable = False
+    return kinks, p
 
 
 def _integrate(g, breaks):
@@ -158,9 +158,11 @@ def _integrate(g, breaks):
 def kappa(w: WeightFunction, y: float, T: float = 1e6) -> KappaResult:
     """int_1^T w(y t)/t^2 dt plus a certified tail estimate.
 
-    Returns a finite value only when the integrand passes a decay test on
-    the final window; otherwise the result is flagged divergent with the
-    observed evidence.
+    A profile gets the exact integral over [1, oo), its final slope
+    extended.  Any other weight returns a finite value only when the
+    integrand passes a decay test on the final window, and is otherwise
+    flagged divergent with the observed evidence; the part up to T is then
+    exact for a sequence weight and adaptive quadrature for the rest.
     """
     if y < 0:
         raise ValueError("y must be >= 0")
@@ -170,7 +172,8 @@ def kappa(w: WeightFunction, y: float, T: float = 1e6) -> KappaResult:
     v_max = math.log(T)
 
     if isinstance(w, PiecewiseLogLinear):
-        value = _kappa_profile_exact(w, u0)
+        slopes = np.concatenate([[0.0], w.slopes, [w.final_slope]])
+        value = _kinked_integral(w.phi, u0, w.us, slopes)
         g_end = float(w.phi(u0 + v_max)) * math.exp(-v_max)
         return KappaResult("finite", value, g_end, value, {
             "method": "exact piecewise integral with final-slope extension",
@@ -203,19 +206,25 @@ def kappa(w: WeightFunction, y: float, T: float = 1e6) -> KappaResult:
             "window": [float(win[0]), float(win[-1])],
         })
 
-    # phi has a kink where u crosses 0 (normalized weights)
-    breaks = [0.0] + [p for p in (-u0,) if 0 < p < v_max] + [v_max]
-    val, err = _integrate(g, breaks)
-    if err > 1e-8 * (abs(val) + 1.0):
-        raise QuadratureFailure(f"quadrature error {err} too large for kappa")
+    if isinstance(w, Associated):
+        # the window test above has evaluated phi at u0 + v_max, so the
+        # supremum stays below index P on the whole range
+        kinks, slopes = _sequence_kinks(w.M)
+        val = _kinked_integral(w.phi, u0, kinks, slopes, v_max)
+        evidence = {"method": "exact integral over the hull kinks + exponential tail",
+                    "rate": float(rate)}
+    else:
+        # phi has a kink where u crosses 0 (normalized weights)
+        breaks = [0.0] + [p for p in (-u0,) if 0 < p < v_max] + [v_max]
+        val, err = _integrate(g, breaks)
+        if err > 1e-8 * (abs(val) + 1.0):
+            raise QuadratureFailure(f"quadrature error {err} too large for kappa")
+        evidence = {"method": "adaptive Gauss-Legendre in log variable + exponential tail",
+                    "rate": float(rate), "quad_error": float(err)}
     g_end = float(gw[-1])
     tail = g_end / rate
-    return KappaResult("finite", val + tail, g_end, tail * 1.5 + 1e-300, {
-        "method": "adaptive Gauss-Legendre in log variable + exponential tail",
-        "rate": float(rate),
-        "quad_error": float(err),
-        "horizon": T,
-    })
+    return KappaResult("finite", val + tail, g_end, tail * 1.5 + 1e-300,
+                       {**evidence, "horizon": T})
 
 
 def kappa_equivalence_check(w: WeightFunction, y_grid=None, T: float = 1e6) -> Verdict:

@@ -134,6 +134,40 @@ def test_config_file_fills_flags(weight_file, tmp_path):
     assert set(_load(out)["results"]["conditions"]) == {"om1"}
 
 
+def test_config_file_sets_flags_with_defaults(weight_file, tmp_path):
+    # --xmax defaults to "1e4"; the config replaces a default, but not a
+    # value given on the command line
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"xmax": "20", "seed": 7}))
+    out = tmp_path / "r.json"
+    argv = ["conjugate", "--weight", weight_file, "--config", str(cfg), "--out", str(out)]
+    assert cli.run(argv) == 0
+    doc = _load(out)
+    assert doc["results"]["conjugate"]["x_max"] == 20.0
+    assert doc["seed"] == 7
+    assert cli.run(argv + ["--xmax", "5", "--seed", "0"]) == 0
+    doc = _load(out)
+    assert doc["results"]["conjugate"]["x_max"] == 5.0
+    assert doc["seed"] == 0
+
+
+def test_config_file_sets_dashed_flags(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"A-max": "4", "J": "12", "certify": "nonconvexity"}))
+    out = tmp_path / "ce.json"
+    assert cli.run(["counterexample", "--config", str(cfg), "--out", str(out)]) == 0
+    res = _load(out)["results"]
+    assert res["parameters"]["J"] == 12
+    assert res["parameters"]["A_max"] == 4.0
+
+
+def test_unreadable_config_is_a_one_line_error(weight_file, tmp_path, capsys):
+    argv = ["analyze", "--weight", weight_file, "--config", str(tmp_path / "none.json")]
+    assert cli.run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_strict_inconclusive_exit(tmp_path):
     # a profile that ends flat leaves asymptotic conditions undecidable
     p = tmp_path / "flat.json"

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from weightlab import (Exp, GridSpec, Log, LogPower, Normalized,
-                       PiecewiseLogLinear, Power, Scaled, conditions)
-from weightlab.errors import WeightlabError
+from weightlab import (Dilated, Exp, GridSpec, Log, LogPower, Normalized,
+                       PiecewiseLogLinear, Power, Scaled, WeightFunction,
+                       conditions, growth)
+from weightlab.errors import HorizonTooSmall, WeightlabError
 from weightlab.verdict import Status
 
 H, F = "holds", "fails"
@@ -112,3 +113,68 @@ def test_power_alpha_interior(alpha):
     assert conditions.check_condition(w, "om5").holds
     assert conditions.check_condition(w, "om_nq").holds
     assert conditions.check_condition(w, "om_sub").holds
+
+
+class _Opaque(WeightFunction):
+    """The same function behind a type without a closed form."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.nondecreasing = inner.nondecreasing
+        self.normalized = inner.normalized
+
+    def _eval(self, t):
+        return self.inner._eval(t)
+
+    def _phi_unchecked(self, u):
+        return self.inner._phi_unchecked(u)
+
+
+class _Hump(WeightFunction):
+    """w(t) = t / (1 + t^2 / 25): rises to 2.5 at t = 5, then falls."""
+
+    nondecreasing = False
+
+    def _eval(self, t):
+        return t / (1.0 + t * t / 25.0)
+
+
+@pytest.mark.parametrize("w", [
+    Dilated(4.0, PiecewiseLogLinear([[0, 0], [1, 1], [3, 4]])),
+    _Opaque(Power(0.5)),
+    _Opaque(Log()),
+], ids=["dilated_profile", "opaque_sqrt", "opaque_log"])
+def test_nondecreasing_holds_on_increasing_weights(w):
+    # the [0, 1] samples and the grid overlap; they are scanned in order
+    assert conditions.check_condition(w, "nondecreasing").holds
+
+
+def test_nondecreasing_witness_on_a_falling_weight():
+    w = _Hump()
+    v = conditions.check_condition(w, "nondecreasing")
+    assert v.fails
+    left, right = v.witness["t_left"], v.witness["t_right"]
+    assert left < right
+    assert w.evaluate(right) - w.evaluate(left) == pytest.approx(v.witness["drop"])
+    assert v.witness["drop"] < 0
+
+
+def _raise(exc):
+    def raiser(*args, **kwargs):
+        raise exc
+    return raiser
+
+
+def test_bb_rescue_lets_programming_errors_through(monkeypatch):
+    # t^1.5 is not subadditive, so classify tries the kappa rescue
+    monkeypatch.setattr(growth, "kappa_equivalence_check", _raise(RuntimeError("bug")))
+    with pytest.raises(RuntimeError, match="bug"):
+        conditions.classify(Power(1.5))
+
+
+def test_bb_rescue_horizon_problem_is_inconclusive(monkeypatch):
+    monkeypatch.setattr(growth, "kappa_equivalence_check",
+                        _raise(HorizonTooSmall("too short")))
+    rep = conditions.classify(Power(1.5))
+    assert rep.classes["bb"].fails
+    assert rep.classes["bb_equivalent"].inconclusive

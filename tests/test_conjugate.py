@@ -9,8 +9,8 @@ from hypothesis import given, strategies as st
 
 import weightlab
 from weightlab import (Gevrey, Log, Normalized, LogPower, PiecewiseLogLinear,
-                       Power, conjugate)
-from weightlab.errors import (NotMatrixAdmissible, Om3Violated,
+                       Power, conditions, conjugate)
+from weightlab.errors import (HorizonTooSmall, NotMatrixAdmissible, Om3Violated,
                               ValidationFailed, YHorizonTooSmall)
 
 
@@ -74,6 +74,24 @@ def test_conjugate_is_convex():
 def test_om3_precondition():
     with pytest.raises(Om3Violated):
         conjugate.young_conjugate(Log(), x_max=10.0)
+
+
+def test_om3_precheck_lets_programming_errors_through(monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("bug")
+    monkeypatch.setattr(conditions, "check_condition", broken)
+    with pytest.raises(RuntimeError, match="bug"):
+        conjugate.young_conjugate(Power(0.5), 10.0)
+
+
+def test_om3_precheck_horizon_problem_is_inconclusive(monkeypatch):
+    def short(*args, **kwargs):
+        raise HorizonTooSmall("too short")
+    monkeypatch.setattr(conditions, "check_condition", short)
+    assert conjugate._om3_status(Power(0.5)).inconclusive
+    # the conjugate is still computed: (x / a) (log(x / a) - 1) for t^a
+    prof = conjugate.young_conjugate(Power(0.5), 10.0)
+    assert prof.value(2.0) == pytest.approx(4.0 * (math.log(4.0) - 1.0), rel=1e-9)
 
 
 def test_profile_conjugate_exact_and_capped():

@@ -100,6 +100,35 @@ def test_json_round_trip(w):
     np.testing.assert_allclose(w2.evaluate(t), w.evaluate(t), rtol=1e-12)
 
 
+_SEQ = [0.0, 0.0, 0.693, 1.792, 3.178]
+
+
+@pytest.mark.parametrize("doc", [
+    {"family": "power", "params": {"alpha": 0.5}},
+    {"family": "gevrey", "params": {"s": 3.0}},
+    {"family": "log", "params": {}},
+    {"family": "logpower", "params": {"beta": 2.0}},
+    {"family": "exp", "params": {}},
+    {"family": "scaled", "params": {"c": 2.0}, "base": {"family": "log", "params": {}}},
+    {"family": "dilated", "params": {"c": 0.5},
+     "base": {"family": "power", "params": {"alpha": 0.25}}},
+    {"family": "normalized", "params": {},
+     "base": {"family": "logpower", "params": {"beta": 2.0}}},
+    {"profile": [[0.0, 0.0], [1.0, 1.0], [2.0, 3.0]]},
+    {"sequence": _SEQ},
+    {"sequence": [0.0, 1.0, 3.0, 6.0], "increase_from": 2},
+    {"family": "scaled", "params": {"c": 3.0},
+     "base": {"sequence": _SEQ, "increase_from": 1}},
+], ids=lambda doc: json.dumps(doc, sort_keys=True)[:40])
+def test_load_dump_load_round_trip(doc):
+    w = load_weight(doc)
+    dumped = dump_weight(w)
+    assert dumped == doc
+    again = load_weight(json.loads(json.dumps(dumped)))
+    assert dump_weight(again) == dumped
+    assert getattr(again, "increase_from", None) == getattr(w, "increase_from", None)
+
+
 def test_load_weight_rejects_garbage():
     with pytest.raises(ValidationFailed):
         load_weight({"family": "nope", "params": {}})

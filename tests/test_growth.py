@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from weightlab import (Dilated, Exp, Log, Normalized, PiecewiseLogLinear,
-                       Power, WeightFunction, growth)
+                       Power, WeightFunction, growth, load_weight)
 from weightlab.errors import (HorizonTooSmall, NonFinite, NotMonotone,
                               QuadratureFailure)
 
@@ -79,6 +79,93 @@ def test_kappa_profile_exact_path(plateau_profile_small):
     res = growth.kappa(plateau_profile_small.weight, 1.0)
     assert res.kind == "finite"
     assert res.value > plateau_profile_small.weight.evaluate(1.0)
+
+
+def _segment_loop_kappa(w, u0):
+    """Profile kappa by one exact integral per segment, the way it was
+    computed before the closed form: a reference for it."""
+    def anti(alpha, beta, v):
+        return -(alpha + beta + beta * v) * math.exp(-v)
+
+    vs = [0.0] + sorted(v for v in (w.us - u0) if v > 0)
+    total = 0.0
+    for i, v1 in enumerate(vs):
+        v2 = vs[i + 1] if i + 1 < len(vs) else math.inf
+        p1 = float(w.phi(u0 + v1))
+        if math.isinf(v2):
+            u = u0 + v1
+            k = int(np.searchsorted(w.us, u, side="right")) - 1
+            slope = (0.0 if u < w.us[0] else w.final_slope if u >= w.us[-1]
+                     else float(w.slopes[min(max(k, 0), len(w.slopes) - 1)]))
+        else:
+            slope = (float(w.phi(u0 + v2)) - p1) / (v2 - v1)
+        alpha = p1 - slope * v1
+        upper = 0.0 if math.isinf(v2) else anti(alpha, slope, v2)
+        total += upper - anti(alpha, slope, v1)
+    return total
+
+
+_KAPPA_YS = [0.0, 1e-3, 0.5, 1.0, 2.0, *np.geomspace(3.0, 1e8, 23).tolist()]
+
+
+@pytest.mark.parametrize("profile", ["plateau_profile", "plateau_profile_small", "falling"])
+def test_kappa_profile_matches_segment_loop(profile, request):
+    if profile == "falling":
+        w = PiecewiseLogLinear([[0.0, 0.0], [1.0, 2.0], [2.0, 1.0], [4.0, 5.0]])
+    else:
+        w = request.getfixturevalue(profile).weight
+    for y in _KAPPA_YS:
+        u0 = math.log(y) if y > 0 else -745.0
+        assert growth.kappa(w, y).value == pytest.approx(
+            _segment_loop_kappa(w, u0), rel=1e-14, abs=1e-300)
+
+
+_SEQUENCES = {
+    "gaussian": [0.75 * k * k for k in range(60)],
+    "triangular": [0.5 * k * (k + 1) for k in range(20)],
+    "gevrey2": [2.0 * math.lgamma(k + 1) for k in range(120)],
+    # log M_3 lies above the chord, so the hull skips p = 3
+    "skipping": [0.0, 1.0, 2.5, 6.0, *np.cumsum([8.5, *np.arange(3.5, 12.0)]).tolist()],
+}
+
+
+@pytest.mark.parametrize("name", list(_SEQUENCES))
+@pytest.mark.parametrize("y", [1e-3, 0.4, 1.0, 3.0, 10.0])
+def test_kappa_sequence_matches_quadrature(name, y):
+    # the finite part over [0, log T] against adaptive quadrature whose
+    # panels break at the kinks of phi, the slopes of the lower hull of
+    # (p, log M_p)
+    lm = np.asarray(_SEQUENCES[name])
+    w = load_weight({"sequence": lm.tolist()})
+    T = 1e3
+    res = growth.kappa(w, y, T)
+    assert res.kind == "finite"
+    finite_part = res.value - res.tail_low / res.evidence["rate"]
+    u0, v_max = math.log(y), math.log(T)
+    p = np.arange(len(lm))
+    kinks = [np.min((lm[q + 1:] - lm[q]) / (p[q + 1:] - q)) for q in range(len(lm) - 1)]
+    breaks = sorted({0.0, v_max, *(c - u0 for c in kinks if 0 < c - u0 < v_max)})
+
+    def g(v):
+        return np.asarray(w._phi_unchecked(u0 + v.ravel())).reshape(v.shape) * np.exp(-v)
+
+    reference, _ = growth._integrate(g, breaks)
+    assert finite_part == pytest.approx(reference, rel=1e-9)
+    assert "quad_error" not in res.evidence
+
+
+@pytest.mark.parametrize("y, T, raises", [
+    (6.9, 1e6, False), (6.95, 1e6, True), (1.0, 6.5e6, False), (1.0, 7e6, True),
+])
+def test_kappa_sequence_horizon_limit(y, T, raises):
+    # phi(u) = max_p (p u - 3p^2/4) over p <= 11 turns to the last slope at
+    # u = 15.75; kappa must refuse every horizon with log(y T) beyond it
+    w = load_weight({"sequence": [0.75 * k * k for k in range(12)]})
+    if raises:
+        with pytest.raises(HorizonTooSmall, match="P=11"):
+            growth.kappa(w, y, T)
+    else:
+        assert growth.kappa(w, y, T).kind == "finite"
 
 
 def test_kappa_equivalence():
