@@ -18,8 +18,7 @@ import sys
 import numpy as np
 
 from . import conditions, conjugate, core, counterexample, growth, lpspace, relations
-from .errors import JHorizonTooSmall, WeightlabError
-from .verdict import Verdict
+from .errors import JHorizonTooSmall, ValidationFailed, WeightlabError
 
 SCHEMA_VERSION = 1
 
@@ -30,8 +29,6 @@ SCHEMA_VERSION = 1
 
 def _clean(obj):
     """Recursively convert report content to plain JSON-safe values."""
-    if isinstance(obj, Verdict):
-        return _clean(obj.to_dict())
     if hasattr(obj, "to_dict"):
         return _clean(obj.to_dict())
     if isinstance(obj, dict):
@@ -45,13 +42,15 @@ def _clean(obj):
         if math.isinf(v):
             return "inf" if v > 0 else "-inf"
         return v
-    if isinstance(obj, (np.integer,)):
+    if isinstance(obj, np.integer):
         return int(obj)
+    if isinstance(obj, np.bool_):
+        return bool(obj)
     if isinstance(obj, np.ndarray):
         return [_clean(v) for v in obj.tolist()]
     if isinstance(obj, (str, int, bool)) or obj is None:
         return obj
-    return str(obj)
+    raise TypeError(f"no JSON form for {type(obj).__name__} in a report")
 
 
 def _statuses(obj, acc):
@@ -98,17 +97,19 @@ def _load_weight(path):
 
 
 def _grid_from(args):
-    if getattr(args, "horizon", None):
-        return core.GridSpec(1e-2, float(args.horizon), 600)
+    if args.horizon is not None:
+        return core.GridSpec(1e-2, args.horizon, 600)
     return conditions.DEFAULT_GRID
 
 
+_MATRIX_KINDS = {"exp": relations.WeightMatrix.exponential,
+                 "exponential": relations.WeightMatrix.exponential,
+                 "dil": relations.WeightMatrix.dilatation,
+                 "dilatation": relations.WeightMatrix.dilatation}
+
+
 def _matrix_from(kind, w):
-    if kind in ("exp", "exponential"):
-        return relations.WeightMatrix.exponential(w)
-    if kind in ("dil", "dilatation"):
-        return relations.WeightMatrix.dilatation(w)
-    raise WeightlabError(f"unknown matrix kind {kind!r}")
+    return _MATRIX_KINDS[kind](w)
 
 
 # ---------------------------------------------------------------------------
@@ -133,9 +134,8 @@ def _cmd_classify(args):
 
 def _cmd_conjugate(args):
     w = _load_weight(args.weight)
-    x_max = float(args.xmax)
-    prof = conjugate.young_conjugate(w, x_max)
-    xs = np.linspace(0.0, min(x_max, prof.slope_cap), 201)
+    prof = conjugate.young_conjugate(w, args.xmax)
+    xs = np.linspace(0.0, min(args.xmax, prof.slope_cap), 201)
     vals = np.atleast_1d(prof.value(xs))
     report = {"conjugate": prof.to_dict(),
               "curves": {"conjugate": {"t": list(xs), "value": list(vals)}},
@@ -145,30 +145,25 @@ def _cmd_conjugate(args):
 
 def _cmd_matrix(args):
     w = _load_weight(args.weight)
-    ells = [float(x) for x in args.ell.split(",")]
     table = {}
-    for ell in ells:
-        logW = conjugate.associated_weight_matrix(w, ell, int(args.jmax))
+    for ell in args.ell:
+        logW = conjugate.associated_weight_matrix(w, ell, args.jmax)
         table[f"{ell:g}"] = list(np.asarray(logW))
-    return {"log_matrix": table, "j_max": int(args.jmax),
+    return {"log_matrix": table, "j_max": args.jmax,
             "weight": w.to_json_dict()}
 
 
 def _cmd_index(args):
     w = _load_weight(args.weight)
-    T = float(args.horizon) if args.horizon else 1e8
-    gammas = None
-    if args.gammas:
-        gammas = tuple(float(v) for v in args.gammas.split(","))
-    est = growth.growth_index(w, gamma_grid=gammas, T=T)
+    T = args.horizon if args.horizon is not None else 1e8
+    est = growth.growth_index(w, gamma_grid=args.gammas, T=T)
     return {"growth_index": est, "weight": w.to_json_dict()}
 
 
 def _cmd_kappa(args):
     w = _load_weight(args.weight)
-    T = float(args.horizon) if args.horizon else 1e6
-    ys = [float(v) for v in (args.y or "1,4,100").split(",")]
-    vals = {f"{y:g}": growth.kappa(w, y, T) for y in ys}
+    T = args.horizon if args.horizon is not None else 1e6
+    vals = {f"{y:g}": growth.kappa(w, y, T) for y in args.y}
     return {"kappa": vals,
             "equivalence": growth.kappa_equivalence_check(w, T=T),
             "weight": w.to_json_dict()}
@@ -177,9 +172,8 @@ def _cmd_kappa(args):
 def _cmd_compare(args):
     sigma = _load_weight(args.sigma)
     tau = _load_weight(args.tau)
-    rels = (args.rel or "preceq").split(",")
     grid = _grid_from(args)
-    out = {r: relations.compare(sigma, tau, r, grid) for r in rels}
+    out = {r: relations.compare(sigma, tau, r, grid) for r in args.rel}
     return {"compare": out, "sigma": sigma.to_json_dict(),
             "tau": tau.to_json_dict()}
 
@@ -187,36 +181,29 @@ def _cmd_compare(args):
 def _cmd_matrix_compare(args):
     S = _matrix_from(args.s_type, _load_weight(args.s_weight))
     T = _matrix_from(args.t_type, _load_weight(args.t_weight))
-    rels = (args.rel or "beurling").split(",")
     return {"matrix_compare": {r: relations.matrix_relation(S, T, r)
-                               for r in rels}}
+                               for r in args.rel}}
 
 
 def _cmd_lp_experiment(args):
     S = _matrix_from(args.s_type, _load_weight(args.s))
     T = _matrix_from(args.t_type, _load_weight(args.t))
-    p = math.inf if args.p in ("inf", "oo") else float(args.p)
-    rep = lpspace.inclusion_experiment(S, T, p, kind=args.type)
+    rep = lpspace.inclusion_experiment(S, T, args.p, kind=args.type)
     return {"lp_experiment": rep}
 
 
 def _cmd_counterexample(args):
-    J = int(args.J)
-    t1 = float(args.t1)
-    if args.delta == "default":
-        delta = counterexample.default_delta(J)
-    elif args.delta.startswith("power:"):
-        delta = counterexample.power_delta(counterexample.default_delta(J),
-                                          float(args.delta.split(":", 1)[1]))
-    else:
-        raise WeightlabError(f"unknown delta spec {args.delta!r}")
+    J, t1 = args.J, args.t1
+    delta = counterexample.default_delta(J)
+    if args.delta != "default":
+        delta = counterexample.power_delta(delta, float(args.delta.partition(":")[2]))
     prof = counterexample.construct(delta, t1, J)
 
     wanted = (args.certify or "all")
     todo = ("verify", "nonconvexity", "slowvar", "nonequivalence", "om4") \
         if wanted == "all" else tuple(wanted.split(","))
     results = {"parameters": {"J": J, "t1": t1, "delta": args.delta,
-                              "A_max": float(args.A_max)}}
+                              "A_max": args.A_max}}
     if "verify" in todo:
         bundle = counterexample.verify_profile(prof)
         results["invariants"] = {"all_ok": bundle.all_ok,
@@ -226,7 +213,7 @@ def _cmd_counterexample(args):
         try:
             results["nonconvexity"] = {
                 "certified": counterexample.nonconvexity_certificate(
-                    prof, float(args.A_max)),
+                    prof, args.A_max),
                 "complete": True}
         except JHorizonTooSmall as exc:
             results["nonconvexity"] = {
@@ -279,18 +266,60 @@ _COMMANDS = {
 # argument plumbing
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Bad flags and values end like any other bad input, in one `error:`
+    line and exit code 1; argparse's own exit code 2 is --expect's."""
+
+    def error(self, message):
+        raise ValidationFailed(message)
+
+
+def _arg_type(parse, expected):
+    """An argparse type that names what it expected when `parse` fails."""
+    def convert(text):
+        try:
+            return parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected {expected}, got {text!r}") from None
+    return convert
+
+
+def _names(choices):
+    def parse(text):
+        names = tuple(text.split(","))
+        if not set(names) <= set(choices):
+            raise ValueError(text)
+        return names
+    return _arg_type(parse, "comma-separated names from " + ", ".join(choices))
+
+
+def _delta_spec(text):
+    if text != "default":
+        kind, _, exponent = text.partition(":")
+        if kind != "power":
+            raise ValueError(text)
+        float(exponent)
+    return text
+
+
+_NUMBERS = _arg_type(lambda text: tuple(float(v) for v in text.split(",")),
+                     "comma-separated numbers")
+_EXPONENT = _arg_type(lambda text: math.inf if text == "oo" else float(text),
+                      "a number, inf or oo")
+_DELTA = _arg_type(_delta_spec, "default or power:<exponent>")
+
+
 def _build_parser(defaults=None):
     """The argument parser; `defaults` replace the subcommands' own."""
-    ap = argparse.ArgumentParser(prog="weightlab",
-                                 description="weight-function calculus toolkit")
+    ap = _Parser(prog="weightlab", description="weight-function calculus toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p):
         p.add_argument("--out", default=None, help="output file (default stdout)")
         p.add_argument("--emit", default="json", help="json and/or csv")
         p.add_argument("--config", default=None, help="JSON file with defaults")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--horizon", default=None)
+        p.add_argument("--horizon", type=float, default=None)
         p.add_argument("--expect", choices=["holds"], default=None)
         p.add_argument("--strict", action="store_true")
         p.add_argument("--plot-dir", default=".")
@@ -309,57 +338,57 @@ def _build_parser(defaults=None):
 
     p = sub.add_parser("conjugate")
     p.add_argument("--weight", required=True)
-    p.add_argument("--xmax", default="1e4")
+    p.add_argument("--xmax", type=float, default="1e4")
     common(p)
 
     p = sub.add_parser("matrix")
     p.add_argument("--weight", required=True)
-    p.add_argument("--ell", default="0.5,1,2")
-    p.add_argument("--jmax", default="100")
+    p.add_argument("--ell", type=_NUMBERS, default="0.5,1,2")
+    p.add_argument("--jmax", type=int, default="100")
     common(p)
 
     p = sub.add_parser("index")
     p.add_argument("--weight", required=True)
-    p.add_argument("--gammas", default=None,
+    p.add_argument("--gammas", type=_NUMBERS, default=None,
                    help="comma-separated gamma grid to test (default: built-in)")
     common(p)
 
     p = sub.add_parser("kappa")
     p.add_argument("--weight", required=True)
-    p.add_argument("--y", default="1,4,100")
+    p.add_argument("--y", type=_NUMBERS, default="1,4,100")
     common(p)
 
     p = sub.add_parser("compare")
     p.add_argument("--sigma", required=True)
     p.add_argument("--tau", required=True)
-    p.add_argument("--rel", default="preceq")
+    p.add_argument("--rel", type=_names(relations.RELATIONS), default="preceq")
     common(p)
 
     p = sub.add_parser("matrix-compare")
-    p.add_argument("--s-type", default="exp")
+    p.add_argument("--s-type", choices=_MATRIX_KINDS, default="exp")
     p.add_argument("--s-weight", required=True)
-    p.add_argument("--t-type", default="exp")
+    p.add_argument("--t-type", choices=_MATRIX_KINDS, default="exp")
     p.add_argument("--t-weight", required=True)
-    p.add_argument("--rel", default="beurling")
+    p.add_argument("--rel", type=_names(relations.MATRIX_RELATIONS), default="beurling")
     common(p)
 
     p = sub.add_parser("lp-experiment")
     p.add_argument("--s", required=True)
     p.add_argument("--t", required=True)
-    p.add_argument("--s-type", default="exp")
-    p.add_argument("--t-type", default="exp")
-    p.add_argument("--p", default="2")
+    p.add_argument("--s-type", choices=_MATRIX_KINDS, default="exp")
+    p.add_argument("--t-type", choices=_MATRIX_KINDS, default="exp")
+    p.add_argument("--p", type=_EXPONENT, default="2")
     p.add_argument("--type", default="beurling", choices=["beurling", "roumieu"])
     common(p)
 
     p = sub.add_parser("counterexample")
-    p.add_argument("--J", default="60")
-    p.add_argument("--t1", default="0.5")
-    p.add_argument("--delta", default="default")
+    p.add_argument("--J", type=int, default="60")
+    p.add_argument("--t1", type=float, default="0.5")
+    p.add_argument("--delta", type=_DELTA, default="default")
     p.add_argument("--certify", default="all")
     # the largest ladder rung a J=60 profile can witness; larger rungs need
     # proportionally more blocks than doubles can represent
-    p.add_argument("--A-max", dest="A_max", default="64")
+    p.add_argument("--A-max", dest="A_max", type=float, default="64")
     common(p)
 
     p = sub.add_parser("report")
@@ -370,20 +399,27 @@ def _build_parser(defaults=None):
 
 
 def _parse(argv):
-    """Parse argv; a --config file fills every flag the command line omits."""
+    """Parse argv; a --config file fills every flag the command line omits.
+
+    A config value is parsed as if given on the command line: a string as
+    it is, a boolean sets a switch such as --strict, and any other value
+    is read as its JSON text.
+    """
     args = _build_parser().parse_args(argv)
     if not args.config:
         return args
     with open(args.config) as fh:
         cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValidationFailed("a config file holds one JSON object")
     flags = vars(args).keys() - {"command"}
-    defaults = {key.replace("-", "_"): value for key, value in cfg.items()}
+    defaults = {key.replace("-", "_"): value if isinstance(value, (str, bool))
+                else json.dumps(value) for key, value in cfg.items()}
     defaults = {key: value for key, value in defaults.items() if key in flags}
     return _build_parser(defaults).parse_args(argv)
 
 
 def run(argv=None) -> int:
-    threads = os.environ.get("WEIGHTLAB_THREADS")
     try:
         args = _parse(argv)
         result = _COMMANDS[args.command](args)
@@ -395,8 +431,6 @@ def run(argv=None) -> int:
 
     report = {"schema_version": SCHEMA_VERSION,
               "command": args.command,
-              "seed": args.seed,
-              "threads_cap": int(threads) if threads else None,
               "results": _clean(result)}
     _write_report(report, args)
     if "csv" in (args.emit or "").split(","):

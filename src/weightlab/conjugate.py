@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import GridSpec, PiecewiseLogLinear, WeightFunction
+from .core import GridSpec, PiecewiseLogLinear, WeightFunction, pl_eval
 from .errors import (EmptyInput, NotMatrixAdmissible, Om3Violated,
                      ValidationFailed, WeightlabError, YHorizonTooSmall)
 
@@ -49,21 +49,11 @@ class PiecewiseLinear:
     def __call__(self, x):
         xs = np.asarray(self.xs, dtype=float)
         ys = np.asarray(self.ys, dtype=float)
-        arr = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.interp(arr, xs, ys)
-        if len(xs) >= 2:
-            slope = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
-        else:
-            slope = 0.0
-        right = arr > xs[-1]
-        out[right] = ys[-1] + slope * (arr[right] - xs[-1])
-        if np.isscalar(x) or np.asarray(x).ndim == 0:
+        slope = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2]) if len(xs) >= 2 else 0.0
+        out = pl_eval(np.atleast_1d(np.asarray(x, dtype=float)), xs, ys, slope)
+        if np.ndim(x) == 0:
             return float(out[0])
         return out
-
-    @property
-    def knots(self):
-        return list(zip(self.xs, self.ys))
 
 
 def _hull(points, upper: bool):

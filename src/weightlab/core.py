@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .errors import EmptyInput, HorizonTooSmall, NonFinite, NotMonotone, ValidationFailed
 
 __all__ = [
@@ -37,6 +36,7 @@ __all__ = [
     "associated_weight_function",
     "load_weight",
     "dump_weight",
+    "pl_eval",
 ]
 
 
@@ -215,6 +215,15 @@ class Exp(WeightFunction):
         return {"family": "exp", "params": {}}
 
 
+def pl_eval(x, xs, ys, final_slope, left=None):
+    """Interpolate the corners (xs, ys) at the 1-d array x: `final_slope`
+    extends the last value rightward, `left` (default ys[0]) holds left."""
+    out = np.interp(x, xs, ys, left=left)
+    right = x > xs[-1]
+    out[right] = ys[-1] + final_slope * (x[right] - xs[-1])
+    return out
+
+
 class PiecewiseLogLinear(WeightFunction):
     """phi stored as corners (u_k, v_k), affine in between.
 
@@ -244,7 +253,7 @@ class PiecewiseLogLinear(WeightFunction):
 
     def _phi_unchecked(self, u):
         u = np.atleast_1d(np.asarray(u, dtype=float))
-        return _kernels.pl_eval(u, self.us, self.vs, self.final_slope)
+        return pl_eval(u, self.us, self.vs, self.final_slope, left=0.0)
 
     def _eval(self, t):
         t = np.atleast_1d(np.asarray(t, dtype=float))

@@ -301,10 +301,6 @@ class SlowVariationReport:
     certified_K_e: bool
     threshold_j: int | None
 
-    @property
-    def all_bounds_ok(self):
-        return all(b["ok"] for b in self.case_bounds)
-
     def to_dict(self):
         return {"gamma": self.gamma, "j0": self.j0,
                 "case_bounds": list(self.case_bounds),

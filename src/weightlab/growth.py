@@ -21,7 +21,7 @@ import numpy as np
 from . import conjugate
 from .core import (Associated, Dilated, Log, LogPower, PiecewiseLogLinear, Power, Scaled,
                    WeightFunction, WeightSequence)
-from .errors import HorizonTooSmall, NotMonotone, QuadratureFailure
+from .errors import HorizonTooSmall, NotMonotone, QuadratureFailure, ValidationFailed
 from .verdict import Verdict, fails, holds, inconclusive
 
 __all__ = [
@@ -73,6 +73,10 @@ class KappaResult:
     @property
     def divergent(self):
         return self.kind == "divergent"
+
+    def to_dict(self):
+        return {"kind": self.kind, "value": self.value, "tail_low": self.tail_low,
+                "tail_high": self.tail_high, "evidence": self.evidence}
 
 
 def _kinked_integral(phi, u0, kinks, slopes, v_max=math.inf):
@@ -165,7 +169,7 @@ def kappa(w: WeightFunction, y: float, T: float = 1e6) -> KappaResult:
     exact for a sequence weight and adaptive quadrature for the rest.
     """
     if y < 0:
-        raise ValueError("y must be >= 0")
+        raise ValidationFailed("y must be >= 0")
     if T <= 10:
         raise HorizonTooSmall("kappa horizon must exceed 10")
     u0 = math.log(y) if y > 0 else -745.0

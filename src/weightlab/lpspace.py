@@ -68,11 +68,6 @@ class SampledFunction:
             raise ValidationFailed("dimension must be >= 1")
 
     @classmethod
-    def from_grid(cls, grid: GridSpec, fn, d: int = 1, label: str = ""):
-        ts = grid.points()
-        return cls(tuple(ts), tuple(np.asarray(fn(ts), dtype=float)), d, label)
-
-    @classmethod
     def from_log_values(cls, ts, log_values, d: int = 1, label: str = ""):
         vals = np.exp(np.minimum(np.asarray(log_values, dtype=float), 0.0))
         return cls(tuple(ts), tuple(vals), d, label)
@@ -125,10 +120,14 @@ class NormResult:
                 "evidence": self.evidence}
 
 
-def weighted_norm(f: SampledFunction, w: WeightFunction, p) -> NormResult:
-    """||f||_{p,w} on the sample grid (p in [1, oo])."""
+def _check_exponent(p):
     if p != math.inf and not 1 <= p < math.inf:
         raise ValidationFailed("p must be in [1, oo]")
+
+
+def weighted_norm(f: SampledFunction, w: WeightFunction, p) -> NormResult:
+    """||f||_{p,w} on the sample grid (p in [1, oo])."""
+    _check_exponent(p)
     ts = f.t_array()
     wt = np.asarray(w.evaluate(ts))
     logf = f.log_value_array()
@@ -511,6 +510,7 @@ def inclusion_experiment(S: WeightMatrix, T: WeightMatrix, p,
     whose T-side norms diverge."""
     if kind not in ("beurling", "roumieu"):
         raise ValidationFailed("kind must be beurling or roumieu")
+    _check_exponent(p)
 
     tg = GridSpec(1e-2, 1e6, 400).points()
     hyp_map_S, bind_S = _mixed_pair_search(S, S, (1.0,), tg)

@@ -34,6 +34,8 @@ __all__ = [
     "RelationVerdict",
     "LadderReport",
     "DEFAULT_ELL_GRID",
+    "RELATIONS",
+    "MATRIX_RELATIONS",
     "compare",
     "bridge_check",
     "matrix_relation",
@@ -46,6 +48,10 @@ DEFAULT_ELL_GRID = tuple(2.0 ** k for k in range(-6, 7))
 _EXTENDED_ELL_GRID = tuple(2.0 ** k for k in range(-12, 13))
 _C_GRID = tuple(2.0 ** k for k in range(41))
 _EPS_GRID = (1.0, 0.5, 0.1, 0.01)
+
+# the relation ids `compare` and `matrix_relation` accept
+RELATIONS = ("le", "preceq", "sim", "triangle", "preceq_c", "sim_c", "triangle_c")
+MATRIX_RELATIONS = ("beurling", "roumieu", "triangle")
 
 
 # ---------------------------------------------------------------------------
@@ -314,10 +320,6 @@ def bridge_check(sigma: WeightFunction, tau: WeightFunction,
     if not (sigma.nondecreasing and tau.nondecreasing):
         raise NotMonotone("bridge_check requires nondecreasing weights")
 
-    om1 = conjunction({
-        "sigma": conditions.check_condition(sigma, "om1", grid),
-        "tau": conditions.check_condition(tau, "om1", grid),
-    })
     # "either sigma or tau" suffices for both hypotheses
     om1_any = _any_holds(conditions.check_condition(sigma, "om1", grid),
                          conditions.check_condition(tau, "om1", grid))
@@ -335,15 +337,14 @@ def bridge_check(sigma: WeightFunction, tau: WeightFunction,
     edges = []
     for h, a, b in links:
         applicable = hyp[h].holds and rels[a].holds
-        ok = not (applicable and rels[b].fails)
-        edges.append({"hypothesis": h, "from": a, "to": b,
-                      "applicable": applicable, "ok": ok})
-        if not ok:
+        if applicable and rels[b].fails:
             raise BridgeViolation(
                 f"{h} holds and {a} holds but {b} fails for this pair")
+        edges.append({"hypothesis": h, "from": a, "to": b,
+                      "applicable": applicable})
     items = {**{f"rel_{k}": v for k, v in rels.items()},
              "om1_any": om1_any, "om6_any": om6_any}
-    return ConsistencyReport(items=items, edges=edges, consistent=True)
+    return ConsistencyReport(items=items, edges=edges)
 
 
 def _any_holds(v1: Verdict, v2: Verdict) -> Verdict:
@@ -423,7 +424,7 @@ def _reduction(S, T, rel, grid):
 def matrix_relation(S: WeightMatrix, T: WeightMatrix, rel: str,
                     ell_grid=DEFAULT_ELL_GRID,
                     grid: GridSpec = DEFAULT_GRID) -> RelationVerdict:
-    if rel not in ("beurling", "roumieu", "triangle"):
+    if rel not in MATRIX_RELATIONS:
         raise ValueError(f"unknown matrix relation {rel!r}")
     S.verify_pointwise_order(ell_grid, grid)
     T.verify_pointwise_order(ell_grid, grid)

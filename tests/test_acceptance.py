@@ -113,7 +113,7 @@ def test_06_kappa_oracle_and_chain():
     assert conditions.check_condition(Power(0.5), "om_snq").holds
     est = growth.growth_index(Power(0.5), T=1e6)
     assert est.lower_bound > 1.0
-    assert conditions.check_implication_chain(Power(0.5)).consistent
+    conditions.check_implication_chain(Power(0.5))  # a broken link raises
 
 
 def test_07_conjugate_oracle_and_fenchel_young():
@@ -154,7 +154,7 @@ def test_08_relation_suite():
 
     for pair in ((Power(1.0), Power(0.5)), (Power(0.5), Log()),
                  (Power(1.0), Log()), (Power(0.5), Power(0.25))):
-        assert relations.bridge_check(*pair).consistent, pair
+        relations.bridge_check(*pair)  # a broken link raises
 
     rng = np.random.default_rng(7)
     ells = (0.5, 1.0, 2.0)

@@ -138,17 +138,15 @@ def test_config_file_sets_flags_with_defaults(weight_file, tmp_path):
     # --xmax defaults to "1e4"; the config replaces a default, but not a
     # value given on the command line
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"xmax": "20", "seed": 7}))
+    cfg.write_text(json.dumps({"xmax": "20"}))
     out = tmp_path / "r.json"
     argv = ["conjugate", "--weight", weight_file, "--config", str(cfg), "--out", str(out)]
     assert cli.run(argv) == 0
     doc = _load(out)
     assert doc["results"]["conjugate"]["x_max"] == 20.0
-    assert doc["seed"] == 7
-    assert cli.run(argv + ["--xmax", "5", "--seed", "0"]) == 0
+    assert cli.run(argv + ["--xmax", "5"]) == 0
     doc = _load(out)
     assert doc["results"]["conjugate"]["x_max"] == 5.0
-    assert doc["seed"] == 0
 
 
 def test_config_file_sets_dashed_flags(tmp_path):
@@ -180,3 +178,89 @@ def test_strict_inconclusive_exit(tmp_path):
         assert code == 3
     else:
         assert status == "fails" and code == 0
+
+
+# every subcommand on a small input; SMALL_RUNS[i] names its weight files
+SMALL_RUNS = [
+    ["analyze", "--weight", "W", "--conditions", "om1,om3"],
+    ["classify", "--weight", "W"],
+    ["conjugate", "--weight", "W", "--xmax", "20"],
+    ["matrix", "--weight", "W", "--ell", "0.5,1", "--jmax", "10"],
+    ["index", "--weight", "W", "--gammas", "1.5,2.5"],
+    ["kappa", "--weight", "W", "--y", "1,4"],
+    ["compare", "--sigma", "W", "--tau", "L", "--rel", "preceq"],
+    ["matrix-compare", "--s-weight", "W", "--t-weight", "L", "--rel", "beurling"],
+    ["lp-experiment", "--s", "W", "--t", "L", "--p", "2"],
+    ["counterexample", "--J", "12", "--A-max", "4"],
+    ["report", "--weight", "W"],
+]
+
+
+def _strings(obj):
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            yield k
+            yield from _strings(v)
+    elif isinstance(obj, list):
+        for v in obj:
+            yield from _strings(v)
+    elif isinstance(obj, str):
+        yield obj
+
+
+def test_every_subcommand_writes_plain_json(weight_file, log_file, tmp_path):
+    assert sorted(argv[0] for argv in SMALL_RUNS) == sorted(cli._COMMANDS)
+    files = {"W": weight_file, "L": log_file}
+    for argv in SMALL_RUNS:
+        out = tmp_path / f"{argv[0]}.json"
+        argv = [files.get(a, a) for a in argv] + ["--out", str(out)]
+        assert cli.run(argv) == 0, argv
+        doc = _load(out)
+        assert set(doc) == {"schema_version", "command", "results"}
+        # no result object may reach the report as its repr string
+        assert not [s for s in _strings(doc) if "Result(" in s], argv[0]
+
+
+def test_kappa_values_are_json_objects(weight_file, tmp_path):
+    out = tmp_path / "k.json"
+    assert cli.run(["kappa", "--weight", weight_file, "--y", "4", "--out", str(out)]) == 0
+    k = _load(out)["results"]["kappa"]["4"]
+    assert k["kind"] == "finite"
+    assert k["value"] == pytest.approx(4.0, rel=1e-6)  # 2 sqrt(y) for t^(1/2)
+
+
+def test_unknown_report_content_is_refused():
+    with pytest.raises(TypeError):
+        cli._clean({"x": object()})
+
+
+@pytest.mark.parametrize("argv", [
+    ["counterexample", "--J", "abc"],
+    ["conjugate", "--weight", "W", "--xmax", "abc"],
+    ["kappa", "--weight", "W", "--y", "x"],
+    ["matrix", "--weight", "W", "--ell", "a"],
+    ["index", "--weight", "W", "--horizon", "abc"],
+    ["lp-experiment", "--s", "W", "--t", "W", "--p", "x"],
+    ["analyze", "--weight", "W", "--bogus", "1"],
+    ["analyze", "--weight", "W", "--seed", "0"],
+    ["kappa", "--weight", "W", "--y", "-1"],
+    ["lp-experiment", "--s", "W", "--t", "W", "--p", "0"],
+    ["compare", "--sigma", "W", "--tau", "W", "--rel", "preceq,nope"],
+    ["matrix-compare", "--s-weight", "W", "--t-weight", "W", "--s-type", "nope"],
+    ["counterexample", "--delta", "power:x"],
+])
+def test_bad_command_line_is_a_one_line_error(argv, weight_file, capsys):
+    assert cli.run([weight_file if a == "W" else a for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_config_numbers_are_read_like_the_command_line(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"A-max": 4, "J": 12, "delta": "power:0.5",
+                               "certify": "nonconvexity"}))
+    out = tmp_path / "ce.json"
+    assert cli.run(["counterexample", "--config", str(cfg), "--out", str(out)]) == 0
+    assert _load(out)["results"]["parameters"] == {
+        "J": 12, "A_max": 4.0, "delta": "power:0.5", "t1": 0.5}

@@ -5,8 +5,8 @@ from hypothesis import given, strategies as st
 from weightlab import (Dilated, Exp, GridSpec, Log, LogPower, Normalized,
                        PiecewiseLogLinear, Power, Scaled, WeightFunction,
                        conditions, growth)
-from weightlab.errors import HorizonTooSmall, WeightlabError
-from weightlab.verdict import Status
+from weightlab.errors import ChainViolation, HorizonTooSmall, WeightlabError
+from weightlab.verdict import Status, fails, holds, inconclusive
 
 H, F = "holds", "fails"
 
@@ -103,8 +103,20 @@ def test_classify_log():
 
 def test_implication_chain_consistent():
     for w in (Power(0.5), Log(), Power(1.0)):
-        rep = conditions.check_implication_chain(w)
-        assert rep.consistent
+        conditions.check_implication_chain(w)  # a broken link raises ChainViolation
+
+
+def test_implication_chain_raises_on_a_broken_link(monkeypatch):
+    # om_snq => om_nq: a checker that certifies om_snq but refutes om_nq
+    # contradicts itself
+    forced = {"om_snq": holds({"forced": True}), "om_nq": fails({"forced": True})}
+
+    def check(w, cond, grid=conditions.DEFAULT_GRID):
+        return forced.get(cond, inconclusive(notes="forced"))
+
+    monkeypatch.setattr(conditions, "check_condition", check)
+    with pytest.raises(ChainViolation, match="om_snq holds but om_nq fails"):
+        conditions.check_implication_chain(Power(0.5))
 
 
 @given(st.floats(min_value=0.15, max_value=0.95))

@@ -136,6 +136,14 @@ def test_hulls_bracket_samples():
     assert np.all(np.diff(np.diff(lower.ys) / np.diff(lower.xs)) >= -1e-9)
 
 
+def test_piecewise_linear_ends():
+    # left of the first knot the first value, right of the last the last slope
+    f = conjugate.PiecewiseLinear((1.0, 2.0), (3.0, 5.0))
+    assert f(0.0) == 3.0 and isinstance(f(0.0), float)
+    np.testing.assert_array_equal(f(np.array([1.5, 4.0])), [4.0, 9.0])
+    assert conjugate.PiecewiseLinear((1.0,), (3.0,))(7.0) == 3.0
+
+
 def test_omega_iota():
     assert conjugate.omega_iota(Power(1.0), 0.5) == pytest.approx(2.0)
     with pytest.raises(ValidationFailed):

@@ -36,6 +36,22 @@ def test_exp_values():
     np.testing.assert_allclose(Exp().evaluate(t), np.expm1(t))
 
 
+def test_pl_eval_exact_on_corners():
+    rng = np.random.default_rng(7)
+    us = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 40.0, 9))])
+    vs = np.concatenate([[0.0], np.cumsum(rng.uniform(0.0, 2.0, 9))])
+    w = PiecewiseLogLinear(np.column_stack([us, vs]))
+    np.testing.assert_allclose(w.phi(us), vs, rtol=1e-13, atol=1e-13)
+    # past the last corner phi follows the final ray
+    ray = us[-1] + np.array([1e-3, 1.0, 50.0])
+    np.testing.assert_allclose(w.phi(ray), vs[-1] + w.final_slope * (ray - us[-1]),
+                               rtol=1e-13)
+    # left of u = 0 the profile is exactly +0.0, even when it starts at -0.0
+    for prof in (w, PiecewiseLogLinear([(0.0, -0.0), (1.0, 1.0)])):
+        left = prof.phi(np.array([-50.0, -1.0, -1e-12]))
+        assert np.all(left == 0.0) and not np.any(np.signbit(left))
+
+
 def test_negative_argument_rejected():
     with pytest.raises(ValueError):
         Power(1.0).evaluate(-1.0)

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weightlab import Exp, GridSpec, Log, Power, relations
-from weightlab.errors import NotMonotone, ValidationFailed
+from weightlab.errors import BridgeViolation, NotMonotone, ValidationFailed
+from weightlab.verdict import fails, holds, inconclusive
 
 
 # --------------------------------------------------------------------------
@@ -48,8 +49,25 @@ def test_unknown_relation():
                                   (Power(1.0), Log()),
                                   (Power(0.5), Power(0.5))])
 def test_bridges_consistent(pair):
-    rep = relations.bridge_check(*pair)
-    assert rep.consistent
+    relations.bridge_check(*pair)  # an inconsistent pair raises BridgeViolation
+
+
+def test_bridge_check_raises_on_a_broken_link(monkeypatch):
+    # with om6, sigma preceq tau transfers to preceq_c; a checker that
+    # certifies preceq but refutes preceq_c contradicts itself
+    from weightlab import conditions
+
+    def check(w, cond, grid=None):
+        return holds({"forced": True}) if cond == "om6" else inconclusive(notes="forced")
+
+    def compare(sigma, tau, rel, grid=None):
+        v = {"preceq": holds({"forced": True}), "preceq_c": fails({"forced": True})}
+        return relations.RelationVerdict(v.get(rel, inconclusive(notes="forced")), rel)
+
+    monkeypatch.setattr(conditions, "check_condition", check)
+    monkeypatch.setattr(relations, "compare", compare)
+    with pytest.raises(BridgeViolation, match="om6 holds and preceq holds but preceq_c fails"):
+        relations.bridge_check(Power(1.0), Power(0.5))
 
 
 # --------------------------------------------------------------------------
