@@ -294,17 +294,25 @@ def _names(choices):
     return _arg_type(parse, "comma-separated names from " + ", ".join(choices))
 
 
+def _finite(text):
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(text)
+    return x
+
+
 def _delta_spec(text):
     if text != "default":
         kind, _, exponent = text.partition(":")
         if kind != "power":
             raise ValueError(text)
-        float(exponent)
+        _finite(exponent)
     return text
 
 
-_NUMBERS = _arg_type(lambda text: tuple(float(v) for v in text.split(",")),
-                     "comma-separated numbers")
+_FLOAT = _arg_type(_finite, "a finite number")
+_NUMBERS = _arg_type(lambda text: tuple(_finite(v) for v in text.split(",")),
+                     "comma-separated finite numbers")
 _EXPONENT = _arg_type(lambda text: math.inf if text == "oo" else float(text),
                       "a number, inf or oo")
 _DELTA = _arg_type(_delta_spec, "default or power:<exponent>")
@@ -319,7 +327,7 @@ def _build_parser(defaults=None):
         p.add_argument("--out", default=None, help="output file (default stdout)")
         p.add_argument("--emit", default="json", help="json and/or csv")
         p.add_argument("--config", default=None, help="JSON file with defaults")
-        p.add_argument("--horizon", type=float, default=None)
+        p.add_argument("--horizon", type=_FLOAT, default=None)
         p.add_argument("--expect", choices=["holds"], default=None)
         p.add_argument("--strict", action="store_true")
         p.add_argument("--plot-dir", default=".")
@@ -338,7 +346,7 @@ def _build_parser(defaults=None):
 
     p = sub.add_parser("conjugate")
     p.add_argument("--weight", required=True)
-    p.add_argument("--xmax", type=float, default="1e4")
+    p.add_argument("--xmax", type=_FLOAT, default="1e4")
     common(p)
 
     p = sub.add_parser("matrix")
@@ -383,12 +391,12 @@ def _build_parser(defaults=None):
 
     p = sub.add_parser("counterexample")
     p.add_argument("--J", type=int, default="60")
-    p.add_argument("--t1", type=float, default="0.5")
+    p.add_argument("--t1", type=_FLOAT, default="0.5")
     p.add_argument("--delta", type=_DELTA, default="default")
     p.add_argument("--certify", default="all")
     # the largest ladder rung a J=60 profile can witness; larger rungs need
     # proportionally more blocks than doubles can represent
-    p.add_argument("--A-max", dest="A_max", type=float, default="64")
+    p.add_argument("--A-max", dest="A_max", type=_FLOAT, default="64")
     common(p)
 
     p = sub.add_parser("report")

@@ -222,6 +222,8 @@ def young_conjugate(w: WeightFunction, x_max: float) -> ConjugateProfile:
     """Conjugate of u -> w(e^u) on [0, x_max]."""
     if x_max < 0:
         raise ValidationFailed("x_max must be nonnegative")
+    if not math.isfinite(x_max):
+        raise ValidationFailed("x_max must be finite")
 
     if isinstance(w, PiecewiseLogLinear):
         return _exact_conjugate(w, x_max)

@@ -170,6 +170,8 @@ def kappa(w: WeightFunction, y: float, T: float = 1e6) -> KappaResult:
     """
     if y < 0:
         raise ValidationFailed("y must be >= 0")
+    if not math.isfinite(y):
+        raise ValidationFailed("y must be finite")
     if T <= 10:
         raise HorizonTooSmall("kappa horizon must exceed 10")
     u0 = math.log(y) if y > 0 else -745.0

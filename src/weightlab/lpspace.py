@@ -21,7 +21,7 @@ from . import relations
 from .core import GridSpec, WeightFunction
 from .errors import (GridTooNarrow, NoViolationFound, OverflowUnrecoverable,
                      ValidationFailed, WitnessConstructionFailed)
-from .relations import WeightMatrix, _bounded_gap
+from .relations import WeightMatrix
 from .verdict import Verdict, fails, holds, inconclusive
 
 __all__ = [
@@ -401,23 +401,6 @@ class TranslationReport:
                 "hypothesis": self.hypothesis.to_dict()}
 
 
-def _mixed_pair_search(S: WeightMatrix, T: WeightMatrix, ells, tg):
-    """For each ell find (n, L) with tau^ell(2t) <= sigma^n(t) + L."""
-    index_map = {}
-    for ell in ells:
-        lhs = np.asarray(T.weight_at(ell).evaluate(2 * tg))
-        found = None
-        for n in sorted(S.indices(relations.DEFAULT_ELL_GRID, extended=True)):
-            v = _bounded_gap(tg, lhs - np.asarray(S.weight_at(n).evaluate(tg)))
-            if v.holds:
-                found = {"n": n, "L": v.certificate["C"]}
-                break
-        if found is None:
-            return None, ell
-        index_map[ell] = found
-    return index_map, None
-
-
 def translation_bound_check(S: WeightMatrix, T: WeightMatrix,
                             f: SampledFunction, x0_set, p,
                             ells=(0.5, 1.0, 2.0),
@@ -431,7 +414,7 @@ def translation_bound_check(S: WeightMatrix, T: WeightMatrix,
     if not (S.nondecreasing and T.nondecreasing):
         raise ValidationFailed("translation bound requires nondecreasing matrices")
     tg = grid.points()
-    index_map, binding = _mixed_pair_search(S, T, ells, tg)
+    index_map, binding = relations.mixed_doubling_search(S, T, ells, tg)
     if index_map is None:
         hyp = inconclusive(notes=f"mixed doubling undecided at ell={binding}")
         return TranslationReport((), False, hyp)
@@ -513,8 +496,8 @@ def inclusion_experiment(S: WeightMatrix, T: WeightMatrix, p,
     _check_exponent(p)
 
     tg = GridSpec(1e-2, 1e6, 400).points()
-    hyp_map_S, bind_S = _mixed_pair_search(S, S, (1.0,), tg)
-    hyp_map_T, bind_T = _mixed_pair_search(T, T, (1.0,), tg)
+    hyp_map_S, bind_S = relations.mixed_doubling_search(S, S, (1.0,), tg)
+    hyp_map_T, bind_T = relations.mixed_doubling_search(T, T, (1.0,), tg)
     hypotheses = {
         "mixed_doubling_S": holds({"index_map": hyp_map_S}) if hyp_map_S
         else inconclusive(notes=f"undecided at ell={bind_S}"),

@@ -19,6 +19,7 @@ Matrix relations (sigma^n from S, tau^ell from T):
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -97,6 +98,8 @@ class WeightMatrix:
     def weight_at(self, ell: float) -> WeightFunction:
         if ell <= 0:
             raise ValidationFailed("matrix index must be positive")
+        if not math.isfinite(ell):
+            raise ValidationFailed("matrix index must be finite")
         if self.kind == "exponential":
             return Scaled(ell, self.base)
         if self.kind == "dilatation":
@@ -154,16 +157,22 @@ class RelationVerdict:
 # bounded-gap machinery shared by all relation checks
 # ---------------------------------------------------------------------------
 
-def _decade_sups(tg, d):
-    T = tg[-1]
-    sups = []
-    hi = T
-    while hi > tg[0] * 10:
-        m = (tg > hi / 10) & (tg <= hi)
-        if np.any(m):
-            sups.append(float(np.max(d[m])))
-        hi /= 10
-    return sups[::-1]  # chronological: early decades first
+def _decade_edges(tg):
+    """Start offsets of the nonempty decades (hi/10, hi] of the sorted grid
+    tg, early decades first; hi runs down from tg[-1] while hi > 10 tg[0]."""
+    his = [tg[-1]]
+    while his[-1] > tg[0] * 10:
+        his.append(his[-1] / 10)
+    cuts = np.searchsorted(tg, his, side="right")[::-1]
+    starts, ends = cuts[:-1], cuts[1:]
+    return starts[starts < ends]
+
+
+def _decade_sups(tg, d, edges=None):
+    """Per-decade suprema of d on the sorted grid tg, early decades first."""
+    if edges is None:
+        edges = _decade_edges(tg)
+    return np.maximum.reduceat(d, edges).astype(float).tolist()
 
 
 def _smallest_C(bound):
@@ -173,9 +182,9 @@ def _smallest_C(bound):
     return None
 
 
-def _bounded_gap(tg, d, what="gap"):
+def _bounded_gap(tg, d, what="gap", edges=None):
     """Verdict on sup d < oo from the decade trend of d."""
-    sups = _decade_sups(tg, d)
+    sups = _decade_sups(tg, d, edges)
     if len(sups) < 3:
         raise HorizonTooSmall("relation checks need at least 3 decades")
     a, b, c = sups[-3], sups[-2], sups[-1]
@@ -290,10 +299,10 @@ def _dilation_dom(sigma, tau, tg, t):
         prev_peak, last_peak = last_peak, float(np.max(d))
     # dilation-insensitive divergence: doubling C1 no longer helps, and the
     # gap still grows between decades — certifies failure
+    # (d and v are still those of the last factor, 2^12)
     if prev_peak is not None and last_peak > 0 \
             and abs(prev_peak - last_peak) <= 0.1 * abs(last_peak):
-        d = t - np.asarray(sigma.evaluate(2.0 ** 12 * tg))
-        if _bounded_gap(tg, d).fails:
+        if v.fails:
             k = int(np.argmax(d))
             return fails({"t": float(tg[k]), "gap": float(d[k]),
                           "C1_max": 2.0 ** 12},
@@ -361,54 +370,58 @@ def _any_holds(v1: Verdict, v2: Verdict) -> Verdict:
 # matrix-level relations
 # ---------------------------------------------------------------------------
 
-def _pair_gap(S, T, ell, n, tg):
-    tau = np.asarray(T.weight_at(ell).evaluate(tg))
-    sig = np.asarray(S.weight_at(n).evaluate(tg))
-    return tau - sig
+def _rows(W, args):
+    """Memoised rows of W on one argument grid: ell -> w^ell(args)."""
+    return functools.cache(lambda ell: np.asarray(W.weight_at(ell).evaluate(args)))
 
 
-def _search_beurling(S, T, ell_grid, tg):
-    index_map = {}
-    for ell in sorted(T.indices(ell_grid)):
-        found = None
-        for n in sorted(S.indices(ell_grid, extended=True)):
-            v = _bounded_gap(tg, _pair_gap(S, T, ell, n, tg))
+def _partner_search(outer, cands, outer_row, cand_row, gap, tg):
+    """For every o in `outer`, the first c in `cands(o)` whose
+    gap(outer_row(o), cand_row(c)) is certified bounded on tg.
+
+    Rows are read lazily, outer row first, so a row that cannot be
+    evaluated raises only once the search reaches it.  Returns
+    ({o: (c, C)}, None, None), or (None, o, v) for the first o without a
+    partner, v being the verdict on its last candidate (None if it had none).
+    """
+    edges = _decade_edges(tg)
+    found = {}
+    for o in outer:
+        row = outer_row(o)
+        v = None
+        for c in cands(o):
+            v = _bounded_gap(tg, gap(row, cand_row(c)), edges=edges)
             if v.holds:
-                found = (n, v.certificate["C"])
+                found[o] = (c, v.certificate["C"])
                 break
-        if found is None:
-            return None, ell
-        index_map[ell] = {"n": found[0], "C": found[1]}
-    return index_map, None
+        else:
+            return None, o, v
+    return found, None, None
 
 
-def _search_roumieu(S, T, ell_grid, tg):
-    index_map = {}
-    for n in sorted(S.indices(ell_grid)):
-        found = None
-        for ell in sorted(T.indices(ell_grid, extended=True)):
-            v = _bounded_gap(tg, _pair_gap(S, T, ell, n, tg))
-            if v.holds:
-                found = (ell, v.certificate["C"])
-                break
-        if found is None:
-            return None, n
-        index_map[n] = {"ell": found[0], "C": found[1]}
-    return index_map, None
+def _minus(a, b):
+    return a - b
 
 
-def _search_triangle(S, T, ell_grid, tg):
-    index_map = {}
-    for ell in sorted(T.indices(ell_grid)):
-        for n in sorted(S.indices(ell_grid)):
-            v = _bounded_gap(tg, _pair_gap(S, T, ell, n, tg))
-            if v.fails:
-                return v, {"ell": ell, "n": n}
-            if not v.holds:
-                return inconclusive(
-                    notes=f"pair (ell={ell}, n={n}) undecided"), None
-            index_map[(ell, n)] = v.certificate["C"]
-    return holds({"pairs": len(index_map)}), {str(k): v for k, v in index_map.items()}
+def _minus_from(a, b):
+    return b - a
+
+
+def _matrix_search(S, T, rel, ell_grid, tg):
+    """The partner search behind `rel`, on rows T minus rows S."""
+    tau, sig = _rows(T, tg), _rows(S, tg)
+    s_idx, t_idx = sorted(S.indices(ell_grid)), sorted(T.indices(ell_grid))
+    if rel == "beurling":
+        s_ext = sorted(S.indices(ell_grid, extended=True))
+        return _partner_search(t_idx, lambda ell: s_ext, tau, sig, _minus, tg)
+    if rel == "roumieu":
+        t_ext = sorted(T.indices(ell_grid, extended=True))
+        tau(t_ext[0])   # pairs read T's row first: if both rows fail, T's error wins
+        return _partner_search(s_idx, lambda n: t_ext, sig, tau, _minus_from, tg)
+    # for all ell and n: each pair is an outer index whose one candidate is n
+    pairs = [(ell, n) for ell in t_idx for n in s_idx]
+    return _partner_search(pairs, lambda p: p[1:], lambda p: tau(p[0]), sig,
+                           _minus, tg)
 
 
 def _reduction(S, T, rel, grid):
@@ -433,22 +446,21 @@ def matrix_relation(S: WeightMatrix, T: WeightMatrix, rel: str,
     tg = np.geomspace(grid.t_min, grid.t_max * 1e6, 2 * grid.n_points)
 
     red, red_name = _reduction(S, T, rel, grid)
+    found, binding, v = _matrix_search(S, T, rel, ell_grid, tg)
 
-    if rel == "beurling":
-        index_map, binding = _search_beurling(S, T, ell_grid, tg)
-    elif rel == "roumieu":
-        index_map, binding = _search_roumieu(S, T, ell_grid, tg)
-    else:
-        v, index_map = _search_triangle(S, T, ell_grid, tg)
-        if v.fails or v.inconclusive:
-            if red is not None and red.fails and v.fails:
-                pass  # agreement
-            elif red is not None and red.holds and v.fails:
+    if rel == "triangle":
+        if binding is not None:
+            ell, n = binding
+            if not v.fails:
+                return RelationVerdict(inconclusive(
+                    notes=f"pair (ell={ell}, n={n}) undecided"), rel)
+            if red is not None and red.holds:
                 raise ValidationFailed(
                     f"direct triangle search fails but the {red_name} "
                     "reduction holds")
-            return RelationVerdict(v, rel, index_map if v.fails else None)
-        v = _reconcile(v, red, red_name, rel)
+            return RelationVerdict(v, rel, {"ell": ell, "n": n})
+        v = _reconcile(holds({"pairs": len(found)}), red, red_name, rel)
+        index_map = {str(k): C for k, (_, C) in found.items()}
         return RelationVerdict(v, rel, index_map if v.holds else None)
 
     if binding is not None:
@@ -460,8 +472,9 @@ def matrix_relation(S: WeightMatrix, T: WeightMatrix, rel: str,
                 rel)
         raise IndexSearchExhausted(binding)
 
-    v = holds({"indices_covered": len(index_map)})
-    v = _reconcile(v, red, red_name, rel)
+    partner = "n" if rel == "beurling" else "ell"
+    index_map = {o: {partner: c, "C": C} for o, (c, C) in found.items()}
+    v = _reconcile(holds({"indices_covered": len(index_map)}), red, red_name, rel)
     return RelationVerdict(v, rel, index_map if v.holds else None)
 
 
@@ -658,34 +671,34 @@ def _boundedness(W, cond, ell_grid, tg, grid):
     return inconclusive(notes="some rows undecided")
 
 
+def mixed_doubling_search(S, T, outer, tg, ell_grid=DEFAULT_ELL_GRID):
+    """For each ell in `outer` the first n with tau^ell(2t) <= sigma^n(t) + L.
+
+    Returns ({ell: {"n": n, "L": L}}, None), or (None, ell) for the first
+    ell without a partner.
+    """
+    s_ext = sorted(S.indices(ell_grid, extended=True))
+    found, binding, _ = _partner_search(outer, lambda ell: s_ext, _rows(T, 2 * tg),
+                                        _rows(S, tg), _minus, tg)
+    if found is None:
+        return None, binding
+    return {ell: {"n": n, "L": L} for ell, (n, L) in found.items()}, None
+
+
 def _mixed_om1(W, cond, ell_grid, tg):
     """Self-applied radial doubling: partner index with w^ell(2t) <= w^n(t) + L."""
-    index_map = {}
+    outer = sorted(W.indices(ell_grid))
     if cond == "mixed_om1_beur":
-        outer = sorted(W.indices(ell_grid))
-        for ell in outer:
-            lhs = np.asarray(W.weight_at(ell).evaluate(2 * tg))
-            found = None
-            for n in sorted(W.indices(ell_grid, extended=True)):
-                v = _bounded_gap(tg, lhs - np.asarray(W.weight_at(n).evaluate(tg)))
-                if v.holds:
-                    found = (n, v.certificate["C"])
-                    break
-            if found is None:
-                return inconclusive(notes=f"no partner index for ell={ell}")
-            index_map[ell] = {"n": found[0], "L": found[1]}
+        index_map, binding = mixed_doubling_search(W, W, outer, tg, ell_grid)
+        if index_map is None:
+            return inconclusive(notes=f"no partner index for ell={binding}")
     else:
-        for n in sorted(W.indices(ell_grid)):
-            rhs = np.asarray(W.weight_at(n).evaluate(tg))
-            found = None
-            for ell in sorted(W.indices(ell_grid, extended=True)):
-                v = _bounded_gap(tg, np.asarray(W.weight_at(ell).evaluate(2 * tg)) - rhs)
-                if v.holds:
-                    found = (ell, v.certificate["C"])
-                    break
-            if found is None:
-                return inconclusive(notes=f"no partner index for n={n}")
-            index_map[n] = {"ell": found[0], "L": found[1]}
+        ext = sorted(W.indices(ell_grid, extended=True))
+        found, binding, _ = _partner_search(outer, lambda n: ext, _rows(W, tg),
+                                            _rows(W, 2 * tg), _minus_from, tg)
+        if found is None:
+            return inconclusive(notes=f"no partner index for n={binding}")
+        index_map = {n: {"ell": ell, "L": L} for n, (ell, L) in found.items()}
     return holds({"index_map": {str(k): v for k, v in index_map.items()}})
 
 
@@ -699,40 +712,29 @@ def _weak_om1(W, cond, ell_grid, tg):
     elif W.kind == "exponential" and isinstance(W.base, Exp):
         special = ("over_e", math.e)
 
-    index_map = {}
     outer = sorted(W.indices(ell_grid))
-    for given in outer:
-        if cond == "weakom1":
-            # given = ell on the right-hand side; search the smaller ell1
-            rhs = np.asarray(W.weight_at(given).evaluate(tg))
-            cands = [c for c in sorted(W.indices(ell_grid, extended=True)) if c <= given]
-            if special is not None:
-                cands = [given / 2 if special[0] == "halve" else given / math.e] + cands
-            found = None
-            for ell1 in cands:
-                d = np.asarray(W.weight_at(ell1).evaluate(tg + 1.0)) - rhs
-                v = _bounded_gap(tg, d)
-                if v.holds:
-                    found = (ell1, v.certificate["C"])
-                    break
-            if found is None:
-                return inconclusive(notes=f"no smaller partner for ell={given}")
-            index_map[given] = {"ell1": found[0], "C": found[1]}
-        else:
-            # given = ell1 on the left; search the larger ell
-            lhs = np.asarray(W.weight_at(given).evaluate(tg + 1.0))
-            cands = [c for c in sorted(W.indices(ell_grid, extended=True)) if c >= given]
-            found = None
-            for ell in cands:
-                d = lhs - np.asarray(W.weight_at(ell).evaluate(tg))
-                v = _bounded_gap(tg, d)
-                if v.holds:
-                    found = (ell, v.certificate["C"])
-                    break
-            if found is None:
-                return inconclusive(notes=f"no larger partner for ell1={given}")
-            index_map[given] = {"ell": found[0], "C": found[1]}
-    cert = {"index_map": {str(k): v for k, v in index_map.items()}}
+    ext = sorted(W.indices(ell_grid, extended=True))
+    at_t, at_t1 = _rows(W, tg), _rows(W, tg + 1.0)
+    if cond == "weakom1":
+        # given = ell on the right-hand side; search the smaller ell1
+        def cands(given):
+            below = [c for c in ext if c <= given]
+            if special is None:
+                return below
+            return [given / 2 if special[0] == "halve" else given / math.e] + below
+        found, binding, _ = _partner_search(outer, cands, at_t, at_t1,
+                                            _minus_from, tg)
+        partner, missing = "ell1", "no smaller partner for ell"
+    else:
+        # given = ell1 on the left; search the larger ell
+        found, binding, _ = _partner_search(
+            outer, lambda given: [c for c in ext if c >= given], at_t1, at_t,
+            _minus, tg)
+        partner, missing = "ell", "no larger partner for ell1"
+    if found is None:
+        return inconclusive(notes=f"{missing}={binding}")
+    cert = {"index_map": {str(k): {partner: c, "C": C}
+                          for k, (c, C) in found.items()}}
     if special is not None and cond == "weakom1":
         cert["closed_form_partner"] = special[0]
     return holds(cert)
@@ -750,27 +752,16 @@ def _strong_different_growth(W, ell_grid, tg, grid):
         reduction = conditions.check_condition(W.base, "om3", grid)
 
     log1t = np.log1p(tg)
+    rows = _rows(W, tg)
+    ext = sorted(W.indices(ell_grid, extended=True))
     for a in (1.5, 2.0):
-        index_map = {}
-        good = True
-        for ell in sorted(W.indices(ell_grid)):
-            lhs = np.asarray(W.weight_at(ell).evaluate(tg))
-            found = None
-            for ellp in sorted(W.indices(ell_grid, extended=True)):
-                if ellp >= ell:
-                    break
-                d = a * log1t - (lhs - np.asarray(W.weight_at(ellp).evaluate(tg)))
-                v = _bounded_gap(tg, d)   # need d bounded above: b = -sup d
-                if v.holds:
-                    found = (ellp, -v.certificate["C"])
-                    break
-            if found is None:
-                good = False
-                break
-            index_map[ell] = {"ell_prime": found[0], "b": found[1]}
-        if good:
-            direct = holds({"a": a,
-                            "index_map": {str(k): v for k, v in index_map.items()}})
+        # need the gap bounded above: b = -sup gap
+        found, _, _ = _partner_search(
+            sorted(W.indices(ell_grid)), lambda ell: [c for c in ext if c < ell],
+            rows, rows, lambda lhs, rhs: a * log1t - (lhs - rhs), tg)
+        if found is not None:
+            direct = holds({"a": a, "index_map": {
+                str(k): {"ell_prime": c, "b": -C} for k, (c, C) in found.items()}})
             if reduction is not None and reduction.fails:
                 raise ValidationFailed(
                     "direct growth-separation search succeeded although the "

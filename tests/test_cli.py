@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -248,12 +249,29 @@ def test_unknown_report_content_is_refused():
     ["compare", "--sigma", "W", "--tau", "W", "--rel", "preceq,nope"],
     ["matrix-compare", "--s-weight", "W", "--t-weight", "W", "--s-type", "nope"],
     ["counterexample", "--delta", "power:x"],
+    ["conjugate", "--weight", "W", "--xmax", "inf"],
+    ["conjugate", "--weight", "W", "--xmax", "nan"],
+    ["kappa", "--weight", "W", "--y", "nan"],
+    ["kappa", "--weight", "W", "--y", "1,inf"],
+    ["matrix", "--weight", "W", "--ell", "nan"],
+    ["index", "--weight", "W", "--horizon", "inf"],
+    ["index", "--weight", "W", "--gammas", "0.5,-inf"],
+    ["analyze", "--weight", "W", "--horizon", "nan"],
+    ["counterexample", "--t1", "nan"],
+    ["counterexample", "--A-max", "inf"],
+    ["counterexample", "--delta", "power:nan"],
 ])
 def test_bad_command_line_is_a_one_line_error(argv, weight_file, capsys):
     assert cli.run([weight_file if a == "W" else a for a in argv]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", ["inf", "oo"])
+def test_sup_norm_exponent_is_accepted(text):
+    args = cli._parse(["lp-experiment", "--s", "a", "--t", "b", "--p", text])
+    assert args.p == math.inf
 
 
 def test_config_numbers_are_read_like_the_command_line(tmp_path):

@@ -183,3 +183,9 @@ def test_associated_matrix_log_convex_monotone():
 def test_associated_matrix_rejects_log():
     with pytest.raises(NotMatrixAdmissible):
         conjugate.associated_weight_matrix(Log(), ell=1.0, j_max=10)
+
+
+@pytest.mark.parametrize("x_max", [math.inf, math.nan])
+def test_young_conjugate_refuses_non_finite_x_max(x_max):
+    with pytest.raises(ValidationFailed):
+        conjugate.young_conjugate(Power(0.5), x_max)

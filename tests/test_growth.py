@@ -6,7 +6,7 @@ import pytest
 from weightlab import (Dilated, Exp, Log, Normalized, PiecewiseLogLinear,
                        Power, WeightFunction, growth, load_weight)
 from weightlab.errors import (HorizonTooSmall, NonFinite, NotMonotone,
-                              QuadratureFailure)
+                              QuadratureFailure, ValidationFailed)
 
 
 def test_kappa_sqrt_oracle():
@@ -207,3 +207,9 @@ def test_slowly_varying():
     u_set = (2.0, 4.0, 10.0)
     assert growth.slowly_varying_check(Log(), u_set).holds
     assert growth.slowly_varying_check(Power(0.5), u_set).fails
+
+
+@pytest.mark.parametrize("y", [math.inf, math.nan])
+def test_kappa_refuses_non_finite_y(y):
+    with pytest.raises(ValidationFailed):
+        growth.kappa(Power(0.5), y)

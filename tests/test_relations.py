@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -179,3 +181,11 @@ def test_unknown_matrix_condition():
     W = relations.WeightMatrix.exponential(Power(0.5))
     with pytest.raises(ValueError):
         relations.matrix_condition(W, "om999")
+
+
+@pytest.mark.parametrize("ell", [math.inf, math.nan])
+def test_weight_at_refuses_non_finite_index(ell):
+    for W in (relations.WeightMatrix.exponential(Power(0.5)),
+              relations.WeightMatrix.dilatation(Power(0.5))):
+        with pytest.raises(ValidationFailed):
+            W.weight_at(ell)
