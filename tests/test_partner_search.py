@@ -126,21 +126,24 @@ def _matrices(key):
     return _KINDS[ks](_BASES[bs]), _KINDS[kt](_BASES[bt]), rel
 
 
+def _lg(x):
+    return int(math.log2(x))
+
+
 def _outcome(S, T, rel):
-    lg = lambda x: int(math.log2(x))  # noqa: E731
     try:
         rv = relations.matrix_relation(S, T, rel)
     except IndexSearchExhausted as exc:
-        return f"exhausted {lg(exc.binding_index)}"
+        return f"exhausted {_lg(exc.binding_index)}"
     status, im = rv.verdict.status.value, rv.index_map
     if status == "holds" and rel != "triangle":
         partner = "n" if rel == "beurling" else "ell"
-        return "holds " + " ".join(f"{lg(v[partner])}:{lg(v['C'])}" for v in im.values())
+        return "holds " + " ".join(f"{_lg(v[partner])}:{_lg(v['C'])}" for v in im.values())
     if status == "holds":
         digest = hashlib.sha256(json.dumps(im, sort_keys=True).encode()).hexdigest()
         return f"holds {digest[:16]}"
     if status == "fails":
-        return f"fails {lg(im['ell'])},{lg(im['n'])}"
+        return f"fails {_lg(im['ell'])},{_lg(im['n'])}"
     return status
 
 
