@@ -7,8 +7,8 @@
 Each side is the committed tree of one revision, exported with
 ``git archive`` into a temporary directory, so the benchmark code is
 exactly that revision's and a stale ``wlbench/out`` cannot leak in.  A pair
-runs ``python3 wlbench/run.py --workload W --seed S --seconds N --trace T``
-once on each side with the same seed; the side that goes first alternates
+runs ``python3 wlbench/run.py --workload W --seed S --trace T`` (the run
+length is wlbench's own) once on each side with the same seed; the side that goes first alternates
 from pair to pair.  Pair i uses seed ``first-seed + i``.  The record keeps
 every run's metrics and, per metric, each side's median and quartiles, the
 ratio of the medians (change over parent) and the number of pairs the
@@ -43,7 +43,9 @@ def export(rev: str, dest: Path) -> None:
     tar = dest.with_suffix(".tar")
     git("archive", "--format=tar", "-o", str(tar), rev)
     with tarfile.open(tar) as fh:
-        fh.extractall(dest, filter="data")
+        # the "data" filter exists from Python 3.10.12, 3.11.4 and 3.12
+        kw = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
+        fh.extractall(dest, **kw)
     tar.unlink()
 
 
@@ -52,9 +54,9 @@ def directions() -> dict:
     return {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
 
 
-def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run_bench(tree: Path, workload: str, seed: int, trace: int) -> dict:
     argv = [sys.executable, "wlbench/run.py", "--workload", workload,
-            "--seed", str(seed), "--seconds", repr(seconds), "--trace", str(trace)]
+            "--seed", str(seed), "--trace", str(trace)]
     p = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
     if p.returncode != 0:
         raise RuntimeError(f"{' '.join(argv)} failed in {tree}:\n{p.stderr}")
@@ -94,8 +96,6 @@ def main(argv=None) -> int:
     ap.add_argument("--trace-plan", action="append", default=[],
                     metavar="WORKLOAD=PAIRS", help="traced pairs (--trace 1)")
     ap.add_argument("--first-seed", type=int, required=True)
-    ap.add_argument("--seconds", type=float, default=30.0)
-    ap.add_argument("--out", default=None, help="default: BENCH_<pr>.json at the root")
     args = ap.parse_args(argv)
 
     plan = [(spec, 0) for spec in args.plan] + [(spec, 1) for spec in args.trace_plan]
@@ -104,14 +104,13 @@ def main(argv=None) -> int:
                 for w, n in [spec.split("=", 1)]]
     except ValueError:
         ap.error("a plan entry reads WORKLOAD=PAIRS")
-    out = Path(args.out) if args.out else ROOT / f"BENCH_{args.pr}.json"
+    out = ROOT / f"BENCH_{args.pr}.json"
     better = directions()
     record = {
         "pr": args.pr,
         "parent": {"rev": args.parent, "sha": git("rev-parse", args.parent)},
         "change": {"rev": args.change, "sha": git("rev-parse", args.change)},
-        "command": "python3 wlbench/run.py --workload W --seed S "
-                   f"--seconds {args.seconds:g} --trace T",
+        "command": "python3 wlbench/run.py --workload W --seed S --trace T",
         "host": {"python": platform.python_version(), "machine": platform.machine(),
                  "nproc": os.cpu_count()},
         "runs": [],
@@ -121,8 +120,7 @@ def main(argv=None) -> int:
         for side, tree in trees.items():
             export(record[side]["sha"], tree)
         for workload, n_pairs, trace in plan:
-            block = {"workload": workload, "trace": trace, "seconds": args.seconds,
-                     "seeds": [], "pairs": []}
+            block = {"workload": workload, "trace": trace, "seeds": [], "pairs": []}
             record["runs"].append(block)
             for i in range(n_pairs):
                 seed = args.first_seed + i
@@ -130,8 +128,7 @@ def main(argv=None) -> int:
                 pair = {"seed": seed, "first": order[0]}
                 for side in order:
                     t0 = time.perf_counter()
-                    pair[side] = run_bench(trees[side], workload, seed,
-                                           args.seconds, trace)
+                    pair[side] = run_bench(trees[side], workload, seed, trace)
                     pair[side]["wall_s"] = round(time.perf_counter() - t0, 1)
                 block["seeds"].append(seed)
                 block["pairs"].append(pair)
