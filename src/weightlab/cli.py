@@ -3,7 +3,8 @@
 Subcommands: analyze, classify, conjugate, matrix, index, kappa, compare,
 matrix-compare, lp-experiment, counterexample, report.  Every command
 writes a deterministic JSON document (sorted keys, no timestamps) with a
-schema_version field; --emit csv additionally writes curve tables.
+schema_version field; conjugate and counterexample also write their curves as
+CSV tables with --emit csv.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import numpy as np
 
 from . import conditions, conjugate, core, counterexample, growth, lpspace, relations
 from .errors import JHorizonTooSmall, ValidationFailed, WeightlabError
+from .verdict import to_json
 
 SCHEMA_VERSION = 1
 
@@ -26,32 +28,6 @@ SCHEMA_VERSION = 1
 # ---------------------------------------------------------------------------
 # serialization helpers
 # ---------------------------------------------------------------------------
-
-def _clean(obj):
-    """Recursively convert report content to plain JSON-safe values."""
-    if hasattr(obj, "to_dict"):
-        return _clean(obj.to_dict())
-    if isinstance(obj, dict):
-        return {str(k): _clean(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_clean(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
-        v = float(obj)
-        if math.isnan(v):
-            return "nan"
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        return v
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
-        return [_clean(v) for v in obj.tolist()]
-    if isinstance(obj, (str, int, bool)) or obj is None:
-        return obj
-    raise TypeError(f"no JSON form for {type(obj).__name__} in a report")
-
 
 def _statuses(obj, acc):
     if isinstance(obj, dict):
@@ -67,7 +43,7 @@ def _statuses(obj, acc):
 
 
 def _write_report(report, args):
-    doc = json.dumps(_clean(report), sort_keys=True, indent=2) + "\n"
+    doc = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(doc)
@@ -101,6 +77,8 @@ def _grid_from(args):
         return core.GridSpec(1e-2, args.horizon, 600)
     return conditions.DEFAULT_GRID
 
+
+_CERTIFICATES = ("verify", "nonconvexity", "slowvar", "nonequivalence", "om4")
 
 _MATRIX_KINDS = {"exp": relations.WeightMatrix.exponential,
                  "exponential": relations.WeightMatrix.exponential,
@@ -199,9 +177,7 @@ def _cmd_counterexample(args):
         delta = counterexample.power_delta(delta, float(args.delta.partition(":")[2]))
     prof = counterexample.construct(delta, t1, J)
 
-    wanted = (args.certify or "all")
-    todo = ("verify", "nonconvexity", "slowvar", "nonequivalence", "om4") \
-        if wanted == "all" else tuple(wanted.split(","))
+    todo = _CERTIFICATES if "all" in args.certify else args.certify
     results = {"parameters": {"J": J, "t1": t1, "delta": args.delta,
                               "A_max": args.A_max}}
     if "verify" in todo:
@@ -323,14 +299,19 @@ def _build_parser(defaults=None):
     ap = _Parser(prog="weightlab", description="weight-function calculus toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, horizon=False, plots=False):
+        """The flags every subcommand takes, plus --horizon where the
+        command reads it and --emit/--plot-dir where it has curves."""
         p.add_argument("--out", default=None, help="output file (default stdout)")
-        p.add_argument("--emit", default="json", help="json and/or csv")
         p.add_argument("--config", default=None, help="JSON file with defaults")
-        p.add_argument("--horizon", type=_FLOAT, default=None)
         p.add_argument("--expect", choices=["holds"], default=None)
         p.add_argument("--strict", action="store_true")
-        p.add_argument("--plot-dir", default=".")
+        if horizon:
+            p.add_argument("--horizon", type=_FLOAT, default=None)
+        if plots:
+            p.add_argument("--emit", type=_names(("json", "csv")), default="json",
+                           help="json and/or csv")
+            p.add_argument("--plot-dir", default=".")
         if defaults:
             p.set_defaults(**defaults)
 
@@ -338,16 +319,16 @@ def _build_parser(defaults=None):
     p.add_argument("--weight", required=True)
     p.add_argument("--conditions", default=None,
                    help="comma-separated condition ids (default: all)")
-    common(p)
+    common(p, horizon=True)
 
     p = sub.add_parser("classify")
     p.add_argument("--weight", required=True)
-    common(p)
+    common(p, horizon=True)
 
     p = sub.add_parser("conjugate")
     p.add_argument("--weight", required=True)
     p.add_argument("--xmax", type=_FLOAT, default="1e4")
-    common(p)
+    common(p, plots=True)
 
     p = sub.add_parser("matrix")
     p.add_argument("--weight", required=True)
@@ -359,18 +340,18 @@ def _build_parser(defaults=None):
     p.add_argument("--weight", required=True)
     p.add_argument("--gammas", type=_NUMBERS, default=None,
                    help="comma-separated gamma grid to test (default: built-in)")
-    common(p)
+    common(p, horizon=True)
 
     p = sub.add_parser("kappa")
     p.add_argument("--weight", required=True)
     p.add_argument("--y", type=_NUMBERS, default="1,4,100")
-    common(p)
+    common(p, horizon=True)
 
     p = sub.add_parser("compare")
     p.add_argument("--sigma", required=True)
     p.add_argument("--tau", required=True)
     p.add_argument("--rel", type=_names(relations.RELATIONS), default="preceq")
-    common(p)
+    common(p, horizon=True)
 
     p = sub.add_parser("matrix-compare")
     p.add_argument("--s-type", choices=_MATRIX_KINDS, default="exp")
@@ -393,15 +374,15 @@ def _build_parser(defaults=None):
     p.add_argument("--J", type=int, default="60")
     p.add_argument("--t1", type=_FLOAT, default="0.5")
     p.add_argument("--delta", type=_DELTA, default="default")
-    p.add_argument("--certify", default="all")
+    p.add_argument("--certify", type=_names(("all",) + _CERTIFICATES), default="all")
     # the largest ladder rung a J=60 profile can witness; larger rungs need
     # proportionally more blocks than doubles can represent
     p.add_argument("--A-max", dest="A_max", type=_FLOAT, default="64")
-    common(p)
+    common(p, plots=True)
 
     p = sub.add_parser("report")
     p.add_argument("--weight", required=True)
-    common(p)
+    common(p, horizon=True)
 
     return ap
 
@@ -439,9 +420,9 @@ def run(argv=None) -> int:
 
     report = {"schema_version": SCHEMA_VERSION,
               "command": args.command,
-              "results": _clean(result)}
+              "results": to_json(result)}
     _write_report(report, args)
-    if "csv" in (args.emit or "").split(","):
+    if "csv" in getattr(args, "emit", ()):
         emit_plot_data(report["results"], args.plot_dir)
 
     statuses = _statuses(report["results"], [])

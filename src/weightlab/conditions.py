@@ -25,7 +25,7 @@ else that cannot be certified gets an honest ``inconclusive``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .core import (Associated, Dilated, Exp, GridSpec, Log, LogPower, Normalized
                    PiecewiseLogLinear, Power, Scaled, WeightFunction)
 from .errors import (ChainViolation, HorizonTooSmall, NotMonotone, UnknownCondition,
                      WeightlabError)
-from .verdict import Status, Verdict, conjunction, fails, holds, inconclusive
+from .verdict import Verdict, conjunction, fails, holds, inconclusive, report_dict
 
 __all__ = [
     "CONDITION_IDS",
@@ -54,12 +54,10 @@ CONDITION_IDS = (
 
 DEFAULT_GRID = GridSpec(1e-2, 1e6, 600)
 
-_ASYMPTOTIC = {"om1", "om2", "om3", "om3w", "om5", "om6", "om_nq", "om_snq", "alpha0",
-               "unbounded_limit"}
-
-# conditions that are invariant under passing to an equivalent weight
-EQUIVALENCE_INVARIANT = ("om1", "om2", "om3", "om3w", "om5", "om6",
-                         "om_nq", "om_snq", "alpha0", "unbounded_limit")
+# the asymptotic conditions: each needs a grid spanning decades, and each
+# is invariant under passing to an equivalent weight
+_ASYMPTOTIC = ("om1", "om2", "om3", "om3w", "om5", "om6",
+               "om_nq", "om_snq", "alpha0", "unbounded_limit")
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +110,7 @@ def _closed_form(w: WeightFunction, cond: str):
             return _closed_form(w.base, cond) if w.c <= 1 else None
         return _closed_form(w.base, cond)
     if isinstance(w, Normalized):
-        if cond in EQUIVALENCE_INVARIANT:
+        if cond in _ASYMPTOTIC:
             return _closed_form(w.base, cond)
         if cond == "normalized":
             return True
@@ -143,7 +141,7 @@ def _split_top(tg):
     return last, prev
 
 
-def _sup_ratio_verdict(tg, ratio, grid, small_o: bool, horizon_note=""):
+def _sup_ratio_verdict(tg, ratio, grid, small_o: bool):
     """Shared trend test for O- and small-o-style ratio conditions."""
     ok = np.isfinite(ratio)
     last, prev = _split_top(tg)
@@ -156,13 +154,13 @@ def _sup_ratio_verdict(tg, ratio, grid, small_o: bool, horizon_note=""):
         if sup_last <= 0.5 * sup_prev + 1e-15:
             return holds({"sup_last_decade": sup_last,
                           "decay_factor": sup_last / max(sup_prev, 1e-300)},
-                         margin=sup_last, horizon=grid.describe(), notes=horizon_note)
+                         margin=sup_last, horizon=grid.describe())
         return inconclusive(margin=sup_last, horizon=grid.describe(),
                             notes="ratio not clearly vanishing at horizon")
     if sup_last <= sup_prev * 1.05 + 1e-9:
         return holds({"C": sup_last * 1.1},
                      margin=sup_prev * 1.05 - sup_last,
-                     horizon=grid.describe(), notes=horizon_note)
+                     horizon=grid.describe())
     return inconclusive(margin=sup_last, horizon=grid.describe(),
                         notes="ratio still growing between the top decades")
 
@@ -226,7 +224,7 @@ def _check_om6(w, grid):
         if float(np.max(gap)) <= H:
             sup_last = float(np.max(gap[last]))
             sup_prev = float(np.max(gap[prev]))
-            if sup_last <= max(sup_prev * 1.05 + 1e-9, 0.0) or sup_last <= 0:
+            if sup_last <= max(sup_prev * 1.05 + 1e-9, 0.0):
                 return holds({"H": H}, margin=H - float(np.max(gap)),
                              horizon=grid.describe())
     return inconclusive(horizon=grid.describe(),
@@ -406,11 +404,7 @@ class ClassReport:
     conditions: dict
     classes: dict
 
-    def to_dict(self):
-        return {
-            "conditions": {k: v.to_dict() for k, v in self.conditions.items()},
-            "classes": {k: v.to_dict() for k, v in self.classes.items()},
-        }
+    to_dict = report_dict
 
 
 def _zero_at_origin(w):
@@ -482,12 +476,7 @@ class ConsistencyReport:
     items: dict
     edges: list
 
-    def to_dict(self):
-        return {
-            "items": {k: (v.to_dict() if isinstance(v, Verdict) else v)
-                      for k, v in self.items.items()},
-            "edges": self.edges,
-        }
+    to_dict = report_dict
 
 
 def check_implication_chain(w: WeightFunction, grid: GridSpec = DEFAULT_GRID,

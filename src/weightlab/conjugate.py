@@ -14,13 +14,14 @@ each argmax.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridSpec, PiecewiseLogLinear, WeightFunction, pl_eval
+from .core import PiecewiseLogLinear, WeightFunction, pl_eval
 from .errors import (EmptyInput, NotMatrixAdmissible, Om3Violated,
                      ValidationFailed, WeightlabError, YHorizonTooSmall)
+from .verdict import inconclusive, report_dict, to_json
 
 __all__ = [
     "ConjugateProfile",
@@ -200,13 +201,9 @@ class ConjugateProfile:
         return np.where(np.isfinite(vals), vals, np.inf)
 
     def to_dict(self):
-        return {
-            "x_max": self.x_max,
-            "exact": self.exact,
-            "envelope_used": self.envelope_used,
-            "breakpoints": [float(b) for b in self.breakpoints],
-            "values": [float(v) for v in self.values],
-        }
+        return to_json({"x_max": self.x_max, "exact": self.exact,
+                        "envelope_used": self.envelope_used,
+                        "breakpoints": self.breakpoints, "values": self.values})
 
 
 def _om3_status(w):
@@ -214,7 +211,6 @@ def _om3_status(w):
     try:
         return conditions.check_condition(w, "om3")
     except WeightlabError:
-        from .verdict import inconclusive
         return inconclusive(notes="om3 check unavailable")
 
 
@@ -293,11 +289,7 @@ class GapReport:
     convexity_consistent: bool
     notes: str = ""
 
-    def to_dict(self):
-        return {"max_gap": self.max_gap, "argmax_u": self.argmax_u,
-                "zero_gap": self.zero_gap,
-                "convexity_consistent": self.convexity_consistent,
-                "notes": self.notes}
+    to_dict = report_dict
 
 
 def double_conjugate(w: WeightFunction, u_grid):

@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptyInput, HorizonTooSmall, NonFinite, NotMonotone, ValidationFailed
+from .verdict import report_dict
 
 __all__ = [
     "GridSpec",
@@ -76,13 +78,7 @@ class GridSpec:
                 chunks.append(pts[sel])
         return chunks
 
-    def describe(self):
-        return {
-            "t_min": self.t_min,
-            "t_max": self.t_max,
-            "n_points": self.n_points,
-            "spacing": self.spacing,
-        }
+    describe = report_dict
 
 
 def _as_array(t):
@@ -101,9 +97,12 @@ class WeightFunction:
         return self._phi_unchecked(np.log(np.maximum(t, 1e-300)))
 
     def _phi_unchecked(self, u: np.ndarray) -> np.ndarray:
-        """phi values; may contain inf on overflow (callers decide)."""
+        """phi values; may contain inf on overflow (callers decide).  Past
+        u = 709, where e^u leaves the double range, raises HorizonTooSmall."""
+        if np.any(np.asarray(u) > 709.0):
+            raise HorizonTooSmall("phi(u) past u = 709 needs w beyond the double range")
         with np.errstate(over="ignore"):
-            return self._eval(np.exp(np.minimum(u, 709.0)))
+            return self._eval(np.exp(u))
 
     def evaluate(self, t):
         arr, scalar = _as_array(t)
@@ -127,7 +126,13 @@ class WeightFunction:
 
     # -- plumbing -----------------------------------------------------------
     def to_json_dict(self) -> dict:
-        raise NotImplementedError
+        """The weight document `load_weight` reads back (see _FAMILY_TABLE)."""
+        if type(self) not in _FAMILY_NAME:
+            raise NotImplementedError(f"{type(self).__name__} has no weight document")
+        family = _FAMILY_NAME[type(self)]
+        names = _FAMILY_TABLE[family][1]
+        doc = {"family": family, "params": {n: getattr(self, n) for n in names if n != "base"}}
+        return {**doc, "base": self.base.to_json_dict()} if "base" in names else doc
 
     def __repr__(self):
         return f"{type(self).__name__}({self.to_json_dict()})"
@@ -151,9 +156,6 @@ class Power(WeightFunction):
         with np.errstate(over="ignore"):
             return np.exp(self.alpha * u)
 
-    def to_json_dict(self):
-        return {"family": "power", "params": {"alpha": self.alpha}}
-
 
 class Gevrey(Power):
     """w(t) = t**(1/s); a Power weight indexed the other way around."""
@@ -163,9 +165,6 @@ class Gevrey(Power):
             raise ValidationFailed("s must be > 0")
         object.__setattr__(self, "s", s)
         super().__init__(alpha=1.0 / s)
-
-    def to_json_dict(self):
-        return {"family": "gevrey", "params": {"s": self.s}}
 
 
 @dataclass(frozen=True, repr=False)
@@ -178,9 +177,6 @@ class Log(WeightFunction):
     def _phi_unchecked(self, u):
         # log(1 + e^u) without overflow
         return np.logaddexp(0.0, u)
-
-    def to_json_dict(self):
-        return {"family": "log", "params": {}}
 
 
 @dataclass(frozen=True, repr=False)
@@ -199,9 +195,6 @@ class LogPower(WeightFunction):
     def _phi_unchecked(self, u):
         return np.logaddexp(0.0, u) ** self.beta
 
-    def to_json_dict(self):
-        return {"family": "logpower", "params": {"beta": self.beta}}
-
 
 @dataclass(frozen=True, repr=False)
 class Exp(WeightFunction):
@@ -210,9 +203,6 @@ class Exp(WeightFunction):
     def _eval(self, t):
         with np.errstate(over="ignore"):
             return np.expm1(t)
-
-    def to_json_dict(self):
-        return {"family": "exp", "params": {}}
 
 
 def pl_eval(x, xs, ys, final_slope, left=None):
@@ -366,9 +356,6 @@ class Scaled(WeightFunction):
     def _phi_unchecked(self, u):
         return self.c * self.base._phi_unchecked(u)
 
-    def to_json_dict(self):
-        return {"family": "scaled", "params": {"c": self.c}, "base": self.base.to_json_dict()}
-
 
 class Dilated(WeightFunction):
     """base(c * t)."""
@@ -387,9 +374,6 @@ class Dilated(WeightFunction):
 
     def _phi_unchecked(self, u):
         return self.base._phi_unchecked(u + math.log(self.c))
-
-    def to_json_dict(self):
-        return {"family": "dilated", "params": {"c": self.c}, "base": self.base.to_json_dict()}
 
 
 class Normalized(WeightFunction):
@@ -415,9 +399,6 @@ class Normalized(WeightFunction):
         out[u <= 0.0] = 0.0
         return out
 
-    def to_json_dict(self):
-        return {"family": "normalized", "params": {}, "base": self.base.to_json_dict()}
-
 
 # ---------------------------------------------------------------------------
 # module-level operation aliases
@@ -441,17 +422,33 @@ def normalize(w: WeightFunction) -> WeightFunction:
 # JSON loading / dumping
 # ---------------------------------------------------------------------------
 
-_FAMILIES = {
-    "power": lambda p: Power(alpha=p["alpha"]),
-    "gevrey": lambda p: Gevrey(s=p["s"]),
-    "log": lambda p: Log(),
-    "logpower": lambda p: LogPower(beta=p["beta"]),
-    "exp": lambda p: Exp(),
+# family name -> (class, its constructor's parameters in order).  Each
+# parameter is a finite number under the document's "params", except
+# "base": the wrapped weight's own document, beside "params"
+_FAMILY_TABLE = {
+    "power": (Power, ("alpha",)),
+    "gevrey": (Gevrey, ("s",)),
+    "log": (Log, ()),
+    "logpower": (LogPower, ("beta",)),
+    "exp": (Exp, ()),
+    "scaled": (Scaled, ("c", "base")),
+    "dilated": (Dilated, ("c", "base")),
+    "normalized": (Normalized, ("base",)),
 }
+_FAMILY_NAME = {cls: name for name, (cls, _) in _FAMILY_TABLE.items()}
+
+
+def _numbers(xs):
+    """True when xs is a list of finite numbers."""
+    # a bool is no number here, and an int too large for a float not finite
+    return isinstance(xs, list) and all(
+        isinstance(x, (int, float)) and not isinstance(x, bool)
+        and abs(x) <= sys.float_info.max for x in xs)
 
 
 def load_weight(source) -> WeightFunction:
-    """Build a weight from a JSON document (dict, JSON string, or file path)."""
+    """Build a weight from a JSON document (dict, JSON string, or file path);
+    a malformed document raises ValidationFailed."""
     if isinstance(source, str):
         if source.lstrip().startswith("{"):
             doc = json.loads(source)
@@ -460,26 +457,34 @@ def load_weight(source) -> WeightFunction:
                 doc = json.load(fh)
     else:
         doc = source
+    return _from_document(doc)
+
+
+def _from_document(doc) -> WeightFunction:
+    if not isinstance(doc, dict):
+        raise ValidationFailed(f"a weight document is a JSON object, not {doc!r}")
     if "profile" in doc:
-        return PiecewiseLogLinear(doc["profile"])
+        corners = doc["profile"]
+        if not (isinstance(corners, list) and all(_numbers(c) and len(c) == 2 for c in corners)):
+            raise ValidationFailed("a profile is a list of [u, v] pairs of finite numbers")
+        return PiecewiseLogLinear(corners)
     if "sequence" in doc:
-        return Associated(WeightSequence(tuple(float(x) for x in doc["sequence"])),
-                          increase_from=int(doc.get("increase_from", 0)))
-    family = doc.get("family")
-    params = doc.get("params", {})
-    try:
-        if family in _FAMILIES:
-            return _FAMILIES[family](params)
-        if family == "scaled":
-            return Scaled(params["c"], load_weight(doc["base"]))
-        if family == "dilated":
-            return Dilated(params["c"], load_weight(doc["base"]))
-        if family == "normalized":
-            return Normalized(load_weight(doc["base"]))
-    except KeyError as exc:
-        raise ValidationFailed(
-            f"{family!r} weight document lacks {exc.args[0]!r}") from None
-    raise ValidationFailed(f"unknown weight document: {doc!r}")
+        entries, start = doc["sequence"], doc.get("increase_from", 0)
+        if not _numbers(entries) or type(start) is not int or start < 0:
+            raise ValidationFailed("a sequence is a list of finite numbers, and "
+                                   "its increase_from an index >= 0")
+        return Associated(WeightSequence(tuple(map(float, entries))), increase_from=start)
+    family, params = doc.get("family"), doc.get("params", {})
+    if not (isinstance(family, str) and family in _FAMILY_TABLE and isinstance(params, dict)):
+        raise ValidationFailed(f"unknown weight document: {doc!r}")
+    cls, names = _FAMILY_TABLE[family]
+    for name in names:
+        if name not in (doc if name == "base" else params):
+            raise ValidationFailed(f"{family!r} weight document lacks {name!r}")
+        if name != "base" and not _numbers([params[name]]):
+            raise ValidationFailed(f"{family!r} weight parameter {name!r} must be a "
+                                   f"finite number, not {params[name]!r}")
+    return cls(*(_from_document(doc["base"]) if n == "base" else params[n] for n in names))
 
 
 def dump_weight(w: WeightFunction) -> dict:

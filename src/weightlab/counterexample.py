@@ -20,14 +20,14 @@ slopes k_j / phi(x_j) -> 0 keep the profile slowly varying.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import PiecewiseLogLinear, WeightFunction
 from .errors import (GammaTooLarge, JHorizonTooSmall, MismatchedCorners,
                      OverflowAtJ, ValidationFailed)
-from .verdict import Verdict, fails, holds, inconclusive
+from .verdict import Verdict, fails, holds, inconclusive, report_dict, to_json
 
 __all__ = [
     "AdmissibleDelta",
@@ -200,7 +200,7 @@ class CertificateBundle:
         return [i for i in self.items if not i["ok"]]
 
     def to_dict(self):
-        return {"all_ok": self.all_ok, "items": list(self.items)}
+        return to_json({"all_ok": self.all_ok, "items": self.items})
 
 
 def _rel_close(a, b):
@@ -301,12 +301,7 @@ class SlowVariationReport:
     certified_K_e: bool
     threshold_j: int | None
 
-    def to_dict(self):
-        return {"gamma": self.gamma, "j0": self.j0,
-                "case_bounds": list(self.case_bounds),
-                "block_sup_ratios": list(self.block_sup_ratios),
-                "certified_K_e": self.certified_K_e,
-                "threshold_j": self.threshold_j}
+    to_dict = report_dict
 
 
 def slow_variation_certificate(p: CounterexampleProfile, gamma_set):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from . import conjugate
 from .core import (Associated, Dilated, Log, LogPower, PiecewiseLogLinear, Power, Scaled,
                    WeightFunction, WeightSequence)
 from .errors import HorizonTooSmall, NotMonotone, QuadratureFailure, ValidationFailed
-from .verdict import Verdict, fails, holds, inconclusive
+from .verdict import Verdict, fails, holds, inconclusive, report_dict
 
 __all__ = [
     "KappaResult",
@@ -74,9 +74,7 @@ class KappaResult:
     def divergent(self):
         return self.kind == "divergent"
 
-    def to_dict(self):
-        return {"kind": self.kind, "value": self.value, "tail_low": self.tail_low,
-                "tail_high": self.tail_high, "evidence": self.evidence}
+    to_dict = report_dict
 
 
 def _kinked_integral(phi, u0, kinks, slopes, v_max=math.inf):
@@ -279,15 +277,7 @@ class IndexEstimate:
     def infinite(self):
         return math.isinf(self.upper_bound) and self.lower_bound > 0
 
-    def to_dict(self):
-        return {
-            "lower_bound": self.lower_bound,
-            "upper_bound": self.upper_bound,
-            "table": self.table,
-            "horizon": self.horizon,
-            "refined": self.refined,
-            "notes": self.notes,
-        }
+    to_dict = report_dict
 
 
 def _classify_gamma(w, gamma, K_grid, tg, T):

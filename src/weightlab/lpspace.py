@@ -13,7 +13,7 @@ that huge exponents never overflow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .core import GridSpec, WeightFunction
 from .errors import (GridTooNarrow, NoViolationFound, OverflowUnrecoverable,
                      ValidationFailed, WitnessConstructionFailed)
 from .relations import WeightMatrix
-from .verdict import Verdict, fails, holds, inconclusive
+from .verdict import Verdict, fails, holds, inconclusive, report_dict, to_json
 
 __all__ = [
     "SampledFunction",
@@ -115,9 +115,9 @@ class NormResult:
         return self.kind == "divergent"
 
     def to_dict(self):
-        return {"p": None if math.isinf(self.p) else self.p, "kind": self.kind,
-                "value": self.value, "error_estimate": self.error_estimate,
-                "evidence": self.evidence}
+        return to_json({"p": None if math.isinf(self.p) else self.p, "kind": self.kind,
+                        "value": self.value, "error_estimate": self.error_estimate,
+                        "evidence": self.evidence})
 
 
 def _check_exponent(p):
@@ -235,8 +235,8 @@ class MembershipReport:
     exponents: dict | None = None
 
     def to_dict(self):
-        return {"rows": [{"ell": l, "norm": r.to_dict()} for l, r in self.rows],
-                "all_finite": self.all_finite, "exponents": self.exponents}
+        return to_json({"rows": [{"ell": l, "norm": r} for l, r in self.rows],
+                        "all_finite": self.all_finite, "exponents": self.exponents})
 
 
 def nontriviality_witness(W: WeightMatrix, p, t_max: float = 40.0,
@@ -307,13 +307,7 @@ class StaircaseReport:
     weighted_divergent: dict     # ell -> bool, via exact partial sums
     partial_sums: dict
 
-    def to_dict(self):
-        return {"centers": list(self.centers),
-                "half_widths": list(self.half_widths),
-                "lp_mass": self.lp_mass,
-                "weighted_divergent": {str(k): v for k, v in
-                                       self.weighted_divergent.items()},
-                "partial_sums": {str(k): v for k, v in self.partial_sums.items()}}
+    to_dict = report_dict
 
 
 def staircase_witness(W: WeightMatrix, p, n_blocks: int = 8, d: int = 1,
@@ -368,7 +362,6 @@ def staircase_witness(W: WeightMatrix, p, n_blocks: int = 8, d: int = 1,
             log_terms.append(-n * math.log(2.0) + wmin)
         sums = np.logaddexp.accumulate(np.array(log_terms))
         partial[ell] = [float(s) for s in sums]
-        tail = np.diff(sums[-min(10, len(sums)):])
         divergent[ell] = bool(len(log_terms) >= 3
                               and log_terms[-1] > log_terms[-3]
                               and sums[-1] > 50)
@@ -396,9 +389,7 @@ class TranslationReport:
     all_ok: bool
     hypothesis: Verdict
 
-    def to_dict(self):
-        return {"rows": [dict(r) for r in self.rows], "all_ok": self.all_ok,
-                "hypothesis": self.hypothesis.to_dict()}
+    to_dict = report_dict
 
 
 def translation_bound_check(S: WeightMatrix, T: WeightMatrix,
@@ -458,13 +449,7 @@ class ExperimentReport:
     converse_rows: tuple
     all_ok: bool
 
-    def to_dict(self):
-        return {"relation": self.relation.to_dict(),
-                "hypotheses": {k: v.to_dict() for k, v in self.hypotheses.items()},
-                "degraded": self.degraded,
-                "forward_rows": [dict(r) for r in self.forward_rows],
-                "converse_rows": [dict(r) for r in self.converse_rows],
-                "all_ok": self.all_ok}
+    to_dict = report_dict
 
 
 def _battery(S: WeightMatrix, p, grid, d):

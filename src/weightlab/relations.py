@@ -21,14 +21,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import Dilated, Exp, GridSpec, Scaled, WeightFunction
 from .errors import (BridgeViolation, HorizonTooSmall, IndexSearchExhausted,
                      NotMonotone, ValidationFailed)
-from .verdict import Status, Verdict, conjunction, fails, holds, inconclusive
+from .verdict import Verdict, conjunction, fails, holds, inconclusive, report_dict, to_json
 
 __all__ = [
     "WeightMatrix",
@@ -66,10 +66,7 @@ class WeightMatrix:
     kind: str                              # "exponential" | "dilatation" | "explicit"
     base: WeightFunction | None = None
     entries: tuple = ()                    # ((ell, WeightFunction), ...) for explicit
-    continuous: bool = True
     nondecreasing: bool = True
-    radial: bool = True
-    unbounded: bool = True
 
     @staticmethod
     def exponential(w: WeightFunction) -> "WeightMatrix":
@@ -107,7 +104,7 @@ class WeightMatrix:
         for l, w in self.entries:
             if math.isclose(l, ell, rel_tol=1e-12):
                 return w
-        raise KeyError(f"index {ell} not present in the explicit matrix")
+        raise ValidationFailed(f"index {ell:g} not present in the explicit matrix")
 
     def indices(self, ell_grid, extended=False):
         if self.kind == "explicit":
@@ -148,9 +145,7 @@ class RelationVerdict:
     def inconclusive(self):
         return self.verdict.inconclusive
 
-    def to_dict(self):
-        return {"rel": self.rel, "verdict": self.verdict.to_dict(),
-                "index_map": self.index_map}
+    to_dict = report_dict
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +506,7 @@ class LadderReport:
     links: tuple
 
     def to_dict(self):
-        return {"links": [{"name": n, "verdict": v.to_dict()} for n, v in self.links]}
+        return to_json({"links": [{"name": n, "verdict": v} for n, v in self.links]})
 
 
 def truncated_matrix_relation(S: WeightMatrix, T: WeightMatrix,

@@ -1,10 +1,42 @@
-"""Three-valued verdicts for finite-horizon checks of asymptotic conditions."""
+"""Three-valued verdicts for finite-horizon checks of asymptotic conditions,
+and the JSON form every report takes."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Any, Optional
+from typing import Optional
+
+import numpy as np
+
+
+def to_json(obj):
+    """The JSON form of report content: a report's ``to_dict``, an enum's
+    value, numpy values as Python ones, "nan"/"inf"/"-inf" for non-finite
+    floats, lists for tuples, strings for dict keys; TypeError otherwise."""
+    if hasattr(obj, "to_dict"):
+        return obj.to_dict()
+    if isinstance(obj, (np.generic, np.ndarray)):
+        obj = obj.tolist()
+    if isinstance(obj, Enum):
+        return obj.value
+    if isinstance(obj, dict):
+        return {str(k): to_json(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [to_json(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "nan" if math.isnan(obj) else "inf" if obj > 0 else "-inf"
+    if isinstance(obj, (str, int, float)) or obj is None:
+        return obj
+    raise TypeError(f"no JSON form for {type(obj).__name__} in a report")
+
+
+def report_dict(report) -> dict:
+    """A report dataclass's JSON form, its public fields by name: the
+    ``to_dict`` of every report whose JSON restates its fields."""
+    return {f.name: to_json(getattr(report, f.name))
+            for f in fields(report) if not f.name.startswith("_")}
 
 
 class Status(str, Enum):
@@ -40,15 +72,7 @@ class Verdict:
     def inconclusive(self) -> bool:
         return self.status is Status.INCONCLUSIVE
 
-    def to_dict(self) -> dict:
-        return {
-            "status": self.status.value,
-            "certificate": self.certificate,
-            "witness": self.witness,
-            "margin": self.margin,
-            "horizon": self.horizon,
-            "notes": self.notes,
-        }
+    to_dict = report_dict
 
 
 def holds(certificate: dict, margin=None, horizon=None, notes="") -> Verdict:

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from weightlab import cli
+from weightlab.verdict import to_json
 
 
 @pytest.fixture()
@@ -53,15 +54,32 @@ def test_error_exit_code(tmp_path):
     assert code == 1
 
 
+# weight documents the loader refuses, as JSON text (NaN and 1e400 are
+# what Python's json reads as nan and inf)
+MALFORMED_WEIGHTS = [
+    '{"family": "dilated", "params": {"lam": 2}, "base": {"family": "log", "params": {}}}',
+    '{"family": "power", "params": {"alpha": "abc"}}',
+    '{"family": "power", "params": {"alpha": null}}',
+    '{"family": "logpower", "params": {"beta": [2]}}',
+    '{"family": "power", "params": {"alpha": NaN}}',
+    '{"family": "power", "params": {"alpha": 1e400}}',
+    '{"profile": "abc"}',
+    '{"sequence": [0, "a"]}',
+    '[1, 2]',
+]
+
+
 def test_malformed_input_one_line_error(weight_file, tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"family": "dilated", "params": {"lam": 2},
-                               "base": {"family": "log", "params": {}}}))
-    for argv in (["analyze", "--weight", str(bad)],
-                 ["analyze", "--weight", weight_file, "--conditions", "om9"]):
-        assert cli.run(argv) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+    argvs = [["analyze", "--weight", weight_file, "--conditions", "om9"]]
+    for i, text in enumerate(MALFORMED_WEIGHTS):
+        bad = tmp_path / f"bad{i}.json"
+        bad.write_text(text)
+        argvs.append(["analyze", "--weight", str(bad), "--conditions", "om1"])
+    for argv in argvs:
+        assert cli.run(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_classify_and_report(weight_file, tmp_path):
@@ -232,7 +250,7 @@ def test_kappa_values_are_json_objects(weight_file, tmp_path):
 
 def test_unknown_report_content_is_refused():
     with pytest.raises(TypeError):
-        cli._clean({"x": object()})
+        to_json({"x": object()})
 
 
 @pytest.mark.parametrize("argv", [
@@ -260,6 +278,16 @@ def test_unknown_report_content_is_refused():
     ["counterexample", "--t1", "nan"],
     ["counterexample", "--A-max", "inf"],
     ["counterexample", "--delta", "power:nan"],
+    # each flag only where the subcommand reads it
+    ["conjugate", "--weight", "W", "--horizon", "1e9"],
+    ["matrix", "--weight", "W", "--horizon", "1e9"],
+    ["matrix-compare", "--s-weight", "W", "--t-weight", "W", "--horizon", "1e9"],
+    ["lp-experiment", "--s", "W", "--t", "W", "--horizon", "1e9"],
+    ["counterexample", "--horizon", "1e9"],
+    ["analyze", "--weight", "W", "--emit", "csv"],
+    ["report", "--weight", "W", "--plot-dir", "out"],
+    ["counterexample", "--certify", "nope"],
+    ["conjugate", "--weight", "W", "--emit", "pdf"],
 ])
 def test_bad_command_line_is_a_one_line_error(argv, weight_file, capsys):
     assert cli.run([weight_file if a == "W" else a for a in argv]) == 1

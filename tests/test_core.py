@@ -151,9 +151,42 @@ def test_load_weight_rejects_garbage():
     with pytest.raises(ValidationFailed):
         load_weight({"unknown": 1})
     # a wrapper with a misnamed parameter names the one it expected
-    with pytest.raises(ValidationFailed, match="'c'"):
+    with pytest.raises(ValidationFailed, match="lacks 'c'"):
         load_weight({"family": "dilated", "params": {"lam": 2},
                      "base": {"family": "power", "params": {"alpha": 0.5}}})
+    for doc in ({"family": "power", "params": {"alpha": "abc"}},
+                {"family": "power", "params": {"alpha": None}},
+                {"family": "power", "params": {"alpha": True}},
+                {"family": "power", "params": {"alpha": math.nan}},
+                {"family": "power", "params": {"alpha": math.inf}},
+                {"family": "power", "params": {"alpha": 10 ** 400}},
+                {"family": "logpower", "params": {"beta": [2]}},
+                {"family": "power", "params": [0.5]},
+                {"family": ["power"], "params": {"alpha": 0.5}},
+                {"family": "scaled", "params": {"c": 2.0}, "base": "power"},
+                {"profile": "abc"},
+                {"profile": [[0.0, 0.0], [1.0]]},
+                {"profile": [[0.0, 0.0], [1.0, math.nan]]},
+                {"sequence": [0, "a"]},
+                {"sequence": [0.0, math.inf]},
+                {"sequence": [0.0, 1.0, 3.0], "increase_from": "1"},
+                [1, 2]):
+        with pytest.raises(ValidationFailed):
+            load_weight(doc)
+    # the same refusals for a document read as JSON text
+    with pytest.raises(ValidationFailed, match="finite number"):
+        load_weight('{"family": "power", "params": {"alpha": 1e400}}')
+
+
+def test_phi_past_the_double_range_is_refused():
+    # phi(u) = max_k (k u - 300 k^2) is u - 300 for u up to 900, inside the
+    # 40 stored terms, yet e^u leaves the double range past u = 709
+    w = load_weight({"sequence": [300.0 * k * k for k in range(40)]})
+    assert w.phi(700.0) == pytest.approx(400.0)
+    with pytest.raises(HorizonTooSmall):
+        w.phi(720.0)   # 420, which a clamp at 709 would give as 409
+    with pytest.raises(HorizonTooSmall):
+        w.phi(np.array([1.0, 800.0]))
 
 
 def test_weight_sequence_and_associated():

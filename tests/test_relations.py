@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weightlab import Exp, GridSpec, Log, Power, relations
+from weightlab import Exp, GridSpec, Log, Power, Scaled, lpspace, relations
 from weightlab.errors import BridgeViolation, NotMonotone, ValidationFailed
 from weightlab.verdict import fails, holds, inconclusive
 
@@ -189,3 +189,33 @@ def test_weight_at_refuses_non_finite_index(ell):
               relations.WeightMatrix.dilatation(Power(0.5))):
         with pytest.raises(ValidationFailed):
             W.weight_at(ell)
+
+
+def _explicit(base, ells):
+    """An explicit matrix whose row ell is ell * base."""
+    return relations.WeightMatrix.explicit((ell, Scaled(ell, base)) for ell in ells)
+
+
+def test_explicit_matrix_relation():
+    S, T = _explicit(Power(0.5), (1.0, 2.0, 4.0)), _explicit(Log(), (1.0, 2.0))
+    v = relations.matrix_relation(S, T, "beurling")
+    assert v.holds
+    # every row of T has the first row of S as partner
+    assert {ell: entry["n"] for ell, entry in v.index_map.items()} == {1.0: 1.0, 2.0: 1.0}
+    assert relations.matrix_relation(S, T, "triangle").holds
+
+
+def test_explicit_matrix_refusals():
+    with pytest.raises(ValidationFailed, match="at least one entry"):
+        relations.WeightMatrix.explicit([])
+    with pytest.raises(ValidationFailed, match="strictly increasing"):
+        relations.WeightMatrix.explicit([(2.0, Power(0.5)), (1.0, Power(0.5))])
+    with pytest.raises(ValidationFailed, match="not present"):
+        _explicit(Power(0.5), (1.0, 2.0)).weight_at(3.0)
+
+
+def test_inclusion_experiment_on_an_explicit_matrix_is_a_typed_error():
+    # the test battery reads rows 0.5, 1 and 2 of S, which has no row 0.5
+    S, T = _explicit(Power(0.5), (1.0, 2.0, 4.0)), _explicit(Log(), (1.0, 2.0))
+    with pytest.raises(ValidationFailed, match="index 0.5 not present"):
+        lpspace.inclusion_experiment(S, T, 2.0)
