@@ -32,8 +32,8 @@ import numpy as np
 from . import growth
 from .core import (Associated, Dilated, Exp, GridSpec, Log, LogPower, Normalized,
                    PiecewiseLogLinear, Power, Scaled, WeightFunction)
-from .errors import (ChainViolation, HorizonTooSmall, NotMonotone, UnknownCondition,
-                     WeightlabError)
+from .errors import (ChainViolation, HorizonTooSmall, NonFinite, NotMonotone,
+                     UnknownCondition, WeightlabError)
 from .verdict import Verdict, conjunction, fails, holds, inconclusive, report_dict
 
 __all__ = [
@@ -360,6 +360,14 @@ def _check_unbounded(w, grid):
                         notes="decade maxima not strictly growing")
 
 
+_CHECKS = {
+    "om4": _check_om4, "om6": _check_om6, "om_nq": _check_om_nq,
+    "om_snq": _check_om_snq, "alpha0": _check_alpha0, "om_sub": _check_om_sub,
+    "normalized": _check_normalized, "nondecreasing": _check_nondecreasing,
+    "unbounded_limit": _check_unbounded,
+}
+
+
 # ---------------------------------------------------------------------------
 # public entry points
 # ---------------------------------------------------------------------------
@@ -376,27 +384,14 @@ def check_condition(w: WeightFunction, cond: str, grid: GridSpec = DEFAULT_GRID)
     if exact is False:
         return fails({"closed_form": True}, notes="exact family-level refutation")
 
-    if cond in ("om1", "om2", "om3", "om3w", "om5"):
-        return _ratio_condition(w, cond, grid)
-    if cond == "om4":
-        return _check_om4(w, grid)
-    if cond == "om6":
-        return _check_om6(w, grid)
-    if cond == "om_nq":
-        return _check_om_nq(w, grid)
-    if cond == "om_snq":
-        return _check_om_snq(w, grid)
-    if cond == "alpha0":
-        return _check_alpha0(w, grid)
-    if cond == "om_sub":
-        return _check_om_sub(w, grid)
-    if cond == "normalized":
-        return _check_normalized(w, grid)
-    if cond == "nondecreasing":
-        return _check_nondecreasing(w, grid)
-    if cond == "unbounded_limit":
-        return _check_unbounded(w, grid)
-    raise AssertionError(cond)  # pragma: no cover
+    try:
+        if cond in ("om1", "om2", "om3", "om3w", "om5"):
+            return _ratio_condition(w, cond, grid)
+        return _CHECKS[cond](w, grid)
+    except (HorizonTooSmall, NonFinite) as exc:
+        # a weight that cannot be evaluated on the whole grid leaves this
+        # condition undecided; it does not sink the other conditions
+        return inconclusive(horizon=grid.describe(), notes=f"{type(exc).__name__}: {exc}")
 
 
 @dataclass

@@ -5,10 +5,10 @@ For a weight w let phi(u) = w(e^u).  The conjugate is
     phi*(x) = sup_y { x*y - phi(y) },   x >= 0,
 
 with the supremum restricted to y >= 0 when w is normalized (phi vanishes
-there anyway).  Piecewise-linear profiles get an exact closed-form
-conjugate through convex duality; analytic families are handled by a grid
-supremum, taken for all requested x at once and refined by zooming in on
-each argmax.
+there anyway).  Piecewise-linear profiles, sequence weights among them,
+get an exact closed-form conjugate through convex duality; analytic
+families are handled by a grid supremum, taken for all requested x at
+once and refined by zooming in on each argmax.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PiecewiseLogLinear, WeightFunction, pl_eval
+from .core import PiecewiseLogLinear, WeightFunction, _hull, pl_eval
 from .errors import (EmptyInput, NotMatrixAdmissible, Om3Violated,
                      ValidationFailed, WeightlabError, YHorizonTooSmall)
 from .verdict import inconclusive, report_dict, to_json
@@ -55,29 +55,6 @@ class PiecewiseLinear:
         if np.ndim(x) == 0:
             return float(out[0])
         return out
-
-
-def _hull(points, upper: bool):
-    """Monotone-chain hull of (x, y) points with strictly increasing x."""
-    sign = -1.0 if upper else 1.0
-    kept = []
-    for p in points:
-        while len(kept) >= 2:
-            (x1, y1), (x2, y2) = kept[-2], kept[-1]
-            # scale the differences first so the turn test survives inputs
-            # near the top of the double range
-            dx1, dy1 = x2 - x1, y2 - y1
-            dx2, dy2 = p[0] - x1, p[1] - y1
-            s = max(abs(dx1), abs(dy1), abs(dx2), abs(dy2), 1.0)
-            cross = (dx1 / s) * (dy2 / s) - (dy1 / s) * (dx2 / s)
-            # after scaling, both products are <= 1, so this is a relative
-            # collinearity test
-            if sign * cross <= 1e-15:
-                kept.pop()
-            else:
-                break
-        kept.append(p)
-    return kept
 
 
 def _as_points(samples):
@@ -160,7 +137,6 @@ class ConjugateProfile:
         if self.exact:
             out = np.max(arr[:, None] * self._hull_us[None, :]
                          - self._hull_vs[None, :], axis=1)
-            out = np.maximum(out, 0.0) if self._hull_vs[0] == 0.0 else out
         else:
             out = np.empty_like(arr)
             for i in range(0, len(arr), _X_BLOCK):

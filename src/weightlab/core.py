@@ -290,33 +290,50 @@ class WeightSequence:
         return bool(np.all(np.diff(lm, 2) >= -tol))
 
 
+def _hull(points, upper: bool):
+    """Monotone-chain hull of (x, y) points with strictly increasing x."""
+    sign = -1.0 if upper else 1.0
+    kept = []
+    for p in points:
+        while len(kept) >= 2:
+            (x1, y1), (x2, y2) = kept[-2], kept[-1]
+            # scale the differences first so the turn test survives inputs
+            # near the top of the double range
+            dx1, dy1 = x2 - x1, y2 - y1
+            dx2, dy2 = p[0] - x1, p[1] - y1
+            s = max(abs(dx1), abs(dy1), abs(dx2), abs(dy2), 1.0)
+            cross = (dx1 / s) * (dy2 / s) - (dy1 / s) * (dx2 / s)
+            # after scaling, both products are <= 1, so this is a relative
+            # collinearity test
+            if sign * cross <= 1e-15:
+                kept.pop()
+            else:
+                break
+        kept.append(p)
+    return kept
+
+
 def associated_weight_function(M: WeightSequence, t):
-    """sup_p log(M_0 t^p / M_p), computed in the log-domain.
+    """sup_p log(M_0 t^p / M_p), read off the corners of `Associated`.
 
     Returns 0 at t = 0 (the p = 0 term, with the 0^0 := 1 convention).
-    Raises HorizonTooSmall if the argmax hits the last stored index.
+    Raises HorizonTooSmall where the supremum reaches the last stored index.
     """
-    arr, scalar = _as_array(t)
-    if np.any(arr < 0):
-        raise ValueError("t must be >= 0")
-    lm = np.asarray(M.logM)
-    p = np.arange(len(lm))
-    out = np.zeros(arr.shape)
-    pos = arr > 0
-    if np.any(pos):
-        logt = np.log(arr[pos])
-        terms = p[None, :] * logt[:, None] - (lm[None, :] - lm[0])
-        arg = np.argmax(terms, axis=1)
-        vals = np.take_along_axis(terms, arg[:, None], axis=1)[:, 0]
-        if np.any((arg == M.P) & (vals > 0)):
-            bad = arr[pos][(arg == M.P) & (vals > 0)].flat[0]
-            raise HorizonTooSmall(f"supremum not attained below index P={M.P} at t={bad}")
-        out[pos] = np.maximum(vals, 0.0)
-    return float(out) if scalar else out
+    # increase_from = P declares no growth of the roots, so any positive
+    # sequence is accepted
+    return Associated(M, increase_from=M.P).evaluate(t)
 
 
-class Associated(WeightFunction):
-    """w = the function associated with a sequence M (always convex in u)."""
+class Associated(PiecewiseLogLinear):
+    """w = the function associated with a sequence M.
+
+    phi(u) = max_p (p u - log M_p + log M_0) is convex and piecewise linear:
+    with p_0 = 0 < p_1 < ... < p_m = P the vertices of the lower hull of the
+    points (p, log M_p), it has slope p_k between its corners, which are the
+    slopes of the hull's edges, and is 0 left of the first.  Past the last
+    corner the supremum reaches p = P, so phi there depends on terms not
+    stored, and it raises HorizonTooSmall.
+    """
 
     def __init__(self, M: WeightSequence, increase_from: int = 0):
         r = M.roots()
@@ -328,9 +345,19 @@ class Associated(WeightFunction):
         self.M = M
         self.increase_from = increase_from
         self.normalized = bool(min(r) >= 0)
+        lm = np.asarray(M.logM) - M.logM[0]
+        p, L = np.array(_hull(list(zip(range(len(lm)), lm)), upper=False)).T
+        self.us = np.diff(L) / np.diff(p)
+        self.vs = p[:-1] * self.us - L[:-1]
+        self.slopes, self.final_slope = p[1:-1], p[-1]
 
-    def _eval(self, t):
-        return associated_weight_function(self.M, t)
+    def _phi_unchecked(self, u):
+        u = np.atleast_1d(np.asarray(u, dtype=float))
+        if np.any(u > self.us[-1]):
+            raise HorizonTooSmall(
+                f"supremum not attained below index P={self.M.P} past "
+                f"u={self.us[-1]:g}, at u={float(u[u > self.us[-1]][0]):g}")
+        return super()._phi_unchecked(u)
 
     def to_json_dict(self):
         doc = {"sequence": [float(x) for x in self.M.logM]}

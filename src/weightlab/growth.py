@@ -12,15 +12,13 @@ evaluated all at once in each refinement round.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import conjugate
 from .core import (Associated, Dilated, Log, LogPower, PiecewiseLogLinear, Power, Scaled,
-                   WeightFunction, WeightSequence)
+                   WeightFunction)
 from .errors import HorizonTooSmall, NotMonotone, QuadratureFailure, ValidationFailed
 from .verdict import Verdict, fails, holds, inconclusive, report_dict
 
@@ -95,23 +93,6 @@ def _kinked_integral(phi, u0, kinks, slopes, v_max=math.inf):
     return total
 
 
-@functools.lru_cache(maxsize=64)
-def _sequence_kinks(M: WeightSequence):
-    """Kinks and slopes of phi(u) = max_p (p u - (log M_p - log M_0)).
-
-    The maximum runs over the lower convex hull of the points (p, log M_p):
-    between hull vertices p_i < p_j phi has slope p_i, and it turns to
-    slope p_j where both lines meet.
-    """
-    lm = np.asarray(M.logM) - M.logM[0]
-    hull = np.array(conjugate._hull(list(zip(range(len(lm)), lm)), upper=False))
-    p, L = hull[:, 0], hull[:, 1]
-    kinks = np.diff(L) / np.diff(p)
-    # the cache hands the same arrays to every caller
-    kinks.flags.writeable = p.flags.writeable = False
-    return kinks, p
-
-
 def _integrate(g, breaks):
     """Integral of g over [breaks[0], breaks[-1]] and its error estimate.
 
@@ -158,13 +139,16 @@ def _integrate(g, breaks):
 
 
 def kappa(w: WeightFunction, y: float, T: float = 1e6) -> KappaResult:
-    """int_1^T w(y t)/t^2 dt plus a certified tail estimate.
+    """int_1^T w(y t)/t^2 dt plus the tail beyond T, bracketed by
+    [tail_low, tail_high].
 
     A profile gets the exact integral over [1, oo), its final slope
-    extended.  Any other weight returns a finite value only when the
-    integrand passes a decay test on the final window, and is otherwise
-    flagged divergent with the observed evidence; the part up to T is then
-    exact for a sequence weight and adaptive quadrature for the rest.
+    extended, so both tail fields are the exact tail.  Any other weight
+    returns a finite value only when the integrand passes a decay test on
+    the final window, and is otherwise flagged divergent with the observed
+    evidence; the part up to T is then exact for a sequence weight and
+    adaptive quadrature for the rest, and the tail is estimated from the
+    decay rate.
     """
     if y < 0:
         raise ValidationFailed("y must be >= 0")
@@ -176,13 +160,16 @@ def kappa(w: WeightFunction, y: float, T: float = 1e6) -> KappaResult:
     v_max = math.log(T)
 
     if isinstance(w, PiecewiseLogLinear):
+        # phi is affine between its corners, so the part up to T is exact;
+        # a sequence's phi raises here if the horizon passes its last corner
         slopes = np.concatenate([[0.0], w.slopes, [w.final_slope]])
-        value = _kinked_integral(w.phi, u0, w.us, slopes)
-        g_end = float(w.phi(u0 + v_max)) * math.exp(-v_max)
-        return KappaResult("finite", value, g_end, value, {
-            "method": "exact piecewise integral with final-slope extension",
-            "u0": u0,
-        })
+        head = _kinked_integral(w.phi, u0, w.us, slopes, v_max)
+        if not isinstance(w, Associated):
+            value = _kinked_integral(w.phi, u0, w.us, slopes)
+            return KappaResult("finite", value, value - head, value - head, {
+                "method": "exact piecewise integral with final-slope extension",
+                "u0": u0,
+            })
 
     def g(v):
         v = np.asarray(v, dtype=float)
@@ -190,7 +177,8 @@ def kappa(w: WeightFunction, y: float, T: float = 1e6) -> KappaResult:
         with np.errstate(over="ignore", invalid="ignore"):
             return val * np.exp(-v)
 
-    # decay test on the final window
+    # decay test on the final window; a sequence's last slope, which holds
+    # only up to its last corner, is never extended to oo
     win = np.linspace(max(v_max - 5.0, v_max / 2), v_max, 24)
     gw = np.asarray(g(win), dtype=float).reshape(-1)
     if not np.all(np.isfinite(gw)):
@@ -210,11 +198,8 @@ def kappa(w: WeightFunction, y: float, T: float = 1e6) -> KappaResult:
             "window": [float(win[0]), float(win[-1])],
         })
 
-    if isinstance(w, Associated):
-        # the window test above has evaluated phi at u0 + v_max, so the
-        # supremum stays below index P on the whole range
-        kinks, slopes = _sequence_kinks(w.M)
-        val = _kinked_integral(w.phi, u0, kinks, slopes, v_max)
+    if isinstance(w, PiecewiseLogLinear):
+        val = head
         evidence = {"method": "exact integral over the hull kinks + exponential tail",
                     "rate": float(rate)}
     else:

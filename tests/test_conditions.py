@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from weightlab import (Dilated, Exp, GridSpec, Log, LogPower, Normalized,
                        PiecewiseLogLinear, Power, Scaled, WeightFunction,
-                       conditions, growth)
+                       conditions, growth, load_weight)
 from weightlab.errors import ChainViolation, HorizonTooSmall, WeightlabError
 from weightlab.verdict import Status, fails, holds, inconclusive
 
@@ -220,3 +222,27 @@ def test_bb_rescue_horizon_problem_is_inconclusive(monkeypatch):
     rep = conditions.classify(Power(1.5))
     assert rep.classes["bb"].fails
     assert rep.classes["bb_equivalent"].inconclusive
+
+
+def test_sequence_unboundedness_is_exact():
+    # past its last corner phi rises with slope P, so the profile rule holds
+    w = load_weight({"sequence": [0.75 * k * k for k in range(60)]})
+    v = conditions.check_condition(w, "unbounded_limit")
+    assert v.holds and v.certificate == {"exact": True, "final_slope": 59.0}
+
+
+def test_a_horizon_failure_leaves_one_condition_inconclusive():
+    # the 60-term sqrt(k!) sequence has no phi past t ~ 7.7, and e^t leaves
+    # the double range past t ~ 709: each check that looks further is
+    # inconclusive, and classify still reports on the others
+    w = load_weight({"sequence": [0.5 * math.lgamma(k + 1) for k in range(60)]})
+    rep = conditions.classify(w)
+    om1 = rep.conditions["om1"]
+    assert om1.inconclusive and om1.notes.startswith("HorizonTooSmall: ")
+    assert om1.horizon == conditions.DEFAULT_GRID.describe()
+    assert rep.conditions["om4"].holds and rep.conditions["unbounded_limit"].holds
+    v = conditions.check_condition(_Opaque(Exp()), "om1")
+    assert v.inconclusive and v.notes.startswith("NonFinite: ")
+    # a grid shorter than two decades is still refused
+    with pytest.raises(HorizonTooSmall):
+        conditions.check_condition(w, "om1", GridSpec(1.0, 50.0))

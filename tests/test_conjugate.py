@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 import weightlab
 from weightlab import (Gevrey, Log, Normalized, LogPower, PiecewiseLogLinear,
-                       Power, conditions, conjugate)
+                       Power, conditions, conjugate, load_weight)
 from weightlab.errors import (HorizonTooSmall, NotMatrixAdmissible, Om3Violated,
                               ValidationFailed, YHorizonTooSmall)
 
@@ -167,6 +167,27 @@ def test_double_conjugate_plateau_gap(plateau_profile_small):
     assert rep.convexity_consistent
     gaps = np.asarray(p.weight.phi(mids)) - np.interp(mids, u, biconj)
     assert np.all(gaps > 0)
+
+
+@pytest.mark.parametrize("lm", [
+    [0.75 * k * k for k in range(60)],
+    [0.5 * math.lgamma(k + 1) for k in range(60)],
+    [0.5 * k * k - 2.0 * k for k in range(30)],
+], ids=["gaussian", "sqrt_factorial", "shifted"])
+def test_sequence_conjugate_gives_back_the_sequence(lm):
+    # for a log-convex M, phi*(p) = log M_p - log M_0 (Komatsu 1973), read
+    # off the corners of phi exactly up to x = P; "shifted" has M_1 < M_0,
+    # so phi*(1) < 0
+    w = load_weight({"sequence": lm})
+    P = len(lm) - 1
+    prof = conjugate.young_conjugate(w, P)
+    assert prof.exact
+    np.testing.assert_allclose(prof.value(np.arange(P + 1.0)), np.asarray(lm) - lm[0],
+                               rtol=1e-13, atol=1e-12)
+    # phi is convex, so it is its own biconjugate up to its last corner
+    _, rep = conjugate.double_conjugate(w, np.linspace(-5.0, w.us[-1], 500))
+    assert rep.zero_gap and rep.convexity_consistent
+    assert rep.max_gap <= 1e-12 * (1.0 + float(w.phi(w.us[-1])))
 
 
 def test_associated_matrix_log_convex_monotone():

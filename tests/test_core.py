@@ -180,13 +180,43 @@ def test_load_weight_rejects_garbage():
 
 def test_phi_past_the_double_range_is_refused():
     # phi(u) = max_k (k u - 300 k^2) is u - 300 for u up to 900, inside the
-    # 40 stored terms, yet e^u leaves the double range past u = 709
+    # 40 stored terms; a sequence's phi is read off its corners, so it is
+    # exact past u = 709, where e^u leaves the double range
     w = load_weight({"sequence": [300.0 * k * k for k in range(40)]})
     assert w.phi(700.0) == pytest.approx(400.0)
+    assert w.phi(720.0) == pytest.approx(420.0)   # a clamp at 709 would give 409
+    assert w.phi(800.0) == pytest.approx(500.0)
+    # a weight defined only through w(t) has no phi past u = 709
     with pytest.raises(HorizonTooSmall):
-        w.phi(720.0)   # 420, which a clamp at 709 would give as 409
+        Exp().phi(720.0)
     with pytest.raises(HorizonTooSmall):
-        w.phi(np.array([1.0, 800.0]))
+        Exp().phi(np.array([1.0, 800.0]))
+
+
+# M_1 < M_0 in "shifted", so its phi rises from 0 left of u = 0; the hull
+# of "skipping" passes over p = 3
+_PHI_SEQUENCES = {
+    "gaussian": [0.75 * k * k for k in range(60)],
+    "sqrt_factorial": [0.5 * math.lgamma(k + 1) for k in range(60)],
+    "skipping": [0.0, 1.0, 2.5, 6.0, *np.cumsum([8.5, *np.arange(3.5, 12.0)]).tolist()],
+    "shifted": [0.5 * k * k - 2.0 * k for k in range(30)],
+}
+
+
+@pytest.mark.parametrize("name", list(_PHI_SEQUENCES))
+def test_sequence_phi_is_the_supremum_over_the_stored_terms(name):
+    lm = np.asarray(_PHI_SEQUENCES[name])
+    w = load_weight({"sequence": lm.tolist()})
+    last = float(w.us[-1])
+    u = np.linspace(-10.0, last, 4001)[:-1]
+    # the reference: max_p (p u - log M_p + log M_0) over every stored term,
+    # whose argmax stays below P up to the last corner
+    p = np.arange(len(lm))
+    terms = p[None, :] * u[:, None] - (lm[None, :] - lm[0])
+    assert np.all(np.argmax(terms, axis=1) < len(lm) - 1)
+    np.testing.assert_allclose(w.phi(u), np.max(terms, axis=1), rtol=1e-12, atol=1e-12)
+    with pytest.raises(HorizonTooSmall, match=f"P={len(lm) - 1}"):
+        w.phi(last * (1 + 1e-12) + 1e-12)
 
 
 def test_weight_sequence_and_associated():

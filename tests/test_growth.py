@@ -57,6 +57,17 @@ def test_kappa_kink_near_a_panel_end():
     assert finite_part == pytest.approx(exact, rel=1e-10)
 
 
+def test_kappa_profile_tail_fields_are_the_exact_tail():
+    # past the last corner phi is a ray of slope s, so the tail beyond T is
+    # int_{log T}^oo (phi(u_T) + s (v - log T)) e^{-v} dv = (phi(u_T) + s)/T
+    P = PiecewiseLogLinear([[0.0, 0.0], [1.19695845, 1.246052],
+                            [2.36953906, 3.1512431], [3.47111707, 5.32910855]])
+    y, T = 2.0, 1e6
+    res = growth.kappa(P, y, T)
+    tail = (P.phi(math.log(y * T)) + P.final_slope) / T
+    assert res.tail_low == res.tail_high == pytest.approx(tail, rel=1e-8)
+
+
 class _Oscillating(WeightFunction):
     """phi(u) = 2 + sin(10^4 u): decays fine against e^{-v}, but far too
     fast an oscillation for any panel budget."""

@@ -12,7 +12,10 @@ length is wlbench's own) once on each side with the same seed; the side that goe
 from pair to pair.  Pair i uses seed ``first-seed + i``.  The record keeps
 every run's metrics and, per metric, each side's median and quartiles, the
 ratio of the medians (change over parent) and the number of pairs the
-change won in the metric's direction from BENCHMARK.json.  The record is
+change won in the metric's direction from BENCHMARK.json.  For a workload
+whose ops are CLI calls, each pair also lists, under ``stdout_changed``,
+the argv of every op whose stdout digest differs between the two sides,
+so the record shows which outputs a change altered.  The record is
 rewritten after every pair, so an interrupted session keeps what it ran.
 """
 
@@ -63,6 +66,14 @@ def run_bench(tree: Path, workload: str, seed: int, trace: int) -> dict:
     last = json.loads(p.stdout.strip().splitlines()[-1])
     return {"correct": last["correct"], "failed": last["failed"],
             "metrics": {k: v["value"] for k, v in last["metrics"].items()}}
+
+
+def stdout_digests(tree: Path, workload: str, seed: int, trace: int) -> dict:
+    """op id -> (argv, stdout digest) for each CLI op of the run's result file."""
+    path = tree / "wlbench" / "out" / f"result-{workload}-s{seed}-t{trace}.json"
+    ops = json.loads(path.read_text())["ops"]
+    return {r["id"]: (r["op"]["argv"], r["stdout_sha256"])
+            for r in ops if "stdout_sha256" in r}
 
 
 def summary(values: list) -> dict:
@@ -130,6 +141,12 @@ def main(argv=None) -> int:
                     t0 = time.perf_counter()
                     pair[side] = run_bench(trees[side], workload, seed, trace)
                     pair[side]["wall_s"] = round(time.perf_counter() - t0, 1)
+                digests = {side: stdout_digests(trees[side], workload, seed, trace)
+                           for side in order}
+                if digests["parent"]:
+                    pair["stdout_changed"] = [
+                        argv for op_id, (argv, sha) in sorted(digests["parent"].items())
+                        if digests["change"].get(op_id, (None, None))[1] != sha]
                 block["seeds"].append(seed)
                 block["pairs"].append(pair)
                 summarise(block, better)
