@@ -355,8 +355,9 @@ class Associated(PiecewiseLogLinear):
         u = np.atleast_1d(np.asarray(u, dtype=float))
         if np.any(u > self.us[-1]):
             raise HorizonTooSmall(
-                f"supremum not attained below index P={self.M.P} past "
-                f"u={self.us[-1]:g}, at u={float(u[u > self.us[-1]][0]):g}")
+                f"supremum not attained below index P={self.M.P} at "
+                f"u={float(u[u > self.us[-1]][0]):g}, past the last corner "
+                f"u={self.us[-1]:g}")
         return super()._phi_unchecked(u)
 
     def to_json_dict(self):
