@@ -24,6 +24,7 @@ else that cannot be certified gets an honest ``inconclusive``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -286,30 +287,52 @@ def _check_alpha0(w, grid):
                         notes="scaling constant still growing at horizon")
 
 
+@functools.lru_cache(maxsize=1)
+def _pair_triangle(n):
+    """The pairs i <= j, i + j < n in row-major order, as index tables: row
+    i < n/2 holds counts[i] = n - 2i pairs, j = i ... n - 1 - i."""
+    rows = np.arange((n + 1) // 2)
+    counts = n - 2 * rows
+    i = np.repeat(rows, counts)
+    j = np.arange(i.size) - np.repeat(np.cumsum(counts) - counts - rows, counts)
+    return counts, i, j, i + j
+
+
+def _worst_pair(vals):
+    """(i, j, gap): the largest gap = vals[i + j] - vals[i] - vals[j] over
+    i <= j, i + j < len(vals), at its first pair in row-major order."""
+    counts, i, j, ij = _pair_triangle(vals.size)
+    # vals[i] is constant along a row, and the tables hold only valid
+    # indices, so take need not check them
+    gaps = (vals.take(ij, mode="clip") - np.repeat(vals[:counts.size], counts)
+            - vals.take(j, mode="clip"))
+    k = int(np.argmax(gaps))
+    return int(i[k]), int(j[k]), float(gaps[k])
+
+
 def _check_om_sub(w, grid):
     # the index-addition scan needs a uniform grid with 0, so small- and
     # large-argument violations are probed on separate linear scales
     n = 512
     scales = [s for s in (2.0, 64.0, 2048.0, grid.t_max) if s <= grid.t_max]
-    # w(s+t) - w(s) - w(t) is scanned at s = tg[i], t = tg[j] for i <= j, i + j < n
-    idx = np.arange(n)
-    pairs = (idx[:, None] + idx[None, :] < n) & (idx[:, None] <= idx[None, :])
-    pair_sum = np.minimum(idx[:, None] + idx[None, :], n - 1)
-    worst, wi, wj, wtg = -np.inf, 0, 0, None
+    worst, wi, wj, wtg, wtol = -np.inf, 0, 0, None, 0.0
     concave = True
     for t_max in dict.fromkeys(scales):
         tg = np.linspace(0.0, t_max, n)
-        vals = np.asarray(w.evaluate(tg))
-        i, j = divmod(int(np.argmax(np.where(
-            pairs, vals[pair_sum] - vals[:, None] - vals[None, :], -np.inf))), n)
-        gap = float(vals[i + j] - vals[i] - vals[j])
+        try:
+            vals = np.asarray(w.evaluate(tg))
+        except (HorizonTooSmall, NonFinite):
+            if worst > wtol:      # a violation on an earlier scale still stands
+                break
+            raise
+        # w(s+t) - w(s) - w(t) at s = tg[i], t = tg[j]
+        i, j, gap = _worst_pair(vals)
         tol = 1e-9 * (1.0 + float(np.max(vals)))
         if gap > worst:
-            worst, wi, wj, wtg = gap, i, j, tg
+            worst, wi, wj, wtg, wtol = gap, i, j, tg, tol
         concave = concave and bool(np.all(np.diff(vals, 2) <= tol)) \
             and float(vals[0]) == 0.0
-    tol = 1e-9 * (1.0 + float(np.max(np.asarray(w.evaluate(wtg)))))
-    if worst > tol:
+    if worst > wtol:
         return fails({"s": float(wtg[wi]), "t": float(wtg[wj]), "violation": worst},
                      margin=worst, horizon=grid.describe())
     if concave and w.nondecreasing:
@@ -344,7 +367,7 @@ def _check_nondecreasing(w, grid):
     return inconclusive(notes="monotone on samples but flag not declared")
 
 
-def _check_unbounded(w, grid):
+def _check_unbounded_limit(w, grid):
     if isinstance(w, PiecewiseLogLinear):
         if w.final_slope > 0:
             return holds({"exact": True, "final_slope": float(w.final_slope)})
@@ -358,14 +381,6 @@ def _check_unbounded(w, grid):
         return holds({"decade_maxima": tops}, horizon=grid.describe())
     return inconclusive(horizon=grid.describe(),
                         notes="decade maxima not strictly growing")
-
-
-_CHECKS = {
-    "om4": _check_om4, "om6": _check_om6, "om_nq": _check_om_nq,
-    "om_snq": _check_om_snq, "alpha0": _check_alpha0, "om_sub": _check_om_sub,
-    "normalized": _check_normalized, "nondecreasing": _check_nondecreasing,
-    "unbounded_limit": _check_unbounded,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +402,9 @@ def check_condition(w: WeightFunction, cond: str, grid: GridSpec = DEFAULT_GRID)
     try:
         if cond in ("om1", "om2", "om3", "om3w", "om5"):
             return _ratio_condition(w, cond, grid)
-        return _CHECKS[cond](w, grid)
+        # looked up by name at each call, so that a wrapper rebound on this
+        # module, such as wlbench's tracer, sees the call
+        return globals()[f"_check_{cond}"](w, grid)
     except (HorizonTooSmall, NonFinite) as exc:
         # a weight that cannot be evaluated on the whole grid leaves this
         # condition undecided; it does not sink the other conditions

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PiecewiseLogLinear, WeightFunction, _hull, pl_eval
+from .core import Associated, PiecewiseLogLinear, WeightFunction, _hull, pl_eval
 from .errors import (EmptyInput, NotMatrixAdmissible, Om3Violated,
                      ValidationFailed, WeightlabError, YHorizonTooSmall)
 from .verdict import inconclusive, report_dict, to_json
@@ -233,9 +233,9 @@ def _exact_conjugate(w: PiecewiseLogLinear, x_max: float) -> ConjugateProfile:
 
     slope_cap = float(w.final_slope)
     if x_max > slope_cap * (1 + 1e-12):
-        raise YHorizonTooSmall(
-            f"conjugate is finite only up to the final profile slope "
-            f"{slope_cap:g}; requested x_max={x_max:g}")
+        limit = (f"the stored terms end at p = {slope_cap:g}" if isinstance(w, Associated)
+                 else f"conjugate is finite only up to the final profile slope {slope_cap:g}")
+        raise YHorizonTooSmall(f"{limit}; requested x_max={x_max:g}")
 
     # drop the pseudo-corner from the stored hull (it only fixed the slope);
     # the max formula over the true corners is correct for x <= slope_cap

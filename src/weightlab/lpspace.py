@@ -46,18 +46,21 @@ def sphere_factor(d: int) -> float:
     return d * math.pi ** (d / 2) / math.gamma(1 + d / 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampledFunction:
-    """Nonnegative radial profile sampled at strictly increasing radii."""
+    """Nonnegative radial profile sampled at strictly increasing radii.
 
-    ts: tuple
-    values: tuple
+    The radii and values may be given as any sequence; they are stored as
+    read-only float arrays."""
+
+    ts: np.ndarray
+    values: np.ndarray
     d: int = 1
     label: str = ""
 
     def __post_init__(self):
-        ts = np.asarray(self.ts, dtype=float)
-        vals = np.asarray(self.values, dtype=float)
+        ts = np.array(self.ts, dtype=float)
+        vals = np.array(self.values, dtype=float)
         if ts.size == 0 or ts.size != vals.size:
             raise ValidationFailed("need matching nonempty radius/value arrays")
         if np.any(np.diff(ts) <= 0):
@@ -66,25 +69,27 @@ class SampledFunction:
             raise ValidationFailed("sample values must be finite and >= 0")
         if self.d < 1:
             raise ValidationFailed("dimension must be >= 1")
+        for name, arr in (("ts", ts), ("values", vals)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @classmethod
     def from_log_values(cls, ts, log_values, d: int = 1, label: str = ""):
         vals = np.exp(np.minimum(np.asarray(log_values, dtype=float), 0.0))
-        return cls(tuple(ts), tuple(vals), d, label)
+        return cls(ts, vals, d, label)
 
     def t_array(self):
-        return np.asarray(self.ts, dtype=float)
+        return self.ts
 
     def value_array(self):
-        return np.asarray(self.values, dtype=float)
+        return self.values
 
     def log_value_array(self):
         with np.errstate(divide="ignore"):
-            return np.log(self.value_array())
+            return np.log(self.values)
 
     def scaled(self, c: float):
-        return SampledFunction(self.ts, tuple(c * v for v in self.values),
-                               self.d, self.label)
+        return SampledFunction(self.ts, c * self.values, self.d, self.label)
 
     def translated(self, x0: float):
         """f(t - x0) resampled on the same radii; zero outside the data."""
@@ -98,7 +103,7 @@ class SampledFunction:
             raise GridTooNarrow(
                 f"translated support reaches {support[-1] + x0:g}, grid ends "
                 f"at {ts[-1]:g}")
-        return SampledFunction(self.ts, tuple(out), self.d,
+        return SampledFunction(self.ts, out, self.d,
                                f"{self.label}+{x0:g}" if self.label else "")
 
 
@@ -203,7 +208,7 @@ def theta_function(w: WeightFunction, p, grid: GridSpec = DEFAULT_NORM_GRID,
     ts = grid.points()
     wt = np.asarray(w.evaluate(ts))
     scale = 1.0 if p == math.inf else 1.0 / p
-    return SampledFunction.from_log_values(tuple(ts), -scale * wt, d,
+    return SampledFunction.from_log_values(ts, -scale * wt, d,
                                            label=f"theta_p{p}")
 
 
@@ -284,7 +289,7 @@ def nontriviality_witness(W: WeightMatrix, p, t_max: float = 40.0,
                 / math.log(base))
             exponents[n] = {"a_n": a_n, "b_n": b_n}
             log_psi[blk] = -(wvals ** (a_n * b_n)) / p
-    psi = SampledFunction.from_log_values(tuple(ts), log_psi, d, label="psi_witness")
+    psi = SampledFunction.from_log_values(ts, log_psi, d, label="psi_witness")
 
     rows = []
     ok = True
@@ -373,7 +378,7 @@ def staircase_witness(W: WeightMatrix, p, n_blocks: int = 8, d: int = 1,
         eps = min(h * 1e-6, 1e-6)
         ts += [x - h - eps, x - h, x + h, x + h + eps]
         vals += [0.0, height, height, 0.0]
-    g = SampledFunction(tuple(ts), tuple(vals), d, label="staircase")
+    g = SampledFunction(ts, vals, d, label="staircase")
 
     return g, StaircaseReport(tuple(centers), tuple(half), lp_mass,
                               divergent, partial)
@@ -462,9 +467,9 @@ def _battery(S: WeightMatrix, p, grid, d):
     except (ValidationFailed, WitnessConstructionFailed):
         pass
     ts = grid.points()
-    fns.append(SampledFunction(tuple(ts), tuple(np.exp(-ts ** 2)), d, "gaussian"))
+    fns.append(SampledFunction(ts, np.exp(-ts ** 2), d, "gaussian"))
     plateau = np.where(ts <= 1.0, 1.0, np.maximum(0.0, 2.0 - ts))
-    fns.append(SampledFunction(tuple(ts), tuple(plateau), d, "plateau"))
+    fns.append(SampledFunction(ts, plateau, d, "plateau"))
     return fns
 
 

@@ -238,55 +238,52 @@ def compare(sigma: WeightFunction, tau: WeightFunction, rel: str,
     tg = grid.points()
     s = np.asarray(sigma.evaluate(tg))
     t = np.asarray(tau.evaluate(tg))
+    return RelationVerdict(_relation(sigma, tau, rel, tg, s, t), rel)
 
+
+def _relation(sigma, tau, rel, tg, s, t) -> Verdict:
+    """The verdict on sigma rel tau, with s = sigma(tg) and t = tau(tg)."""
     if rel == "le":
         tol = 1e-12 * (1.0 + float(np.max(np.abs(s))))
         bad = t > s + tol
         if np.any(bad):
             k = int(np.argmax(bad))
-            v = fails({"t": float(tg[k]), "sigma": float(s[k]), "tau": float(t[k])})
-        else:
-            v = holds({"pointwise": True}, margin=float(np.min(s - t)))
-        return RelationVerdict(v, rel)
+            return fails({"t": float(tg[k]), "sigma": float(s[k]), "tau": float(t[k])})
+        return holds({"pointwise": True}, margin=float(np.min(s - t)))
 
     if rel == "preceq":
-        return RelationVerdict(_affine_dom(tg, s, t), rel)
+        return _affine_dom(tg, s, t)
 
-    if rel == "sim":
-        fwd = compare(sigma, tau, "preceq", grid).verdict
-        bwd = compare(tau, sigma, "preceq", grid).verdict
-        return RelationVerdict(conjunction({"forward": fwd, "backward": bwd}), rel)
+    if rel in ("sim", "sim_c"):
+        one_way = {"sim": "preceq", "sim_c": "preceq_c"}[rel]
+        return conjunction({"forward": _relation(sigma, tau, one_way, tg, s, t),
+                            "backward": _relation(tau, sigma, one_way, tg, t, s)})
 
     if rel == "triangle":
         # the eps-quantified bound is equivalent to tau/sigma -> 0, which is
         # scale-free and immune to eps-dependent crossover points beyond the
         # grid horizon
-        return RelationVerdict(_ratio_vanishes(tg, s, t), rel)
+        return _ratio_vanishes(tg, s, t)
 
     if rel == "preceq_c":
-        return RelationVerdict(_dilation_dom(sigma, tau, tg, t), rel)
-
-    if rel == "sim_c":
-        fwd = compare(sigma, tau, "preceq_c", grid).verdict
-        bwd = compare(tau, sigma, "preceq_c", grid).verdict
-        return RelationVerdict(conjunction({"forward": fwd, "backward": bwd}), rel)
+        return _dilation_dom(sigma, tg, s, t)
 
     if rel == "triangle_c":
         parts = {}
         for eps in _EPS_GRID:
-            d = t - np.asarray(sigma.evaluate(eps * tg))
+            d = t - (s if eps == 1.0 else np.asarray(sigma.evaluate(eps * tg)))
             parts[f"eps={eps}"] = _bounded_gap(tg, d)
-        return RelationVerdict(conjunction(parts), rel)
+        return conjunction(parts)
 
     raise ValueError(f"unknown relation {rel!r}")
 
 
-def _dilation_dom(sigma, tau, tg, t):
-    """tau(t) <= sigma(C1 t) + C2 for some C1, C2."""
+def _dilation_dom(sigma, tg, s, t):
+    """tau(t) <= sigma(C1 t) + C2 for some C1, C2; s = sigma(tg), t = tau(tg)."""
     last_peak = prev_peak = None
     for k in range(0, 13):
         C1 = 2.0 ** k
-        d = t - np.asarray(sigma.evaluate(C1 * tg))
+        d = t - (s if k == 0 else np.asarray(sigma.evaluate(C1 * tg)))
         v = _bounded_gap(tg, d)
         if v.holds:
             return holds({"C1": C1, "C2": v.certificate["C"]},

@@ -104,7 +104,8 @@ def test_profile_conjugate_exact_and_capped():
     for x in (0.0, 0.5, 1.0, 2.0):
         brute = float(np.max(x * ys - phis))
         assert prof.value(x) == pytest.approx(brute, rel=1e-9, abs=1e-9)
-    with pytest.raises(YHorizonTooSmall):
+    with pytest.raises(YHorizonTooSmall, match=r"^conjugate is finite only up to the final "
+                                               r"profile slope 3; requested x_max=10$"):
         conjugate.young_conjugate(w, x_max=10.0)  # beyond the final slope
 
 
@@ -188,6 +189,15 @@ def test_sequence_conjugate_gives_back_the_sequence(lm):
     _, rep = conjugate.double_conjugate(w, np.linspace(-5.0, w.us[-1], 500))
     assert rep.zero_gap and rep.convexity_consistent
     assert rep.max_gap <= 1e-12 * (1.0 + float(w.phi(w.us[-1])))
+
+
+def test_sequence_conjugate_past_the_stored_terms_names_them():
+    # the conjugate of a sequence weight is finite past P; only its stored
+    # terms end there
+    w = load_weight({"sequence": [0.75 * k * k for k in range(60)]})
+    with pytest.raises(YHorizonTooSmall, match=r"^the stored terms end at p = 59; "
+                                               r"requested x_max=60$"):
+        conjugate.young_conjugate(w, 60)
 
 
 def test_associated_matrix_log_convex_monotone():

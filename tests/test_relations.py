@@ -1,10 +1,11 @@
+import collections
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weightlab import Exp, GridSpec, Log, Power, Scaled, lpspace, relations
+from weightlab import Exp, GridSpec, Log, LogPower, Power, Scaled, core, lpspace, relations
 from weightlab.errors import BridgeViolation, NotMonotone, ValidationFailed
 from weightlab.verdict import fails, holds, inconclusive
 
@@ -44,6 +45,22 @@ def test_log_below_powers():
 def test_unknown_relation():
     with pytest.raises(ValueError):
         relations.compare(Power(1.0), Power(1.0), "nope")
+
+
+@pytest.mark.parametrize("rel", relations.RELATIONS)
+def test_compare_evaluates_each_weight_once_per_argument(rel, monkeypatch):
+    # sim and sim_c pass both sample arrays to both directions, and the
+    # dilation C1 = 1 and eps = 1 reuse sigma's samples on the grid
+    seen = collections.Counter()
+    evaluate = core.WeightFunction.evaluate
+
+    def counting(self, t):
+        seen[id(self), np.asarray(t, dtype=float).tobytes()] += 1
+        return evaluate(self, t)
+
+    monkeypatch.setattr(core.WeightFunction, "evaluate", counting)
+    relations.compare(Power(0.5), LogPower(2.0), rel)
+    assert seen and max(seen.values()) == 1
 
 
 @pytest.mark.parametrize("pair", [(Power(1.0), Power(0.5)),
