@@ -141,7 +141,7 @@ def _cmd_index(args):
 def _cmd_kappa(args):
     w = _load_weight(args.weight)
     T = args.horizon if args.horizon is not None else 1e6
-    vals = {f"{y:g}": growth.kappa(w, y, T) for y in args.y}
+    vals = dict(zip((f"{y:g}" for y in args.y), growth.kappa(w, args.y, T)))
     return {"kappa": vals,
             "equivalence": growth.kappa_equivalence_check(w, T=T),
             "weight": w.to_json_dict()}

@@ -249,15 +249,12 @@ def _check_om_nq(w, grid):
 
 def _check_om_snq(w, grid):
     y = np.geomspace(max(grid.t_min, 1.0), min(grid.t_max, 1e5), 30)
-    vals = []
-    for yy in y:
-        res = growth.kappa(w, float(yy), grid.t_max)
-        if res.divergent:
-            return inconclusive(notes=f"kappa divergent at y={yy}",
-                                horizon=grid.describe())
-        vals.append(res.value)
+    res = growth.kappa(w, y, grid.t_max, until_divergent=True)
+    if res[-1].divergent:
+        return inconclusive(notes=f"kappa divergent at y={y[len(res) - 1]}",
+                            horizon=grid.describe())
     wy = np.asarray(w.evaluate(y))
-    ratio = np.asarray(vals) / (wy + 1.0)
+    ratio = np.asarray([r.value for r in res]) / (wy + 1.0)
     return _sup_ratio_verdict(y, ratio, grid, small_o=False)
 
 
@@ -287,6 +284,13 @@ def _check_alpha0(w, grid):
                         notes="scaling constant still growing at horizon")
 
 
+# pairs per row block of the triangle scan: its float temporaries (120 KB)
+# stay under glibc's default 128 KiB mmap threshold, so every scan reuses
+# heap memory, whatever the allocator's state, instead of faulting in
+# freshly mapped pages
+_PAIR_BLOCK = 15_000
+
+
 @functools.lru_cache(maxsize=1)
 def _pair_triangle(n):
     """The pairs i <= j, i + j < n in row-major order, as index tables: row
@@ -298,16 +302,35 @@ def _pair_triangle(n):
     return counts, i, j, i + j
 
 
+@functools.lru_cache(maxsize=1)
+def _row_blocks(n):
+    """The pair triangle's rows cut into runs of at most _PAIR_BLOCK pairs,
+    as (first row, end row, first pair, end pair)."""
+    counts = _pair_triangle(n)[0]
+    starts = np.concatenate([[0], np.cumsum(counts)])
+    cuts = [0]
+    for r in range(counts.size):
+        if starts[r + 1] - starts[cuts[-1]] > _PAIR_BLOCK:
+            cuts.append(r)
+    cuts.append(counts.size)
+    return [(r0, r1, int(starts[r0]), int(starts[r1])) for r0, r1 in zip(cuts, cuts[1:])]
+
+
 def _worst_pair(vals):
     """(i, j, gap): the largest gap = vals[i + j] - vals[i] - vals[j] over
     i <= j, i + j < len(vals), at its first pair in row-major order."""
     counts, i, j, ij = _pair_triangle(vals.size)
-    # vals[i] is constant along a row, and the tables hold only valid
-    # indices, so take need not check them
-    gaps = (vals.take(ij, mode="clip") - np.repeat(vals[:counts.size], counts)
-            - vals.take(j, mode="clip"))
-    k = int(np.argmax(gaps))
-    return int(i[k]), int(j[k]), float(gaps[k])
+    best, at = -np.inf, 0
+    for r0, r1, lo, hi in _row_blocks(vals.size):
+        # vals[i] is constant along a row, and the tables hold only valid
+        # indices, so take need not check them
+        gaps = vals.take(ij[lo:hi], mode="clip")
+        gaps -= np.repeat(vals[r0:r1], counts[r0:r1])
+        gaps -= vals.take(j[lo:hi], mode="clip")
+        k = int(np.argmax(gaps))
+        if gaps[k] > best:
+            best, at = float(gaps[k]), lo + k
+    return int(i[at]), int(j[at]), best
 
 
 def _check_om_sub(w, grid):

@@ -34,7 +34,6 @@ __all__ = [
     "Normalized",
     "evaluate",
     "phi",
-    "normalize",
     "associated_weight_function",
     "load_weight",
     "dump_weight",
@@ -438,12 +437,6 @@ def evaluate(w: WeightFunction, t):
 
 def phi(w: WeightFunction, u):
     return w.phi(u)
-
-
-def normalize(w: WeightFunction) -> WeightFunction:
-    if w.normalized and w.evaluate(1.0) == 0.0:
-        return w
-    return Normalized(w)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,11 @@ whose interesting behaviour lives at astronomically large t.  Where phi
 is piecewise linear (profiles, and the weights associated with sequences)
 the integral is a closed-form sum over the kinks of phi; for every other
 weight the finite part is integrated by adaptive Gauss-Legendre panels,
-evaluated all at once in each refinement round.
+evaluated all at once in each refinement round.  kappa takes an array of
+y as well as one y, and then does the work of all of them in one pass: one
+sum over a (y x kink) matrix, one decay test over a (y x window) matrix,
+and one quadrature whose rounds evaluate the open panels of every y
+together.
 """
 
 from __future__ import annotations
@@ -76,8 +80,8 @@ class KappaResult:
 
 
 def _kinked_integral(phi, u0, kinks, slopes, v_max=math.inf):
-    """int_0^{v_max} phi(u0 + v) e^{-v} dv for a continuous phi that is
-    affine between the sorted kinks.
+    """int_0^{v_max} phi(u0 + v) e^{-v} dv at each u0 of the 1-d array u0,
+    for a continuous phi that is affine between the sorted kinks.
 
     slopes[k] is the slope of phi left of kinks[k], slopes[-1] its slope
     right of the last kink.  Integration by parts gives
@@ -85,60 +89,91 @@ def _kinked_integral(phi, u0, kinks, slopes, v_max=math.inf):
           + sum_k slopes[k] (e^{-a_k} - e^{-b_k}),
     with [a_k, b_k] the part of [0, v_max] where u0 + v lies on piece k.
     """
-    edges = np.clip(np.asarray(kinks, dtype=float) - u0, 0.0, v_max)
-    decay = np.exp(-np.concatenate([[0.0], edges, [v_max]]))
-    total = float(phi(u0)) + float(np.dot(slopes, decay[:-1] - decay[1:]))
+    edges = np.empty((u0.size, len(kinks) + 2))
+    edges[:, 0], edges[:, -1] = 0.0, v_max
+    edges[:, 1:-1] = np.clip(np.asarray(kinks, dtype=float) - u0[:, None], 0.0, v_max)
+    decay = np.exp(-edges)
+    # one dot product per row, as a stack of 1-by-n products: a matrix-vector
+    # product sums in another order and moves the last digit
+    sums = np.matmul((decay[:, :-1] - decay[:, 1:])[:, None, :], slopes[:, None])
+    total = phi(u0) + sums[:, 0, 0]
     if math.isfinite(v_max):
-        total -= math.exp(-v_max) * float(phi(u0 + v_max))
+        total -= math.exp(-v_max) * phi(u0 + v_max)
     return total
 
 
 def _integrate(g, breaks):
-    """Integral of g over [breaks[0], breaks[-1]] and its error estimate.
+    """Integrals of g over [b[0], b[-1]] for each list b of breaks, and their
+    error estimates, as two arrays.  g(v, k) is the integrand on the rows
+    of v, row i belonging to breaks[k[i]].
 
-    Globally adaptive: every round evaluates g once, on the nodes of all
-    open panels.  It stops when the summed error estimates meet the
-    tolerance; until then it closes panels whose estimate is within their
-    width's share of the tolerance, or at rounding level, and halves the
-    rest.  Raises QuadratureFailure when the panel budget runs out.  The
+    Globally adaptive, for each integral on its own: every round evaluates
+    g once, on the nodes of the open panels of all integrals.  An integral
+    is done when its summed error estimates meet its tolerance; until then
+    it closes panels whose estimate is within their width's share of that
+    tolerance, or at rounding level, and halves the rest.  Raises
+    QuadratureFailure when an integral runs out of its panel budget.  The
     relative tolerance, 1e-11, is ten times tighter than kappa needs: on a
     panel with a kink the estimate can fall short of the true error by
-    that much.
+    that much.  Totals are summed per integral with np.bincount, so an
+    integral converges as it does alone, up to the order of its sums.
     """
-    a = np.asarray(breaks[:-1], dtype=float)
-    h = np.diff(np.asarray(breaks, dtype=float))
-    span = float(np.sum(h))
-    closed_val = closed_err = 0.0
-    n_closed = 0
+    n = len(breaks)
+    k = np.array([i for i, b in enumerate(breaks) for _ in b[1:]], dtype=int)
+    a = np.array([x for b in breaks for x in b[:-1]], dtype=float)
+    h = np.array([y - x for b in breaks for x, y in zip(b, b[1:])], dtype=float)
+    span = np.bincount(k, h, n)
+    # a finished integral closes all its panels, so its closed sums stay
+    # its result and its test stays met in later rounds
+    closed_val, closed_err = np.zeros(n), np.zeros(n)
+    n_closed = np.zeros(n, dtype=int)
     while True:
-        vals = g(a[:, None] + h[:, None] * _NODES)
-        if not np.all(np.isfinite(vals)):
+        vals = g(a[:, None] + h[:, None] * _NODES, k)
+        if not np.isfinite(vals).all():
             raise QuadratureFailure("kappa integrand is not finite on the horizon")
         whole, left, right = (h[:, None] * (vals @ _RULES)).T
         refined = left + right
         err = np.abs(refined - whole)
-        total = closed_val + float(np.sum(refined))
-        total_err = closed_err + float(np.sum(err))
-        tol = max(1e-12, 1e-11 * abs(total))
-        if total_err <= tol:
+        total = closed_val + np.bincount(k, refined, n)
+        total_err = closed_err + np.bincount(k, err, n)
+        tol = np.maximum(1e-12, 1e-11 * np.abs(total))
+        done = total_err <= tol
+        if done.all():
             return total, total_err
         floor = _ROUNDOFF * h * (np.abs(vals) @ _RULES[:, 0])
-        close = (err <= tol * h / span) | (err <= floor)
-        closed_val += float(np.sum(refined[close]))
-        closed_err += float(np.sum(err[close]))
-        n_closed += int(np.count_nonzero(close))
+        close = done[k] | (err <= tol[k] * h / span[k]) | (err <= floor)
+        closed_val += np.bincount(k[close], refined[close], n)
+        closed_err += np.bincount(k[close], err[close], n)
+        n_closed += np.bincount(k[close], minlength=n)
         split = ~close
-        if not np.any(split):
+        if not split.any():
             return total, total_err
-        if n_closed + 2 * np.count_nonzero(split) > _MAX_PANELS:
+        over = n_closed + 2 * np.bincount(k[split], minlength=n) > _MAX_PANELS
+        if over.any():
             raise QuadratureFailure(
                 f"kappa quadrature did not converge within {_MAX_PANELS} panels "
-                f"(error estimate {total_err:g})")
-        a, h = a[split], h[split] / 2.0
-        a, h = np.concatenate([a, a + h]), np.concatenate([h, h])
+                f"(error estimate {total_err[over][0]:g})")
+        a, h, k = a[split], h[split] / 2.0, k[split]
+        a, h, k = np.concatenate([a, a + h]), np.concatenate([h, h]), np.concatenate([k, k])
 
 
-def kappa(w: WeightFunction, y: float, T: float = 1e6) -> KappaResult:
+def _decay_rates(x, gw):
+    """Minus the least-squares slope of log gw against x over the positive
+    entries of each row of gw; 1.0 where a row has fewer than 4 (the
+    integrand vanished: a trivially integrable tail)."""
+    pos = gw > 0
+    m = pos.astype(float)
+    n = m.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ly = np.log(np.where(pos, gw, 1.0))  # 0 off the mask
+        dx = (x - (m @ x / n)[:, None]) * m
+        dy = ly - (ly.sum(axis=1) / n)[:, None]
+        slope = (dx * dy).sum(axis=1) / (dx * dx).sum(axis=1)
+    return np.where(n >= 4, -slope, 1.0)
+
+
+def kappa(w: WeightFunction, y, T: float = 1e6, *,
+          until_divergent: bool = False) -> KappaResult | list[KappaResult]:
     """int_1^T w(y t)/t^2 dt plus the tail beyond T, bracketed by
     [tail_low, tail_high].
 
@@ -149,14 +184,41 @@ def kappa(w: WeightFunction, y: float, T: float = 1e6) -> KappaResult:
     evidence; the part up to T is then exact for a sequence weight and
     adaptive quadrature for the rest, and the tail is estimated from the
     decay rate.
+
+    y is a number, which gives one KappaResult, or a 1-d array, which
+    gives the list ``[kappa(w, yi, T) for yi in y]`` from one pass: one
+    decay test over all y, and one quadrature whose rounds evaluate the
+    open panels of every y at once, each y converging as it does alone.
+    An error is the one that loop raises first.  With until_divergent the
+    list ends at the first divergent result, and no later y can raise.
     """
-    if y < 0:
+    ys = np.asarray(y, dtype=float)
+    if ys.ndim == 0:
+        return _kappa(w, ys.reshape(1), T, False)[0]
+    if ys.ndim != 1:
+        raise ValidationFailed("y must be a number or a 1-d array")
+    try:
+        return _kappa(w, ys, T, until_divergent)
+    except Exception:
+        # the batch raises for whichever y its arrays reach first; y by y,
+        # the error is the one the loop over y meets first
+        out = []
+        for yi in ys:
+            out += _kappa(w, yi.reshape(1), T, False)
+            if until_divergent and out[-1].divergent:
+                break
+        return out
+
+
+def _kappa(w, ys, T, until_divergent):
+    """kappa at each y of the 1-d array ys, as a list of KappaResults."""
+    if (ys < 0).any():
         raise ValidationFailed("y must be >= 0")
-    if not math.isfinite(y):
+    if not np.isfinite(ys).all():
         raise ValidationFailed("y must be finite")
     if T <= 10:
         raise HorizonTooSmall("kappa horizon must exceed 10")
-    u0 = math.log(y) if y > 0 else -745.0
+    u0 = np.array([math.log(y) if y > 0 else -745.0 for y in ys])
     v_max = math.log(T)
 
     if isinstance(w, PiecewiseLogLinear):
@@ -166,54 +228,64 @@ def kappa(w: WeightFunction, y: float, T: float = 1e6) -> KappaResult:
         head = _kinked_integral(w.phi, u0, w.us, slopes, v_max)
         if not isinstance(w, Associated):
             value = _kinked_integral(w.phi, u0, w.us, slopes)
-            return KappaResult("finite", value, value - head, value - head, {
+            return [KappaResult("finite", float(v), float(v - hd), float(v - hd), {
                 "method": "exact piecewise integral with final-slope extension",
-                "u0": u0,
-            })
+                "u0": float(u),
+            }) for u, v, hd in zip(u0, value, head)]
 
-    def g(v):
-        v = np.asarray(v, dtype=float)
-        val = np.asarray(w._phi_unchecked(u0 + v.ravel())).reshape(v.shape)
+    def g(v, k):
+        """The integrand phi(u0 + v) e^{-v}, with u0 = u0[k[i]] on row i."""
+        u = u0[k, None] + v
+        val = np.asarray(w._phi_unchecked(u.ravel())).reshape(u.shape)
         with np.errstate(over="ignore", invalid="ignore"):
             return val * np.exp(-v)
 
     # decay test on the final window; a sequence's last slope, which holds
     # only up to its last corner, is never extended to oo
     win = np.linspace(max(v_max - 5.0, v_max / 2), v_max, 24)
-    gw = np.asarray(g(win), dtype=float).reshape(-1)
-    if not np.all(np.isfinite(gw)):
-        return KappaResult("divergent", None, None, None, {
-            "reason": "integrand overflows inside the horizon",
-        })
-    pos = gw > 0
-    if np.count_nonzero(pos) < 4:
-        rate = 1.0  # integrand vanished; trivially integrable tail
-    else:
-        coeff = np.polyfit(win[pos], np.log(gw[pos]), 1)
-        rate = -coeff[0]
-    if rate <= 1e-3:
-        return KappaResult("divergent", None, None, None, {
-            "reason": "integrand decay rate below threshold on final window",
-            "rate": float(rate),
-            "window": [float(win[0]), float(win[-1])],
-        })
+    gw = g(win[None, :], np.arange(ys.size))
+    overflow = ~np.isfinite(gw).all(axis=1)
+    rate = _decay_rates(win, gw)
+    divergent = overflow | (rate <= 1e-3)
+    n = int(divergent.argmax()) + 1 if until_divergent and divergent.any() else ys.size
 
+    todo = np.flatnonzero(~divergent[:n])
     if isinstance(w, PiecewiseLogLinear):
-        val = head
-        evidence = {"method": "exact integral over the hull kinks + exponential tail",
-                    "rate": float(rate)}
+        val, err = head, None
+        evidence = {"method": "exact integral over the hull kinks + exponential tail"}
     else:
-        # phi has a kink where u crosses 0 (normalized weights)
-        breaks = [0.0] + [p for p in (-u0,) if 0 < p < v_max] + [v_max]
-        val, err = _integrate(g, breaks)
-        if err > 1e-8 * (abs(val) + 1.0):
-            raise QuadratureFailure(f"quadrature error {err} too large for kappa")
-        evidence = {"method": "adaptive Gauss-Legendre in log variable + exponential tail",
-                    "rate": float(rate), "quad_error": float(err)}
-    g_end = float(gw[-1])
-    tail = g_end / rate
-    return KappaResult("finite", val + tail, g_end, tail * 1.5 + 1e-300,
-                       {**evidence, "horizon": T})
+        val, err = np.zeros(ys.size), np.zeros(ys.size)
+        if todo.size:
+            # phi has a kink where u crosses 0 (normalized weights)
+            breaks = [[0.0] + [p for p in (-u0[k],) if 0 < p < v_max] + [v_max]
+                      for k in todo]
+            val[todo], err[todo] = _integrate(lambda v, k: g(v, todo[k]), breaks)
+        evidence = {"method": "adaptive Gauss-Legendre in log variable + exponential tail"}
+
+    out = []
+    for k in range(n):
+        if overflow[k]:
+            out.append(KappaResult("divergent", None, None, None, {
+                "reason": "integrand overflows inside the horizon",
+            }))
+        elif divergent[k]:
+            out.append(KappaResult("divergent", None, None, None, {
+                "reason": "integrand decay rate below threshold on final window",
+                "rate": float(rate[k]),
+                "window": [float(win[0]), float(win[-1])],
+            }))
+        else:
+            ev = {**evidence, "rate": float(rate[k])}
+            if err is not None:
+                if err[k] > 1e-8 * (abs(val[k]) + 1.0):
+                    raise QuadratureFailure(f"quadrature error {err[k]} too large for kappa")
+                ev["quad_error"] = float(err[k])
+            ev["horizon"] = T
+            g_end = float(gw[k, -1])
+            tail = g_end / rate[k]
+            out.append(KappaResult("finite", float(val[k] + tail), g_end,
+                                   float(tail * 1.5 + 1e-300), ev))
+    return out
 
 
 def kappa_equivalence_check(w: WeightFunction, y_grid=None, T: float = 1e6) -> Verdict:
@@ -221,15 +293,12 @@ def kappa_equivalence_check(w: WeightFunction, y_grid=None, T: float = 1e6) -> V
     if y_grid is None:
         y_grid = np.geomspace(1.0, 1e4, 25)
     y_grid = np.asarray(y_grid, dtype=float)
-    kv = []
-    for y in y_grid:
-        res = kappa(w, float(y), T)
-        if res.divergent:
-            return fails({"y": float(y), "evidence": res.evidence},
-                         notes="kappa transform divergent")
-        kv.append(res.value)
-    kv = np.asarray(kv)
-    wv = np.asarray([w.evaluate(float(y)) for y in y_grid])
+    res = kappa(w, y_grid, T, until_divergent=True)
+    if res and res[-1].divergent:
+        return fails({"y": float(y_grid[len(res) - 1]), "evidence": res[-1].evidence},
+                     notes="kappa transform divergent")
+    kv = np.asarray([r.value for r in res])
+    wv = np.asarray(w.evaluate(y_grid))
 
     if w.nondecreasing:
         # kappa(y) >= w(y) holds exactly for nondecreasing w; check it

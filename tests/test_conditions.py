@@ -7,7 +7,8 @@ from hypothesis import given, strategies as st
 from weightlab import (Dilated, Exp, GridSpec, Log, LogPower, Normalized,
                        PiecewiseLogLinear, Power, Scaled, WeightFunction,
                        conditions, growth, load_weight)
-from weightlab.errors import ChainViolation, HorizonTooSmall, WeightlabError
+from weightlab.errors import (ChainViolation, HorizonTooSmall, QuadratureFailure,
+                              WeightlabError)
 from weightlab.verdict import Status, fails, holds, inconclusive
 
 H, F = "holds", "fails"
@@ -246,3 +247,45 @@ def test_a_horizon_failure_leaves_one_condition_inconclusive():
     # a grid shorter than two decades is still refused
     with pytest.raises(HorizonTooSmall):
         conditions.check_condition(w, "om1", GridSpec(1.0, 50.0))
+
+
+def test_om_snq_names_the_first_y_past_the_last_corner():
+    # om_snq's first y, 1, already takes log(yT) past the last corner of
+    # the 60-term sqrt(k!) sequence: the note names that point, not one a
+    # larger y reaches first
+    w = load_weight({"sequence": [0.5 * math.lgamma(k + 1) for k in range(60)]})
+    note = conditions.classify(w).conditions["om_snq"].notes
+    assert note.endswith("at u=13.8155, past the last corner u=2.03877")
+
+
+class _Steep(WeightFunction):
+    """log w(e^u) rises with slope 1/2, but with slope 2 on [14, 19]: at
+    T = 1e6 the kappa integrand fails the decay test for y from about 11
+    to 2800, and passes it below and above."""
+
+    def _phi_unchecked(self, u):
+        u = np.asarray(u, dtype=float)
+        return np.exp(0.5 * u + 1.5 * np.clip(u - 14.0, 0.0, 5.0))
+
+
+def test_kappa_checks_stop_at_the_first_divergent_y(monkeypatch):
+    # a quadrature failure that only a y past the first divergent one meets
+    # must not replace the verdict that divergent y gives
+    w = _Steep()
+    late = w.evaluate(1e3)
+    integrate = growth._integrate
+
+    def failing(g, breaks):
+        # g at v = 0 is w(y) for the y of each integral
+        if np.max(g(np.zeros((len(breaks), 1)), np.arange(len(breaks)))) >= late:
+            raise QuadratureFailure("integrated a y past the first divergent one")
+        return integrate(g, breaks)
+
+    monkeypatch.setattr(growth, "_integrate", failing)
+    ys = np.geomspace(1.0, 1e5, 30)  # om_snq's y grid on the default grid
+    first = next(y for y in ys if growth.kappa(w, float(y)).divergent)
+    assert 10.0 < first < 11.0
+    v = conditions._check_om_snq(w, conditions.DEFAULT_GRID)
+    assert v.inconclusive and v.notes == f"kappa divergent at y={first}"
+    ke = growth.kappa_equivalence_check(w, y_grid=ys)
+    assert ke.fails and ke.witness["y"] == first

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from weightlab import (Dilated, Exp, Log, Normalized, PiecewiseLogLinear,
+from weightlab import (Dilated, Exp, Log, LogPower, Normalized, PiecewiseLogLinear,
                        Power, WeightFunction, growth, load_weight)
 from weightlab.errors import (HorizonTooSmall, NonFinite, NotMonotone,
                               QuadratureFailure, ValidationFailed)
@@ -157,13 +157,59 @@ def test_kappa_sequence_matches_quadrature(name, y):
     kinks = [np.min((lm[q + 1:] - lm[q]) / (p[q + 1:] - q)) for q in range(len(lm) - 1)]
     breaks = sorted({0.0, v_max, *(c - u0 for c in kinks if 0 < c - u0 < v_max)})
 
-    def g(v):
+    def g(v, k):
         return np.asarray(w._phi_unchecked(u0 + v.ravel())).reshape(v.shape) * np.exp(-v)
 
-    reference, _ = growth._integrate(g, breaks)
-    assert finite_part == pytest.approx(reference, rel=1e-9)
+    reference, _ = growth._integrate(g, [breaks])
+    assert finite_part == pytest.approx(reference[0], rel=1e-9)
     assert "quad_error" not in res.evidence
 
+
+
+class _Opaque(WeightFunction):
+    """The same function behind a type without a closed form."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def _phi_unchecked(self, u):
+        return self.inner._phi_unchecked(u)
+
+
+_PROFILE = PiecewiseLogLinear([[0.0, 0.0], [1.19695845, 1.246052],
+                               [2.36953906, 3.1512431], [3.47111707, 5.32910855]])
+_BATCH_WEIGHTS = {
+    "power": Power(0.5),
+    "logpower": LogPower(2.0),
+    "opaque": _Opaque(Power(0.3)),
+    "dilated profile": Dilated(4.0, _PROFILE),
+    "profile": _PROFILE,
+    "gaussian sequence": load_weight({"sequence": _SEQUENCES["gaussian"]}),
+    "divergent": Power(1.0),
+}
+
+
+@pytest.mark.parametrize("name", list(_BATCH_WEIGHTS))
+def test_kappa_over_an_array_of_y_matches_the_loop(name):
+    # one call over the y grid returns what one call per y returns: the
+    # same kind and evidence, values equal up to the order of the sums
+    w = _BATCH_WEIGHTS[name]
+    ys = np.array([0.0, 1e-3, 0.4, 1.0, 3.0, 10 ** (1 / 3), 50.0, 1e3, 1e5])
+    batch = growth.kappa(w, ys)
+    assert isinstance(batch, list) and len(batch) == ys.size
+    for y, res in zip(ys, batch):
+        one = growth.kappa(w, float(y))
+        assert isinstance(one, growth.KappaResult)
+        assert res.kind == one.kind
+        assert res.evidence.keys() == one.evidence.keys()
+        for field in ("value", "tail_low", "tail_high"):
+            a, b = getattr(res, field), getattr(one, field)
+            assert (a is None and b is None) or a == pytest.approx(b, rel=1e-12, abs=0.0)
+        for key, b in one.evidence.items():
+            if key == "quad_error":  # an estimate at rounding level
+                assert res.evidence[key] == pytest.approx(b, abs=1e-12 * (1.0 + one.value))
+            elif isinstance(b, float):
+                assert res.evidence[key] == pytest.approx(b, rel=1e-12, abs=0.0)
 
 @pytest.mark.parametrize("y, T, raises", [
     (6.9, 1e6, False), (6.95, 1e6, True), (1.0, 6.5e6, False), (1.0, 7e6, True),
