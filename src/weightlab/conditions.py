@@ -31,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import growth
-from .core import (Associated, Dilated, Exp, GridSpec, Log, LogPower, Normalized,
-                   PiecewiseLogLinear, Power, Scaled, WeightFunction)
+from .core import (Associated, Dilated, Exp, GridSpec, Log, LogPower, Normalized, Power,
+                   Scaled, WeightFunction)
 from .errors import (ChainViolation, HorizonTooSmall, NonFinite, NotMonotone,
                      UnknownCondition, WeightlabError)
 from .verdict import Verdict, conjunction, fails, holds, inconclusive, report_dict
@@ -185,13 +185,14 @@ def _ratio_condition(w, cond, grid):
 
 
 def _check_om4(w, grid):
-    if isinstance(w, PiecewiseLogLinear):
-        slopes = w.slopes
-        scale = max(1.0, float(np.max(np.abs(slopes))))
+    prof = w.profile
+    if prof is not None:
+        slopes = prof.slopes
+        scale = max(1.0, float(np.max(np.abs(slopes), initial=0.0)))
         drops = np.diff(slopes) < -1e-12 * scale
         if np.any(drops):
             k = int(np.argmax(drops)) + 1  # corner index where the slope falls
-            return fails({"corner_index": k, "u": float(w.us[k]),
+            return fails({"corner_index": k, "u": float(prof.us[k]),
                           "slope_before": float(slopes[k - 1]),
                           "slope_after": float(slopes[k])},
                          margin=float(slopes[k] - slopes[k - 1]),
@@ -391,10 +392,11 @@ def _check_nondecreasing(w, grid):
 
 
 def _check_unbounded_limit(w, grid):
-    if isinstance(w, PiecewiseLogLinear):
-        if w.final_slope > 0:
-            return holds({"exact": True, "final_slope": float(w.final_slope)})
-        bound = float(np.max(w.vs))
+    prof = w.profile
+    if prof is not None:
+        if prof.final_slope > 0:
+            return holds({"exact": True, "final_slope": float(prof.final_slope)})
+        bound = float(np.max(prof.vs))
         return fails({"sup": bound}, notes="profile levels off; weight is bounded")
     chunks = grid.decades()
     if len(chunks) < 3:

@@ -5,8 +5,9 @@ For a weight w let phi(u) = w(e^u).  The conjugate is
     phi*(x) = sup_y { x*y - phi(y) },   x >= 0,
 
 with the supremum restricted to y >= 0 when w is normalized (phi vanishes
-there anyway).  Piecewise-linear profiles, sequence weights among them,
-get an exact closed-form conjugate through convex duality; analytic
+there anyway).  A weight with a profile (a piecewise-linear phi: profiles,
+sequence weights, and either of them scaled, dilated or normalized) gets
+an exact closed-form conjugate through convex duality; analytic
 families are handled by a grid supremum, taken for all requested x at
 once and refined by zooming in on each argmax.
 """
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Associated, PiecewiseLogLinear, WeightFunction, _hull, pl_eval
+from .core import PiecewiseLogLinear, WeightFunction, _hull, pl_eval
 from .errors import (EmptyInput, NotMatrixAdmissible, Om3Violated,
                      ValidationFailed, WeightlabError, YHorizonTooSmall)
 from .verdict import inconclusive, report_dict, to_json
@@ -26,68 +27,10 @@ from .verdict import inconclusive, report_dict, to_json
 __all__ = [
     "ConjugateProfile",
     "GapReport",
-    "PiecewiseLinear",
     "young_conjugate",
     "double_conjugate",
     "associated_weight_matrix",
-    "least_concave_majorant",
-    "largest_convex_minorant",
-    "omega_iota",
 ]
-
-
-# ---------------------------------------------------------------------------
-# piecewise-linear helper (shared by the hull operations)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PiecewiseLinear:
-    """Linear interpolant of knots, extended right with the last slope."""
-
-    xs: tuple
-    ys: tuple
-
-    def __call__(self, x):
-        xs = np.asarray(self.xs, dtype=float)
-        ys = np.asarray(self.ys, dtype=float)
-        slope = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2]) if len(xs) >= 2 else 0.0
-        out = pl_eval(np.atleast_1d(np.asarray(x, dtype=float)), xs, ys, slope)
-        if np.ndim(x) == 0:
-            return float(out[0])
-        return out
-
-
-def _as_points(samples):
-    pts = [(float(t), float(v)) for t, v in samples]
-    if not pts:
-        raise EmptyInput("need at least one sample point")
-    xs = np.array([p[0] for p in pts])
-    if np.any(np.diff(xs) <= 0):
-        raise ValidationFailed("sample abscissae must be strictly increasing")
-    return pts
-
-
-def least_concave_majorant(samples) -> PiecewiseLinear:
-    """Upper concave hull of the samples, extended with its last slope."""
-    pts = _as_points(samples)
-    if any(v < 0 for _, v in pts):
-        raise ValidationFailed("sample values must be nonnegative")
-    hull = _hull(pts, upper=True)
-    return PiecewiseLinear(tuple(p[0] for p in hull), tuple(p[1] for p in hull))
-
-
-def largest_convex_minorant(samples) -> PiecewiseLinear:
-    """Lower convex hull of the samples, extended with its last slope."""
-    pts = _as_points(samples)
-    hull = _hull(pts, upper=False)
-    return PiecewiseLinear(tuple(p[0] for p in hull), tuple(p[1] for p in hull))
-
-
-def omega_iota(w: WeightFunction, t: float) -> float:
-    """Reflected weight t -> w(1/t) for t > 0."""
-    if t <= 0:
-        raise ValidationFailed("omega_iota requires t > 0")
-    return float(w.evaluate(1.0 / t))
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +140,8 @@ def young_conjugate(w: WeightFunction, x_max: float) -> ConjugateProfile:
     if not math.isfinite(x_max):
         raise ValidationFailed("x_max must be finite")
 
-    if isinstance(w, PiecewiseLogLinear):
-        return _exact_conjugate(w, x_max)
+    if w.profile is not None:
+        return _exact_conjugate(w.profile, x_max)
 
     v = _om3_status(w)
     if v.fails:
@@ -226,14 +169,14 @@ def _exact_conjugate(w: PiecewiseLogLinear, x_max: float) -> ConjugateProfile:
     ray_u = us[-1] + 1e6 * span
     ray_v = vs[-1] + w.final_slope * (ray_u - us[-1])
     pts = list(zip(us, vs)) + [(ray_u, ray_v)]
-    hull = _hull(pts, upper=False)
+    hull = _hull(pts)
     envelope_used = len(hull) < len(pts)
     hu = np.array([p[0] for p in hull])
     hv = np.array([p[1] for p in hull])
 
     slope_cap = float(w.final_slope)
     if x_max > slope_cap * (1 + 1e-12):
-        limit = (f"the stored terms end at p = {slope_cap:g}" if isinstance(w, Associated)
+        limit = (f"the stored terms end at p = {slope_cap:g}" if w.end_index is not None
                  else f"conjugate is finite only up to the final profile slope {slope_cap:g}")
         raise YHorizonTooSmall(f"{limit}; requested x_max={x_max:g}")
 
@@ -282,18 +225,19 @@ def double_conjugate(w: WeightFunction, u_grid):
         raise EmptyInput("empty u grid")
     phi_vals = np.asarray(w.phi(u), dtype=float)
 
-    if isinstance(w, PiecewiseLogLinear):
-        prof = _exact_conjugate(w, x_max=float(w.final_slope))
-        env = PiecewiseLinear(tuple(prof._hull_us), tuple(prof._hull_vs))
-        biconj = np.atleast_1d(env(u))
-        biconj[u < prof._hull_us[0]] = 0.0
+    prof = w.profile
+    if prof is not None:
+        # the hull of the corners, 0 left of them, and the final ray past
+        # the last corner the hull keeps
+        conj = _exact_conjugate(prof, x_max=float(prof.final_slope))
+        biconj = pl_eval(u, conj._hull_us, conj._hull_vs, prof.final_slope, left=0.0)
     else:
         # convex envelope of a dense sample; the window is padded so edge
         # chords do not leak into the reported range
         pad = 0.1 * (float(np.max(u)) - float(np.min(u))) + 1.0
         uu = np.union1d(
             np.linspace(float(np.min(u)) - pad, float(np.max(u)) + pad, 4001), u)
-        hull = _hull(list(zip(uu, np.asarray(w.phi(uu), dtype=float))), upper=False)
+        hull = _hull(list(zip(uu, np.asarray(w.phi(uu), dtype=float))))
         hu, hv = (np.array(c) for c in zip(*hull))
         biconj = np.interp(u, hu, hv)
 
@@ -307,7 +251,7 @@ def double_conjugate(w: WeightFunction, u_grid):
     zero_gap = max_gap <= 1e-6 * (1.0 + abs(float(phi_vals[k])))
     om4 = conditions.check_condition(w, "om4")
     consistent = not ((zero_gap and om4.fails) or
-                      (not zero_gap and om4.holds and isinstance(w, PiecewiseLogLinear)))
+                      (not zero_gap and om4.holds and prof is not None))
     report = GapReport(max_gap=max_gap, argmax_u=float(u[k]), zero_gap=zero_gap,
                        convexity_consistent=consistent,
                        notes="" if consistent else

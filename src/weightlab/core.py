@@ -3,7 +3,8 @@
 A weight is a nonnegative function w on [0, inf).  Everything downstream
 works either with w(t) directly or with its log-reparametrization
 phi(u) = w(e^u).  Piecewise-linear profiles are stored directly in the
-u-domain so no exp/log round trip is ever needed for them.
+u-domain so no exp/log round trip is ever needed for them, and a scaled,
+dilated or normalized profile carries its own corners as its `profile`.
 """
 
 from __future__ import annotations
@@ -90,6 +91,10 @@ class WeightFunction:
 
     nondecreasing: bool = True
     normalized: bool = False
+    # phi as a PiecewiseLogLinear when phi is piecewise linear in u = log t,
+    # else None; the exact paths of kappa, the conjugate, om4 and the
+    # unboundedness rule read it
+    profile = None
 
     # -- evaluation ---------------------------------------------------------
     def _eval(self, t: np.ndarray) -> np.ndarray:
@@ -216,12 +221,12 @@ def pl_eval(x, xs, ys, final_slope, left=None):
 class PiecewiseLogLinear(WeightFunction):
     """phi stored as corners (u_k, v_k), affine in between.
 
-    u_0 = 0, v_0 = 0; beyond the last corner phi continues with the final
-    segment's slope; for u < 0 (t < 1) the weight is 0, i.e. the profile
-    is normalized by construction.
+    The first corner is (u_0, 0) and phi = 0 left of it, so the weight is
+    normalized exactly when u_0 >= 0; beyond the last corner phi continues
+    with final_slope.  The public constructor reads outside input: it asks
+    for u_0 = 0 and extends the final segment's slope.  A profile is its
+    own `profile`, and the wrappers build theirs from their base's.
     """
-
-    normalized = True
 
     def __init__(self, corners):
         pts = np.asarray(corners, dtype=float)
@@ -234,14 +239,37 @@ class PiecewiseLogLinear(WeightFunction):
             raise ValidationFailed("corner abscissas must be strictly increasing")
         if np.any(vs < 0):
             raise ValidationFailed("corner values must be >= 0")
-        self.us = us
-        self.vs = vs
-        self.slopes = np.diff(vs) / np.diff(us)
-        self.final_slope = self.slopes[-1]
-        self.nondecreasing = bool(np.all(self.slopes >= 0) and np.all(np.diff(vs) >= -0.0))
+        slopes = np.diff(vs) / np.diff(us)
+        self._init(us, vs, slopes, slopes[-1])
+
+    def _init(self, us, vs, slopes, final_slope, end_index=None):
+        """The one corner constructor.  slopes[k] is phi's slope between
+        corners k and k + 1, final_slope its slope past the last corner.
+        end_index, a sequence's last stored index, makes phi raise
+        HorizonTooSmall past the last corner, where it needs later terms."""
+        self.us, self.vs = us, vs
+        self.slopes, self.final_slope = slopes, final_slope
+        self.end_index = end_index
+        self.normalized = bool(us[0] >= 0)
+        self.nondecreasing = bool(np.all(slopes >= 0) and final_slope >= 0)
+
+    def _with(self, us, vs, slopes, final_slope):
+        """A profile with these corners and this one's end index."""
+        prof = object.__new__(PiecewiseLogLinear)
+        prof._init(us, vs, slopes, final_slope, self.end_index)
+        return prof
+
+    @property
+    def profile(self):
+        return self
 
     def _phi_unchecked(self, u):
         u = np.atleast_1d(np.asarray(u, dtype=float))
+        if self.end_index is not None and np.any(u > self.us[-1]):
+            raise HorizonTooSmall(
+                f"supremum not attained below index P={self.end_index} at "
+                f"u={float(u[u > self.us[-1]][0]):g}, past the last corner "
+                f"u={self.us[-1]:g}")
         return pl_eval(u, self.us, self.vs, self.final_slope, left=0.0)
 
     def _eval(self, t):
@@ -289,9 +317,8 @@ class WeightSequence:
         return bool(np.all(np.diff(lm, 2) >= -tol))
 
 
-def _hull(points, upper: bool):
-    """Monotone-chain hull of (x, y) points with strictly increasing x."""
-    sign = -1.0 if upper else 1.0
+def _hull(points):
+    """Monotone-chain lower hull of (x, y) points with strictly increasing x."""
     kept = []
     for p in points:
         while len(kept) >= 2:
@@ -304,7 +331,7 @@ def _hull(points, upper: bool):
             cross = (dx1 / s) * (dy2 / s) - (dy1 / s) * (dx2 / s)
             # after scaling, both products are <= 1, so this is a relative
             # collinearity test
-            if sign * cross <= 1e-15:
+            if cross <= 1e-15:
                 kept.pop()
             else:
                 break
@@ -343,21 +370,10 @@ class Associated(PiecewiseLogLinear):
             )
         self.M = M
         self.increase_from = increase_from
-        self.normalized = bool(min(r) >= 0)
         lm = np.asarray(M.logM) - M.logM[0]
-        p, L = np.array(_hull(list(zip(range(len(lm)), lm)), upper=False)).T
-        self.us = np.diff(L) / np.diff(p)
-        self.vs = p[:-1] * self.us - L[:-1]
-        self.slopes, self.final_slope = p[1:-1], p[-1]
-
-    def _phi_unchecked(self, u):
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        if np.any(u > self.us[-1]):
-            raise HorizonTooSmall(
-                f"supremum not attained below index P={self.M.P} at "
-                f"u={float(u[u > self.us[-1]][0]):g}, past the last corner "
-                f"u={self.us[-1]:g}")
-        return super()._phi_unchecked(u)
+        p, L = np.array(_hull(list(zip(range(len(lm)), lm)))).T
+        us = np.diff(L) / np.diff(p)
+        self._init(us, p[:-1] * us - L[:-1], p[1:-1], p[-1], end_index=M.P)
 
     def to_json_dict(self):
         doc = {"sequence": [float(x) for x in self.M.logM]}
@@ -376,6 +392,10 @@ class Scaled(WeightFunction):
         self.base = base
         self.nondecreasing = base.nondecreasing
         self.normalized = base.normalized
+        prof = base.profile
+        if prof is not None:
+            self.profile = prof._with(prof.us, c * prof.vs, c * prof.slopes,
+                                      c * prof.final_slope)
 
     def _eval(self, t):
         return self.c * self.base._eval(t)
@@ -393,8 +413,14 @@ class Dilated(WeightFunction):
         self.c = c
         self.base = base
         self.nondecreasing = base.nondecreasing
-        # dilation with c > 1 destroys flatness on [0,1], c <= 1 keeps it
+        # dilation with c > 1 destroys flatness on [0,1], c <= 1 keeps it;
+        # a profile says exactly, by where its first corner moves
         self.normalized = base.normalized and c <= 1
+        prof = base.profile
+        if prof is not None:
+            self.profile = prof._with(prof.us - math.log(c), prof.vs, prof.slopes,
+                                      prof.final_slope)
+            self.normalized = self.profile.normalized
 
     def _eval(self, t):
         return self.base._eval(self.c * t)
@@ -413,6 +439,16 @@ class Normalized(WeightFunction):
             raise NotMonotone("normalize requires a nondecreasing weight")
         self.base = base
         self.shift = float(base.evaluate(1.0))
+        prof = base.profile
+        if prof is not None:
+            # a corner at u = 0, then the base's corners right of it, shifted
+            # down; the slope from 0 is that of the base's piece around 0
+            k = int(np.searchsorted(prof.us, 0.0, side="right"))
+            slopes = np.concatenate([[0.0], prof.slopes, [prof.final_slope]])
+            self.profile = prof._with(
+                np.concatenate([[0.0], prof.us[k:]]),
+                np.concatenate([[0.0], np.maximum(prof.vs[k:] - self.shift, 0.0)]),
+                slopes[k:len(prof.us)], prof.final_slope)
 
     def _eval(self, t):
         t = np.atleast_1d(np.asarray(t, dtype=float))

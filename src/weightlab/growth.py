@@ -4,9 +4,10 @@ All improper integrals are computed after the substitution t = e^v, which
 turns  int_1^oo w(y t) / t^2 dt  into  int_0^oo phi(log y + v) e^{-v} dv.
 This keeps every intermediate quantity in a safe range even for weights
 whose interesting behaviour lives at astronomically large t.  Where phi
-is piecewise linear (profiles, and the weights associated with sequences)
-the integral is a closed-form sum over the kinks of phi; for every other
-weight the finite part is integrated by adaptive Gauss-Legendre panels,
+is piecewise linear (profiles and the weights associated with sequences,
+also scaled, dilated or normalized: a weight's `profile`) the integral is
+a closed-form sum over the kinks of phi; for every other weight the
+finite part is integrated by adaptive Gauss-Legendre panels,
 evaluated all at once in each refinement round.  kappa takes an array of
 y as well as one y, and then does the work of all of them in one pass: one
 sum over a (y x kink) matrix, one decay test over a (y x window) matrix,
@@ -21,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Associated, Dilated, Log, LogPower, PiecewiseLogLinear, Power, Scaled,
-                   WeightFunction)
+from .core import Dilated, Log, LogPower, Power, Scaled, WeightFunction
 from .errors import HorizonTooSmall, NotMonotone, QuadratureFailure, ValidationFailed
 from .verdict import Verdict, fails, holds, inconclusive, report_dict
 
@@ -177,11 +177,12 @@ def kappa(w: WeightFunction, y, T: float = 1e6, *,
     """int_1^T w(y t)/t^2 dt plus the tail beyond T, bracketed by
     [tail_low, tail_high].
 
-    A profile gets the exact integral over [1, oo), its final slope
-    extended, so both tail fields are the exact tail.  Any other weight
-    returns a finite value only when the integrand passes a decay test on
-    the final window, and is otherwise flagged divergent with the observed
-    evidence; the part up to T is then exact for a sequence weight and
+    A weight with a profile (`w.profile`) gets the exact integral over
+    [1, oo), its final slope extended, so both tail fields are the exact
+    tail.  Any other weight returns a finite value only when the integrand
+    passes a decay test on the final window, and is otherwise flagged
+    divergent with the observed evidence; the part up to T is then exact
+    for a sequence weight, whose profile ends at its last corner, and
     adaptive quadrature for the rest, and the tail is estimated from the
     decay rate.
 
@@ -221,13 +222,14 @@ def _kappa(w, ys, T, until_divergent):
     u0 = np.array([math.log(y) if y > 0 else -745.0 for y in ys])
     v_max = math.log(T)
 
-    if isinstance(w, PiecewiseLogLinear):
+    prof = w.profile
+    if prof is not None:
         # phi is affine between its corners, so the part up to T is exact;
         # a sequence's phi raises here if the horizon passes its last corner
-        slopes = np.concatenate([[0.0], w.slopes, [w.final_slope]])
-        head = _kinked_integral(w.phi, u0, w.us, slopes, v_max)
-        if not isinstance(w, Associated):
-            value = _kinked_integral(w.phi, u0, w.us, slopes)
+        slopes = np.concatenate([[0.0], prof.slopes, [prof.final_slope]])
+        head = _kinked_integral(prof.phi, u0, prof.us, slopes, v_max)
+        if prof.end_index is None:
+            value = _kinked_integral(prof.phi, u0, prof.us, slopes)
             return [KappaResult("finite", float(v), float(v - hd), float(v - hd), {
                 "method": "exact piecewise integral with final-slope extension",
                 "u0": float(u),
@@ -250,7 +252,7 @@ def _kappa(w, ys, T, until_divergent):
     n = int(divergent.argmax()) + 1 if until_divergent and divergent.any() else ys.size
 
     todo = np.flatnonzero(~divergent[:n])
-    if isinstance(w, PiecewiseLogLinear):
+    if prof is not None:
         val, err = head, None
         evidence = {"method": "exact integral over the hull kinks + exponential tail"}
     else:

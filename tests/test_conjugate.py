@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 import weightlab
 from weightlab import (Gevrey, Log, Normalized, LogPower, PiecewiseLogLinear,
-                       Power, conditions, conjugate, load_weight)
+                       Power, conditions, conjugate, core, load_weight)
 from weightlab.errors import (HorizonTooSmall, NotMatrixAdmissible, Om3Violated,
                               ValidationFailed, YHorizonTooSmall)
 
@@ -126,29 +126,20 @@ def test_hulls_bracket_samples():
     us = np.sort(rng.uniform(0.0, 10.0, 30))
     us[0] = 0.0
     vs = rng.uniform(0.0, 5.0, 30)
-    samples = list(zip(us, vs))
-    upper = conjugate.least_concave_majorant(samples)
-    lower = conjugate.largest_convex_minorant(samples)
-    for u, v in samples:
-        assert upper(u) >= v - 1e-9
-        assert lower(u) <= v + 1e-9
-    # hull slopes are monotone in the right direction
-    assert np.all(np.diff(np.diff(upper.ys) / np.diff(upper.xs)) <= 1e-9)
-    assert np.all(np.diff(np.diff(lower.ys) / np.diff(lower.xs)) >= -1e-9)
+    hx, hy = np.array(core._hull(list(zip(us, vs)))).T
+    assert np.all(core.pl_eval(us, hx, hy, 0.0) <= vs + 1e-9)
+    # hull slopes are nondecreasing
+    assert np.all(np.diff(np.diff(hy) / np.diff(hx)) >= -1e-9)
 
 
 def test_piecewise_linear_ends():
-    # left of the first knot the first value, right of the last the last slope
-    f = conjugate.PiecewiseLinear((1.0, 2.0), (3.0, 5.0))
-    assert f(0.0) == 3.0 and isinstance(f(0.0), float)
-    np.testing.assert_array_equal(f(np.array([1.5, 4.0])), [4.0, 9.0])
-    assert conjugate.PiecewiseLinear((1.0,), (3.0,))(7.0) == 3.0
-
-
-def test_omega_iota():
-    assert conjugate.omega_iota(Power(1.0), 0.5) == pytest.approx(2.0)
-    with pytest.raises(ValidationFailed):
-        conjugate.omega_iota(Power(1.0), 0.0)
+    # left of the first knot the first value (or `left`), right of the last
+    # the final slope
+    xs, ys = np.array([1.0, 2.0]), np.array([3.0, 5.0])
+    np.testing.assert_array_equal(core.pl_eval(np.array([0.0, 1.5, 4.0]), xs, ys, 2.0),
+                                  [3.0, 4.0, 9.0])
+    np.testing.assert_array_equal(
+        core.pl_eval(np.array([0.0, 7.0]), xs[:1], ys[:1], 0.0, left=0.0), [0.0, 3.0])
 
 
 def test_double_conjugate_convex_input_zero_gap():

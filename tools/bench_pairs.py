@@ -15,8 +15,11 @@ ratio of the medians (change over parent) and the number of pairs the
 change won in the metric's direction from BENCHMARK.json.  For a workload
 whose ops are CLI calls, each pair also lists, under ``stdout_changed``,
 the argv of every op whose stdout digest differs between the two sides,
-so the record shows which outputs a change altered.  The record is
-rewritten after every pair, so an interrupted session keeps what it ran.
+so the record shows which outputs a change altered.  Each side also
+records ``src_lines`` and ``declared_dependencies``, the size of its
+``src/`` and the count of its dependencies, from the context of its
+first result file.  The record is rewritten after every pair, so an
+interrupted session keeps what it ran.
 """
 
 from __future__ import annotations
@@ -68,12 +71,15 @@ def run_bench(tree: Path, workload: str, seed: int, trace: int) -> dict:
             "metrics": {k: v["value"] for k, v in last["metrics"].items()}}
 
 
-def stdout_digests(tree: Path, workload: str, seed: int, trace: int) -> dict:
-    """op id -> (argv, stdout digest) for each CLI op of the run's result file."""
+def result_file(tree: Path, workload: str, seed: int, trace: int) -> dict:
     path = tree / "wlbench" / "out" / f"result-{workload}-s{seed}-t{trace}.json"
-    ops = json.loads(path.read_text())["ops"]
+    return json.loads(path.read_text())
+
+
+def stdout_digests(result: dict) -> dict:
+    """op id -> (argv, stdout digest) for each CLI op of a result file."""
     return {r["id"]: (r["op"]["argv"], r["stdout_sha256"])
-            for r in ops if "stdout_sha256" in r}
+            for r in result["ops"] if "stdout_sha256" in r}
 
 
 def summary(values: list) -> dict:
@@ -141,8 +147,12 @@ def main(argv=None) -> int:
                     t0 = time.perf_counter()
                     pair[side] = run_bench(trees[side], workload, seed, trace)
                     pair[side]["wall_s"] = round(time.perf_counter() - t0, 1)
-                digests = {side: stdout_digests(trees[side], workload, seed, trace)
+                results = {side: result_file(trees[side], workload, seed, trace)
                            for side in order}
+                for side in order:
+                    for key in ("src_lines", "declared_dependencies"):
+                        record[side].setdefault(key, results[side]["context"][key])
+                digests = {side: stdout_digests(results[side]) for side in order}
                 if digests["parent"]:
                     pair["stdout_changed"] = [
                         argv for op_id, (argv, sha) in sorted(digests["parent"].items())
