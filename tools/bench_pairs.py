@@ -19,7 +19,7 @@ so the record shows which outputs a change altered.  Each side also
 records ``src_lines`` and ``declared_dependencies``, the size of its
 ``src/`` and the count of its dependencies, from the context of its
 first result file.  The record is rewritten after every pair, so an
-interrupted session keeps what it ran.
+interrupted run keeps the pairs it finished.
 """
 
 from __future__ import annotations
