@@ -110,23 +110,43 @@ class WeightFunction:
 
     def evaluate(self, t):
         arr, scalar = _as_array(t)
-        if np.any(arr < 0):
+        # fmin skips NaN, so a NaN beside a negative argument still raises
+        if arr.size and np.fmin.reduce(arr, axis=None) < 0:
             raise ValueError("weight argument must be >= 0")
-        out = np.asarray(self._eval(arr))
-        if not np.all(np.isfinite(out)):
-            raise NonFinite("non-finite weight value encountered")
-        if np.any(out < 0):
-            raise NonFinite("negative weight value; representation invalid")
+        try:
+            out = np.asarray(self._eval(arr))
+        except HorizonTooSmall:
+            self._own_horizon(np.log(arr[arr > 0]))
+            raise
+        if out.size:
+            lo, hi = out.min(), out.max()
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise NonFinite("non-finite weight value encountered")
+            if lo < 0:
+                raise NonFinite("negative weight value; representation invalid")
         return float(out.reshape(-1)[0]) if scalar else out.reshape(arr.shape)
 
     def phi(self, u):
         arr, scalar = _as_array(u)
-        out = np.asarray(self._phi_unchecked(arr))
+        try:
+            out = np.asarray(self._phi_unchecked(arr))
+        except HorizonTooSmall:
+            self._own_horizon(arr)
+            raise
         if not np.all(np.isfinite(out)):
             raise NonFinite("non-finite phi value encountered")
         return float(out.reshape(-1)[0]) if scalar else out.reshape(arr.shape)
 
     __call__ = evaluate
+
+    def _own_horizon(self, u):
+        """Raise a sequence's horizon error at this weight's own corners.
+
+        A wrapper evaluates its base at the base's argument, so the base's
+        error names the base's u and last corner; this weight's profile
+        names the u that was asked for and the corner it sees."""
+        if self.profile is not None:
+            self.profile._check_end(u)
 
     # -- plumbing -----------------------------------------------------------
     def to_json_dict(self) -> dict:
@@ -263,13 +283,18 @@ class PiecewiseLogLinear(WeightFunction):
     def profile(self):
         return self
 
-    def _phi_unchecked(self, u):
-        u = np.atleast_1d(np.asarray(u, dtype=float))
+    def _check_end(self, u):
+        """HorizonTooSmall at the first u past the last corner of a
+        sequence's profile, where phi needs terms it does not store."""
         if self.end_index is not None and np.any(u > self.us[-1]):
             raise HorizonTooSmall(
                 f"supremum not attained below index P={self.end_index} at "
                 f"u={float(u[u > self.us[-1]][0]):g}, past the last corner "
                 f"u={self.us[-1]:g}")
+
+    def _phi_unchecked(self, u):
+        u = np.atleast_1d(np.asarray(u, dtype=float))
+        self._check_end(u)
         return pl_eval(u, self.us, self.vs, self.final_slope, left=0.0)
 
     def _eval(self, t):

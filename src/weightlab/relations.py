@@ -19,7 +19,6 @@ Matrix relations (sigma^n from S, tau^ell from T):
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -27,7 +26,7 @@ import numpy as np
 
 from .core import Dilated, Exp, GridSpec, Scaled, WeightFunction
 from .errors import (BridgeViolation, HorizonTooSmall, IndexSearchExhausted,
-                     NotMonotone, ValidationFailed)
+                     NonFinite, NotMonotone, ValidationFailed, WeightlabError)
 from .verdict import Verdict, conjunction, fails, holds, inconclusive, report_dict, to_json
 
 __all__ = [
@@ -47,7 +46,7 @@ __all__ = [
 DEFAULT_GRID = GridSpec(1e-2, 1e6, 600)
 DEFAULT_ELL_GRID = tuple(2.0 ** k for k in range(-6, 7))
 _EXTENDED_ELL_GRID = tuple(2.0 ** k for k in range(-12, 13))
-_C_GRID = tuple(2.0 ** k for k in range(41))
+_C_GRID = 2.0 ** np.arange(41)
 _EPS_GRID = (1.0, 0.5, 0.1, 0.01)
 
 # the relation ids `compare` and `matrix_relation` accept
@@ -93,10 +92,7 @@ class WeightMatrix:
         return WeightMatrix(kind="explicit", entries=items, nondecreasing=nd)
 
     def weight_at(self, ell: float) -> WeightFunction:
-        if ell <= 0:
-            raise ValidationFailed("matrix index must be positive")
-        if not math.isfinite(ell):
-            raise ValidationFailed("matrix index must be finite")
+        _check_index(ell)
         if self.kind == "exponential":
             return Scaled(ell, self.base)
         if self.kind == "dilatation":
@@ -111,20 +107,68 @@ class WeightMatrix:
             return tuple(l for l, _ in self.entries)
         return tuple(_EXTENDED_ELL_GRID) if extended else tuple(ell_grid)
 
+    def _rows(self, ells, args):
+        """The rows w^ell(args) for the indices `ells`, as one
+        (len(ells), len(args)) array read with one evaluation of the base.
+        Each row is bit for bit weight_at(ell).evaluate(args), and a block
+        that cannot be read raises the error of its first row that cannot
+        be read alone."""
+        if self.kind == "explicit":
+            return np.stack([self.weight_at(l).evaluate(args) for l in ells])
+        for ell in ells:
+            _check_index(ell)
+        try:
+            with np.errstate(over="ignore"):
+                if self.kind == "dilatation":
+                    return self.base.evaluate(np.multiply.outer(ells, args))
+                block = np.asarray(ells, dtype=float)[:, None] * self.base.evaluate(args)
+            if block.size and block.max() == math.inf:
+                raise NonFinite("non-finite weight value encountered")
+            return block
+        except WeightlabError:
+            with np.errstate(all="ignore"):
+                for ell in ells:
+                    self.weight_at(ell).evaluate(args)
+            raise
+
     def verify_pointwise_order(self, ell_grid=DEFAULT_ELL_GRID, grid=DEFAULT_GRID):
         tg = grid.points()
         ells = sorted(self.indices(ell_grid))
-        prev = None
-        for l in ells:
-            cur = np.asarray(self.weight_at(l).evaluate(tg))
-            if prev is not None:
-                tol = 1e-9 * (1.0 + float(np.max(np.abs(cur))))
-                bad = prev > cur + tol
-                if np.any(bad):
-                    k = int(np.argmax(bad))
-                    raise ValidationFailed(
-                        f"matrix order violated at t={tg[k]:g} between indices")
-            prev = cur
+        try:
+            rows = self._rows(ells, tg)
+        except WeightlabError:
+            # read row by row: the pairs below the first row that cannot be
+            # read are checked before its error is raised
+            rows = []
+            for l in ells:
+                try:
+                    rows.append(self._rows([l], tg)[0])
+                except WeightlabError:
+                    _check_order(tg, rows)
+                    raise
+        _check_order(tg, rows)
+
+
+def _check_index(ell):
+    if ell <= 0:
+        raise ValidationFailed("matrix index must be positive")
+    if not math.isfinite(ell):
+        raise ValidationFailed("matrix index must be finite")
+
+
+def _check_order(tg, rows):
+    """ValidationFailed at the first t of the first pair of adjacent rows
+    where the lower row exceeds the upper one beyond its tolerance."""
+    if len(rows) < 2:
+        return
+    rows = np.asarray(rows)
+    upper = rows[1:]
+    tol = 1e-9 * (1.0 + np.abs(upper).max(axis=1))
+    bad = rows[:-1] > upper + tol[:, None]
+    pairs = bad.any(axis=1)
+    if pairs.any():
+        k = int(np.argmax(bad[np.argmax(pairs)]))
+        raise ValidationFailed(f"matrix order violated at t={tg[k]:g} between indices")
 
 
 @dataclass(frozen=True)
@@ -170,31 +214,48 @@ def _decade_sups(tg, d, edges=None):
     return np.maximum.reduceat(d, edges).astype(float).tolist()
 
 
-def _smallest_C(bound):
-    for C in _C_GRID:
-        if C >= bound:
-            return C
-    return None
+class _Gaps:
+    """The bounded-gap rule on each row d of a (k x n) block of gaps D on
+    the sorted grid tg, from the suprema a, b, c of d over the last three
+    decades: d is growing when b and c each rise by more than 5 % (at
+    least 1e-9), and the row holds, with C the smallest power of two at
+    least max(sup d, 1), when d is not growing and C <= 2^40.  `held`
+    marks the rows that hold; a row's verdict is built when asked for."""
+
+    def __init__(self, tg, D, edges=None, what="gap"):
+        if edges is None:
+            edges = _decade_edges(tg)
+        if len(edges) < 3:
+            raise HorizonTooSmall("relation checks need at least 3 decades")
+        self.tg, self.D, self.what = tg, D, what
+        self.sups = np.maximum.reduceat(D, edges[-3:], axis=1)
+        lo, hi = self.sups[:, :2], self.sups[:, 1:]
+        with np.errstate(invalid="ignore"):
+            self.growing = (hi > lo + np.fmax(1e-9, 0.05 * np.abs(lo))).all(axis=1)
+        self.peak = D.max(axis=1)
+        self.C_at = np.searchsorted(_C_GRID, np.maximum(self.peak, 1.0))
+        self.held = (self.C_at < len(_C_GRID)) & ~self.growing
+
+    def C(self, i):
+        return float(_C_GRID[self.C_at[i]])
+
+    def verdict(self, i):
+        peak, sups, what = float(self.peak[i]), self.sups[i].tolist(), self.what
+        a, b, c = sups
+        if self.growing[i] and c > 0 and c >= 1.2 * max(b, 1e-300) \
+                and b >= 1.2 * max(a, 1e-300):
+            k = int(np.argmax(self.D[i]))
+            return fails({"t": float(self.tg[k]), what: peak, "decade_sups": sups},
+                         margin=peak, notes=f"{what} grows by >=20% per decade")
+        if self.held[i]:
+            C = self.C(i)
+            return holds({"C": C, "decade_sups": sups}, margin=C - peak)
+        return inconclusive(margin=peak, notes=f"{what} trend undecided at horizon")
 
 
 def _bounded_gap(tg, d, what="gap", edges=None):
     """Verdict on sup d < oo from the decade trend of d."""
-    sups = _decade_sups(tg, d, edges)
-    if len(sups) < 3:
-        raise HorizonTooSmall("relation checks need at least 3 decades")
-    a, b, c = sups[-3], sups[-2], sups[-1]
-    growing = c > b + max(1e-9, 0.05 * abs(b)) and b > a + max(1e-9, 0.05 * abs(a))
-    strongly = growing and c > 0 and c >= 1.2 * max(b, 1e-300) and b >= 1.2 * max(a, 1e-300)
-    peak = float(np.max(d))
-    if strongly:
-        k = int(np.argmax(d))
-        return fails({"t": float(tg[k]), what: peak,
-                      "decade_sups": sups[-3:]},
-                     margin=peak, notes=f"{what} grows by >=20% per decade")
-    C = _smallest_C(max(peak, 1.0))
-    if C is not None and not growing:
-        return holds({"C": C, "decade_sups": sups[-3:]}, margin=C - peak)
-    return inconclusive(margin=peak, notes=f"{what} trend undecided at horizon")
+    return _Gaps(tg, d[None], edges, what).verdict(0)
 
 
 def _affine_dom(tg, s, t):
@@ -269,10 +330,10 @@ def _relation(sigma, tau, rel, tg, s, t) -> Verdict:
         return _dilation_dom(sigma, tg, s, t)
 
     if rel == "triangle_c":
-        parts = {}
+        parts, edges = {}, _decade_edges(tg)
         for eps in _EPS_GRID:
             d = t - (s if eps == 1.0 else np.asarray(sigma.evaluate(eps * tg)))
-            parts[f"eps={eps}"] = _bounded_gap(tg, d)
+            parts[f"eps={eps}"] = _bounded_gap(tg, d, edges=edges)
         return conjunction(parts)
 
     raise ValueError(f"unknown relation {rel!r}")
@@ -281,10 +342,11 @@ def _relation(sigma, tau, rel, tg, s, t) -> Verdict:
 def _dilation_dom(sigma, tg, s, t):
     """tau(t) <= sigma(C1 t) + C2 for some C1, C2; s = sigma(tg), t = tau(tg)."""
     last_peak = prev_peak = None
+    edges = _decade_edges(tg)
     for k in range(0, 13):
         C1 = 2.0 ** k
         d = t - (s if k == 0 else np.asarray(sigma.evaluate(C1 * tg)))
-        v = _bounded_gap(tg, d)
+        v = _bounded_gap(tg, d, edges=edges)
         if v.holds:
             return holds({"C1": C1, "C2": v.certificate["C"]},
                          margin=v.margin)
@@ -362,32 +424,108 @@ def _any_holds(v1: Verdict, v2: Verdict) -> Verdict:
 # matrix-level relations
 # ---------------------------------------------------------------------------
 
-def _rows(W, args):
-    """Memoised rows of W on one argument grid: ell -> w^ell(args)."""
-    return functools.cache(lambda ell: np.asarray(W.weight_at(ell).evaluate(args)))
+class _Rows:
+    """The rows of the matrix W on one argument grid, each read at most
+    once.  Rows are read in blocks (`WeightMatrix._rows`); a block read
+    is kept whole, so asking for the same indices again copies nothing."""
+
+    def __init__(self, W, args):
+        self.W, self.args = W, args
+        self.rows, self.blocks = {}, {}
+
+    def block(self, ells):
+        """The rows of `ells`, stacked; those not read yet are read with
+        one evaluation, which raises if any of them cannot be evaluated."""
+        key = tuple(ells)
+        if key in self.blocks:
+            return self.blocks[key]
+        missing = list(dict.fromkeys(l for l in key if l not in self.rows))
+        if missing:
+            block = self.W._rows(missing, self.args)
+            self.blocks[tuple(missing)] = block
+            self.rows.update(zip(missing, block))
+            if len(missing) == len(key):
+                return block
+        return np.stack([self.rows[l] for l in key])
+
+    def read_ahead(self, ells):
+        """Read the rows of `ells` if all of them can be evaluated; if not,
+        each raises only when asked for alone."""
+        try:
+            self.block(ells)
+        except WeightlabError:
+            pass
+
+    def __call__(self, ell):
+        if ell not in self.rows:
+            self.block([ell])
+        return self.rows[ell]
 
 
-def _partner_search(outer, cands, outer_row, cand_row, gap, tg):
+def _gap_chunks(tg, edges, row, cands, rows, gap, size):
+    """The bounded-gap rule on gap(row, rows(c)) for the candidates c, in
+    chunks of `size` candidates that double from chunk to chunk: yields
+    each chunk with its _Gaps.  A chunk whose rows cannot be read as one
+    block is tested one candidate at a time, each row read when its test
+    comes, so only a row the caller goes on to reach raises."""
+    i = 0
+    while i < len(cands):
+        chunk = cands[i:i + size]
+        try:
+            block = rows.block(chunk)
+        except WeightlabError:
+            for c in chunk:
+                yield [c], _Gaps(tg, gap(row, rows(c))[None], edges)
+        else:
+            yield chunk, _Gaps(tg, gap(row, block), edges)
+        i, size = i + size, 2 * size
+
+
+def _partner_search(outer, cands, outer_rows, cand_rows, gap, tg):
     """For every o in `outer`, the first c in `cands(o)` whose
-    gap(outer_row(o), cand_row(c)) is certified bounded on tg.
+    gap(outer_rows(o), cand_rows(c)) is certified bounded on tg.
 
-    Rows are read lazily, outer row first, so a row that cannot be
-    evaluated raises only once the search reaches it.  Returns
-    ({o: (c, C)}, None, None), or (None, o, v) for the first o without a
-    partner, v being the verdict on its last candidate (None if it had none).
+    The outer rows are read ahead as one block.  The candidates of an
+    outer index are tested in chunks of 1, 2, 4, ..., one block of gaps
+    per chunk, and the first that holds is kept, as in a loop over them.
+    A block of rows that cannot be read is read again row by row, in that
+    loop's order and outer row first, so a row that cannot be evaluated
+    raises only once the search reaches it.  Returns ({o: (c, C)}, None,
+    None), or (None, o, v) for the first o without a partner, v being the
+    verdict on its last candidate (None if it had none).
     """
     edges = _decade_edges(tg)
     found = {}
+    outer_rows.read_ahead(outer)
     for o in outer:
-        row = outer_row(o)
-        v = None
-        for c in cands(o):
-            v = _bounded_gap(tg, gap(row, cand_row(c)), edges=edges)
-            if v.holds:
-                found[o] = (c, v.certificate["C"])
+        row, cs, last = outer_rows(o), list(cands(o)), None
+        for chunk, gaps in _gap_chunks(tg, edges, row, cs, cand_rows, gap, 1):
+            hits = np.flatnonzero(gaps.held)
+            if hits.size:
+                found[o] = (chunk[hits[0]], gaps.C(hits[0]))
                 break
+            last = gaps
         else:
-            return None, o, v
+            return None, o, last and last.verdict(-1)
+    return found, None, None
+
+
+def _every_pair(outer, cands, outer_rows, cand_rows, gap, tg):
+    """Whether gap(outer_rows(o), cand_rows(c)) is certified bounded on tg
+    for every o in `outer` and c in the list `cands`, read and tested as
+    in `_partner_search` but with each o's candidates as one block.
+    Returns ({(o, c): (c, C)}, None, None), or (None, (o, c), v) for the
+    first pair in that order that does not hold, v being its verdict."""
+    edges = _decade_edges(tg)
+    found = {}
+    outer_rows.read_ahead(outer)
+    for o in outer:
+        row = outer_rows(o)
+        for chunk, gaps in _gap_chunks(tg, edges, row, cands, cand_rows, gap, len(cands)):
+            misses = np.flatnonzero(~gaps.held)
+            if misses.size:
+                return None, (o, chunk[misses[0]]), gaps.verdict(misses[0])
+            found.update(((o, c), (c, gaps.C(j))) for j, c in enumerate(chunk))
     return found, None, None
 
 
@@ -401,7 +539,7 @@ def _minus_from(a, b):
 
 def _matrix_search(S, T, rel, ell_grid, tg):
     """The partner search behind `rel`, on rows T minus rows S."""
-    tau, sig = _rows(T, tg), _rows(S, tg)
+    tau, sig = _Rows(T, tg), _Rows(S, tg)
     s_idx, t_idx = sorted(S.indices(ell_grid)), sorted(T.indices(ell_grid))
     if rel == "beurling":
         s_ext = sorted(S.indices(ell_grid, extended=True))
@@ -410,10 +548,7 @@ def _matrix_search(S, T, rel, ell_grid, tg):
         t_ext = sorted(T.indices(ell_grid, extended=True))
         tau(t_ext[0])   # pairs read T's row first: if both rows fail, T's error wins
         return _partner_search(s_idx, lambda n: t_ext, sig, tau, _minus_from, tg)
-    # for all ell and n: each pair is an outer index whose one candidate is n
-    pairs = [(ell, n) for ell in t_idx for n in s_idx]
-    return _partner_search(pairs, lambda p: p[1:], lambda p: tau(p[0]), sig,
-                           _minus, tg)
+    return _every_pair(t_idx, s_idx, tau, sig, _minus, tg)
 
 
 def _reduction(S, T, rel, grid):
@@ -670,8 +805,8 @@ def mixed_doubling_search(S, T, outer, tg, ell_grid=DEFAULT_ELL_GRID):
     ell without a partner.
     """
     s_ext = sorted(S.indices(ell_grid, extended=True))
-    found, binding, _ = _partner_search(outer, lambda ell: s_ext, _rows(T, 2 * tg),
-                                        _rows(S, tg), _minus, tg)
+    found, binding, _ = _partner_search(outer, lambda ell: s_ext, _Rows(T, 2 * tg),
+                                        _Rows(S, tg), _minus, tg)
     if found is None:
         return None, binding
     return {ell: {"n": n, "L": L} for ell, (n, L) in found.items()}, None
@@ -686,8 +821,8 @@ def _mixed_om1(W, cond, ell_grid, tg):
             return inconclusive(notes=f"no partner index for ell={binding}")
     else:
         ext = sorted(W.indices(ell_grid, extended=True))
-        found, binding, _ = _partner_search(outer, lambda n: ext, _rows(W, tg),
-                                            _rows(W, 2 * tg), _minus_from, tg)
+        found, binding, _ = _partner_search(outer, lambda n: ext, _Rows(W, tg),
+                                            _Rows(W, 2 * tg), _minus_from, tg)
         if found is None:
             return inconclusive(notes=f"no partner index for n={binding}")
         index_map = {n: {"ell": ell, "L": L} for n, (ell, L) in found.items()}
@@ -706,7 +841,7 @@ def _weak_om1(W, cond, ell_grid, tg):
 
     outer = sorted(W.indices(ell_grid))
     ext = sorted(W.indices(ell_grid, extended=True))
-    at_t, at_t1 = _rows(W, tg), _rows(W, tg + 1.0)
+    at_t, at_t1 = _Rows(W, tg), _Rows(W, tg + 1.0)
     if cond == "weakom1":
         # given = ell on the right-hand side; search the smaller ell1
         def cands(given):
@@ -744,7 +879,7 @@ def _strong_different_growth(W, ell_grid, tg, grid):
         reduction = conditions.check_condition(W.base, "om3", grid)
 
     log1t = np.log1p(tg)
-    rows = _rows(W, tg)
+    rows = _Rows(W, tg)
     ext = sorted(W.indices(ell_grid, extended=True))
     for a in (1.5, 2.0):
         # need the gap bounded above: b = -sup gap

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from weightlab import (Dilated, Exp, Gevrey, GridSpec, Log, LogPower,
                        Normalized, PiecewiseLogLinear, Power, Scaled,
-                       WeightSequence, dump_weight, load_weight)
+                       WeightFunction, WeightSequence, dump_weight, load_weight)
 from weightlab.core import associated_weight_function
 from weightlab.errors import (HorizonTooSmall, NonFinite, NotMonotone,
                               ValidationFailed)
@@ -242,3 +242,104 @@ def test_power_phi_matches_eval(alpha, t):
 def test_scaling_is_pointwise(c, t):
     w = Scaled(c, Log())
     assert w.evaluate(t) == pytest.approx(c * Log().evaluate(t), rel=1e-12)
+
+
+# --------------------------------------------------------------------------
+# the checks of evaluate
+# --------------------------------------------------------------------------
+
+class _Table(WeightFunction):
+    """Returns the stored values whatever the argument, to reach the checks."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+
+    def _eval(self, t):
+        return self.values
+
+
+def _evaluate_checked_one_by_one(w, t):
+    """evaluate with one np.any/np.all reduction per check."""
+    arr = np.asarray(t, dtype=float)
+    if np.any(arr < 0):
+        raise ValueError("weight argument must be >= 0")
+    out = np.asarray(w._eval(arr))
+    if not np.all(np.isfinite(out)):
+        raise NonFinite("non-finite weight value encountered")
+    if np.any(out < 0):
+        raise NonFinite("negative weight value; representation invalid")
+    return float(out.reshape(-1)[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+
+
+def _outcome(f):
+    try:
+        out = f()
+    except (ValueError, NonFinite) as exc:
+        return type(exc), str(exc)
+    return type(out), np.asarray(out).shape, np.asarray(out).tobytes()
+
+
+_EDGE = [0.0, -0.0, 1.0, -1.0, -1e-300, math.nan, math.inf, -math.inf, 1e308]
+
+
+@given(st.lists(st.sampled_from(_EDGE), min_size=0, max_size=5),
+       st.lists(st.sampled_from(_EDGE), min_size=0, max_size=5), st.booleans())
+def test_evaluate_checks_as_one_reduction_per_check_did(args, values, scalar):
+    # a NaN argument beside a negative one still raises ValueError, a
+    # non-finite value comes before a negative one, and empty arrays pass
+    n = 1 if scalar else len(args)
+    t = (args[:1] or [0.0])[0] if scalar else np.asarray(args, dtype=float)
+    w = _Table((values + [1.0] * n)[:n])
+    assert _outcome(lambda: w.evaluate(t)) == \
+        _outcome(lambda: _evaluate_checked_one_by_one(w, t))
+
+
+def test_evaluate_edge_cases():
+    with pytest.raises(ValueError, match="^weight argument must be >= 0$"):
+        Power(1.0).evaluate(np.array([math.nan, -1.0]))
+    with pytest.raises(ValueError, match="^weight argument must be >= 0$"):
+        Power(1.0).evaluate(np.array([[1.0, 2.0], [-0.5, math.nan]]))
+    with pytest.raises(NonFinite, match="^non-finite weight value encountered$"):
+        Power(1.0).evaluate(math.nan)
+    with pytest.raises(NonFinite, match="^non-finite weight value encountered$"):
+        _Table([-1.0, math.inf]).evaluate(np.zeros(2))
+    with pytest.raises(NonFinite, match="^negative weight value; representation invalid$"):
+        _Table([1.0, -1e-300]).evaluate(np.zeros(2))
+    assert _Table([-0.0]).evaluate(0.0) == 0.0
+    for shape in [(0,), (0, 3), (2, 0), (2, 3)]:
+        assert Power(0.5).evaluate(np.ones(shape)).shape == shape
+    for t in (4.0, 4, np.float64(4.0), np.array(4.0)):
+        v = Power(0.5).evaluate(t)
+        assert type(v) is float and v == 2.0
+    assert Power(0.5).evaluate([4.0]).shape == (1,)
+
+
+# --------------------------------------------------------------------------
+# a wrapped sequence's horizon
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("wrap", ["scaled", "dilated", "normalized", "nested"])
+def test_a_wrapped_sequence_names_its_own_horizon(wrap):
+    seq = load_weight({"sequence": [0.75 * k * k for k in range(60)]})
+    w = {"scaled": Scaled(3.0, seq), "dilated": Dilated(2.0, seq),
+         "normalized": Normalized(seq), "nested": Dilated(0.5, Scaled(2.0, seq))}[wrap]
+    last = float(w.profile.us[-1])
+    u = last + 0.15
+    with pytest.raises(HorizonTooSmall) as expected:
+        w.profile.phi(u)
+    assert f"at u={u:g}, past the last corner u={last:g}" in str(expected.value)
+    for call in (lambda: w.phi(u), lambda: w.phi(np.array([0.5, u, u + 1.0])),
+                 lambda: w.evaluate(math.exp(u)),
+                 lambda: w.evaluate(np.array([1.0, math.exp(u)]))):
+        with pytest.raises(HorizonTooSmall) as err:
+            call()
+        assert str(err.value) == str(expected.value)
+    # below the horizon the values are those of the wrapper's formula
+    us = np.linspace(-5.0, last - 1e-6, 2001)
+    formula = {"scaled": lambda: 3.0 * seq.phi(us),
+               "dilated": lambda: seq.phi(us + math.log(2.0)),
+               "normalized": lambda: np.where(us <= 0.0, 0.0,
+                                              np.maximum(seq.phi(us) - seq.phi(0.0), 0.0)),
+               "nested": lambda: 2.0 * seq.phi(us + math.log(0.5))}[wrap]()
+    assert w.phi(us).tobytes() == formula.tobytes()
+    np.testing.assert_allclose(w.evaluate(np.exp(us)), w.profile.phi(us), rtol=1e-12, atol=1e-12)

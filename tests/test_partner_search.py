@@ -7,11 +7,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from weightlab import Dilated, Log, LogPower, Power, Scaled, core, load_weight, relations
-from weightlab.errors import HorizonTooSmall, IndexSearchExhausted, NonFinite
-from weightlab.relations import WeightMatrix
+from weightlab import (Dilated, Exp, Log, LogPower, Normalized, PiecewiseLogLinear,
+                       Power, Scaled, WeightFunction, load_weight, relations)
+from weightlab.errors import (HorizonTooSmall, IndexSearchExhausted, NonFinite,
+                              ValidationFailed, WeightlabError)
+from weightlab.relations import DEFAULT_ELL_GRID, DEFAULT_GRID, WeightMatrix
+from weightlab.verdict import fails, holds, inconclusive
 
 
 # --------------------------------------------------------------------------
@@ -154,14 +157,14 @@ def test_mixed_kind_pairs_are_pinned(key):
 
 def test_each_row_is_evaluated_at_most_once(monkeypatch):
     seen = collections.Counter()
-    evaluate = core.WeightFunction.evaluate
+    read = WeightMatrix._rows
 
-    def counting(self, t):
-        if isinstance(self, (Scaled, Dilated)):   # a matrix row
-            seen[repr(self), np.asarray(t, dtype=float).tobytes()] += 1
-        return evaluate(self, t)
+    def counting(self, ells, args):
+        for ell in ells:
+            seen[repr(self), ell, np.asarray(args, dtype=float).tobytes()] += 1
+        return read(self, ells, args)
 
-    monkeypatch.setattr(core.WeightFunction, "evaluate", counting)
+    monkeypatch.setattr(WeightMatrix, "_rows", counting)
     same_kind = ["exp:t12 exp:log2 beurling", "dil:log2 dil:t12 roumieu",
                  "exp:t12 exp:log triangle", "dil:log dil:t12 triangle"]
     for key in sorted(PINNED) + same_kind:
@@ -185,3 +188,241 @@ def test_a_row_that_cannot_be_evaluated_raises_where_the_search_reaches_it():
             relations.matrix_relation(seq, big, rel)
         with pytest.raises(HorizonTooSmall):
             relations.matrix_relation(big, seq, rel)
+
+
+def test_a_far_row_that_cannot_be_evaluated_is_read_only_if_needed():
+    # S rows n >= 2^11 overflow on the search grid (t up to 1e12), and the
+    # partner of tau^ell is n = 16 ell, up to 2^10: the candidate block
+    # 2^3 ... 2^12 cannot be read whole, and is tested row by row
+    base = Power(25.42)
+    S = WeightMatrix.exponential(base)
+    T = WeightMatrix.exponential(Scaled(16.0, base))
+    with pytest.raises(NonFinite), np.errstate(over="ignore"):
+        S.weight_at(2.0 ** 11).evaluate(np.array([1e12]))
+    rv = relations.matrix_relation(S, T, "beurling")
+    assert rv.holds
+    assert {ell: v["n"] for ell, v in rv.index_map.items()} == {
+        ell: 16 * ell for ell in DEFAULT_ELL_GRID}
+
+
+# --------------------------------------------------------------------------
+# the row reader and the order check
+# --------------------------------------------------------------------------
+
+class _Opaque(WeightFunction):
+    """The same function behind a type without a closed form."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.nondecreasing = inner.nondecreasing
+        self.normalized = inner.normalized
+
+    def _eval(self, t):
+        return self.inner._eval(t)
+
+
+_PROFILE = PiecewiseLogLinear([(0.0, 0.0), (1.0, 1.5), (2.5, 4.0), (4.0, 4.5)])
+_SEQUENCE = load_weight({"sequence": [0.75 * k * k for k in range(60)]})
+_READ_BASES = {
+    "t12": Power(0.5), "log": Log(), "log2": LogPower(2.0),
+    "opaque": _Opaque(Power(0.45)), "profile": _PROFILE, "sequence": _SEQUENCE,
+    "dil_profile": Dilated(4.0, _PROFILE), "norm_log2": Normalized(LogPower(2.0)),
+}
+_READ_MATRICES = {
+    **{f"{kind}:{name}": _KINDS[kind](w) for kind in _KINDS
+       for name, w in _READ_BASES.items()},
+    "explicit": WeightMatrix.explicit([
+        (0.5, Power(0.25)), (1.0, Log()), (2.0, _Opaque(Power(0.5))),
+        (4.0, _SEQUENCE), (8.0, Scaled(3.0, _PROFILE))]),
+}
+# the search grid of matrix_relation, and the two shifted grids of the
+# matrix conditions
+_TG = np.geomspace(DEFAULT_GRID.t_min, DEFAULT_GRID.t_max * 1e6, 2 * DEFAULT_GRID.n_points)
+_ARGS = {"tg": _TG, "2tg": 2 * _TG, "tg+1": _TG + 1.0}
+
+
+@pytest.mark.parametrize("args", sorted(_ARGS))
+@pytest.mark.parametrize("key", sorted(_READ_MATRICES))
+def test_block_rows_are_the_rows_bit_for_bit(key, args):
+    W, a = _READ_MATRICES[key], _ARGS[args]
+    ells = sorted(W.indices(DEFAULT_ELL_GRID, extended=True))
+    block = W._rows(ells, a)
+    assert block.shape == (len(ells), len(a))
+    for ell, row in zip(ells, block):
+        assert row.tobytes() == W.weight_at(ell).evaluate(a).tobytes(), ell
+
+
+def _first_row_error(W, ells, args):
+    for ell in ells:
+        try:
+            with np.errstate(over="ignore"):
+                W.weight_at(ell).evaluate(args)
+        except WeightlabError as exc:
+            return exc
+    raise AssertionError("every row can be read")
+
+
+@pytest.mark.parametrize("W", [
+    # the multiplication by ell overflows from ell = 2^11 on
+    WeightMatrix.exponential(Power(25.42)),
+    WeightMatrix.exponential(Power(40.0)),
+    WeightMatrix.dilatation(Exp()),
+    # a dilated sequence names its own horizon, not its base's
+    WeightMatrix.dilatation(load_weight({"sequence": [0.19 * k * k for k in range(60)]})),
+    WeightMatrix.explicit([(1.0, Power(0.5)), (2.0, Power(40.0)), (3.0, Exp())]),
+], ids=["exp_overflow", "exp_base_overflow", "dil_exp", "dil_sequence", "explicit"])
+def test_a_block_that_cannot_be_read_raises_its_first_rows_error(W):
+    ells = sorted(W.indices(DEFAULT_ELL_GRID, extended=True))
+    expected = _first_row_error(W, ells, _TG)
+    with pytest.raises(WeightlabError) as info:
+        W._rows(ells, _TG)
+    assert type(info.value) is type(expected)
+    assert str(info.value) == str(expected)
+
+
+class _Capped(WeightFunction):
+    """min(t + 1e-5, 1): 1e-5 above t up to t = 1, then below it."""
+
+    def _eval(self, t):
+        return np.minimum(t + 1e-5, 1.0)
+
+
+def _order_check_row_by_row(W, ell_grid=DEFAULT_ELL_GRID, grid=DEFAULT_GRID):
+    """The order check one row at a time, each row against the one below."""
+    tg = grid.points()
+    prev = None
+    for l in sorted(W.indices(ell_grid)):
+        cur = np.asarray(W.weight_at(l).evaluate(tg))
+        if prev is not None:
+            tol = 1e-9 * (1.0 + float(np.max(np.abs(cur))))
+            bad = prev > cur + tol
+            if np.any(bad):
+                k = int(np.argmax(bad))
+                raise ValidationFailed(
+                    f"matrix order violated at t={tg[k]:g} between indices")
+        prev = cur
+
+
+def _outcome_of(check):
+    try:
+        check()
+    except WeightlabError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("entries", [
+    [(1.0, Power(1.0)), (2.0, Power(0.5))],
+    [(1.0, Log()), (2.0, Power(0.5)), (3.0, Power(0.25))],
+    # the violation below comes before the row that overflows
+    [(1.0, Power(1.0)), (2.0, Power(0.5)), (3.0, Power(60.0))],
+    [(1.0, Power(0.25)), (2.0, Power(60.0)), (3.0, Power(0.5))],
+    # within the tolerance, which scales with the upper row, and in order
+    [(1.0, Scaled(1.0 + 1e-10, Power(0.5))), (2.0, Power(0.5))],
+    [(1.0, _Capped()), (2.0, Power(1.0))],
+    [(1.0, Power(1.0)), (2.0, _Capped())],
+    [(1.0, Log()), (2.0, Power(0.5)), (4.0, Power(1.0))],
+], ids=["one_pair", "second_pair", "before_overflow", "overflow_first",
+        "tolerance", "upper_tolerance", "beyond_lower_tolerance", "in_order"])
+def test_the_order_check_reports_what_the_row_by_row_check_reports(entries):
+    W = WeightMatrix.explicit(entries)
+    expected = _outcome_of(lambda: _order_check_row_by_row(W))
+    assert _outcome_of(W.verify_pointwise_order) == expected
+
+
+def test_the_order_check_of_the_matrix_kinds():
+    for W in (WeightMatrix.exponential(Power(0.5)), WeightMatrix.dilatation(_SEQUENCE),
+              WeightMatrix.exponential(Power(25.42))):
+        assert _outcome_of(W.verify_pointwise_order) is None
+        grid = relations.GridSpec(1e-2, 1e12, 600)
+        assert _outcome_of(lambda: W.verify_pointwise_order(grid=grid)) == \
+            _outcome_of(lambda: _order_check_row_by_row(W, grid=grid))
+
+
+# --------------------------------------------------------------------------
+# the bounded-gap rule on a block of rows
+# --------------------------------------------------------------------------
+
+def _bounded_gap_one_row(tg, d, what="gap", edges=None):
+    """The bounded-gap rule on one row, in Python floats."""
+    sups = relations._decade_sups(tg, d, edges)
+    if len(sups) < 3:
+        raise HorizonTooSmall("relation checks need at least 3 decades")
+    a, b, c = sups[-3], sups[-2], sups[-1]
+    growing = c > b + max(1e-9, 0.05 * abs(b)) and b > a + max(1e-9, 0.05 * abs(a))
+    strongly = growing and c > 0 and c >= 1.2 * max(b, 1e-300) and b >= 1.2 * max(a, 1e-300)
+    peak = float(np.max(d))
+    if strongly:
+        k = int(np.argmax(d))
+        return fails({"t": float(tg[k]), what: peak, "decade_sups": sups[-3:]},
+                     margin=peak, notes=f"{what} grows by >=20% per decade")
+    C = next((C for C in (2.0 ** k for k in range(41)) if C >= max(peak, 1.0)), None)
+    if C is not None and not growing:
+        return holds({"C": C, "decade_sups": sups[-3:]}, margin=C - peak)
+    return inconclusive(margin=peak, notes=f"{what} trend undecided at horizon")
+
+
+_GAP_GRIDS = {"search": _TG, "report": DEFAULT_GRID.points(),
+              "linear": np.linspace(0.5, 5e3, 300)}
+_VALUE = st.one_of(
+    st.floats(-1e6, 1e6, allow_nan=False),
+    st.sampled_from([0.0, -0.0, 1e-9, -1e-9, 1.0, 2.0 ** 40, 1e-300, 1e308, -1e308]),
+    st.floats(allow_nan=True, allow_infinity=True))
+
+
+@st.composite
+def _gap_row(draw, lengths):
+    """A row of gaps, constant on each decade (so its decade suprema are
+    exact), whose last three suprema sit on, just above or just below the
+    rule's thresholds, or ties, constants and powers of two; or a free row."""
+    kind = draw(st.sampled_from(["plateaus", "plateaus", "plateaus", "constant", "free"]))
+    n = int(sum(lengths))
+    if kind == "constant":
+        return np.full(n, draw(_VALUE))
+    if kind == "free":
+        pattern = draw(st.lists(_VALUE, min_size=1, max_size=9))
+        return np.resize(np.asarray(pattern, dtype=float), n)
+
+    def step(x):
+        rule = draw(st.sampled_from(["free", "tie", "rise5", "rise5", "rise20", "rise20",
+                                     "pow2"]))
+        y = {"free": lambda: draw(_VALUE), "tie": lambda: x,
+             "rise5": lambda: x + max(1e-9, 0.05 * abs(x)),
+             "rise20": lambda: 1.2 * max(x, 1e-300),
+             "pow2": lambda: 2.0 ** draw(st.integers(-2, 42))}[rule]()
+        return float(np.nextafter(y, draw(st.sampled_from([-math.inf, y, math.inf]))))
+
+    # the leading points and the decades before the last two are free
+    levels = [draw(_VALUE) for _ in range(len(lengths) - 2)]
+    for _ in range(2):
+        levels.append(step(levels[-1]))
+    return np.repeat(np.asarray(levels), lengths)
+
+
+@settings(max_examples=300)
+@given(grid=st.sampled_from(sorted(_GAP_GRIDS)), data=st.data())
+def test_the_block_rule_is_the_one_row_rule_row_by_row(grid, data):
+    tg = _GAP_GRIDS[grid]
+    edges = relations._decade_edges(tg)
+    # the leading points before the first decade, then one length per decade
+    lengths = np.diff(np.concatenate([[0], edges, [len(tg)]]))
+    k = data.draw(st.integers(1, 5))
+    D = np.stack([data.draw(_gap_row(lengths)) for _ in range(k)])
+    what = data.draw(st.sampled_from(["gap", "ratio"]))
+    gaps = relations._Gaps(tg, D, edges, what)
+    for i in range(k):
+        expected = _bounded_gap_one_row(tg, D[i], what, edges)
+        v = gaps.verdict(i)
+        assert v.to_dict() == expected.to_dict()
+        assert bool(gaps.held[i]) == expected.holds
+        if expected.holds:
+            assert gaps.C(i) == expected.certificate["C"]
+        assert relations._bounded_gap(tg, D[i], what).to_dict() == expected.to_dict()
+
+
+def test_the_block_rule_needs_three_decades():
+    tg = np.geomspace(1.0, 500.0, 50)
+    with pytest.raises(HorizonTooSmall, match="at least 3 decades"):
+        relations._Gaps(tg, np.zeros((2, 50)))
+    with pytest.raises(HorizonTooSmall, match="at least 3 decades"):
+        _bounded_gap_one_row(tg, np.zeros(50))

@@ -1,0 +1,63 @@
+"""One sha256 per op of a library workload, to show which results a change alters.
+
+    python3 tools/op_digests.py --workload lib-numeric --seed 11 > change.txt
+    python3 tools/op_digests.py --workload lib-numeric --seed 11 \\
+        --src /path/to/parent/src > parent.txt
+    diff parent.txt change.txt
+
+The ops are those ``wlbench/run.py`` runs for the workload and seed
+(``wlbench.workloads.generate``), made once each, in order, in this
+process through ``wlbench.libops.call``.  Each output line reads
+``<op id> <call> <sha256>``: the digest of the result's JSON (sorted keys),
+or of the error's type name and message when the call raises.  ``--src``
+names the directory whose ``weightlab`` package is imported, this
+checkout's ``src`` by default, so one copy of the tool and of ``wlbench``
+can digest two revisions of the library.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def result_json(result):
+    """The result's JSON text: a weight's document, or the report's JSON."""
+    from weightlab.verdict import to_json
+    doc = result.to_json_dict() if hasattr(result, "to_json_dict") else to_json(result)
+    return json.dumps(doc, sort_keys=True)
+
+
+def digests(workload: str, seed: int):
+    """(op id, call, sha256) for every op of the workload, in run order."""
+    from wlbench import libops, workloads
+    spec = workloads.generate(workload, seed)
+    inputs = libops.Inputs(spec)
+    for op in spec["ops"]:
+        try:
+            text = result_json(libops.call(op, inputs)[0])
+        except Exception as exc:  # the error is the op's outcome
+            text = f"{type(exc).__name__}: {exc}"
+        yield op["id"], op["call"], hashlib.sha256(text.encode()).hexdigest()
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--workload", required=True, choices=("lib-numeric", "lib-families"))
+    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--src", default=str(ROOT / "src"),
+                    help="directory holding the weightlab package to digest")
+    args = ap.parse_args(argv)
+    sys.path[:0] = [args.src, str(ROOT)]
+    for op_id, call, digest in digests(args.workload, args.seed):
+        print(op_id, call, digest)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
