@@ -90,6 +90,15 @@ def _matrix_from(kind, w):
     return _MATRIX_KINDS[kind](w)
 
 
+def _keys(values, flag):
+    """The report keys of `values`, refusing two values that print alike."""
+    keys = [f"{v:g}" for v in values]
+    for i, key in enumerate(keys):
+        if key in keys[:i]:
+            raise ValidationFailed(f"two {flag} values share the report key {key!r}")
+    return keys
+
+
 # ---------------------------------------------------------------------------
 # subcommand implementations
 # ---------------------------------------------------------------------------
@@ -124,9 +133,9 @@ def _cmd_conjugate(args):
 def _cmd_matrix(args):
     w = _load_weight(args.weight)
     table = {}
-    for ell in args.ell:
+    for key, ell in zip(_keys(args.ell, "--ell"), args.ell):
         logW = conjugate.associated_weight_matrix(w, ell, args.jmax)
-        table[f"{ell:g}"] = list(np.asarray(logW))
+        table[key] = list(np.asarray(logW))
     return {"log_matrix": table, "j_max": args.jmax,
             "weight": w.to_json_dict()}
 
@@ -141,7 +150,7 @@ def _cmd_index(args):
 def _cmd_kappa(args):
     w = _load_weight(args.weight)
     T = args.horizon if args.horizon is not None else 1e6
-    vals = dict(zip((f"{y:g}" for y in args.y), growth.kappa(w, args.y, T)))
+    vals = dict(zip(_keys(args.y, "--y"), growth.kappa(w, args.y, T)))
     return {"kappa": vals,
             "equivalence": growth.kappa_equivalence_check(w, T=T),
             "weight": w.to_json_dict()}

@@ -24,11 +24,11 @@ else that cannot be certified gets an honest ``inconclusive``.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import growth
 from .core import (Associated, Dilated, Exp, GridSpec, Log, LogPower, Normalized, Power,
@@ -285,53 +285,36 @@ def _check_alpha0(w, grid):
                         notes="scaling constant still growing at horizon")
 
 
-# pairs per row block of the triangle scan: its float temporaries (120 KB)
-# stay under glibc's default 128 KiB mmap threshold, so every scan reuses
-# heap memory, whatever the allocator's state, instead of faulting in
-# freshly mapped pages
-_PAIR_BLOCK = 15_000
-
-
-@functools.lru_cache(maxsize=1)
-def _pair_triangle(n):
-    """The pairs i <= j, i + j < n in row-major order, as index tables: row
-    i < n/2 holds counts[i] = n - 2i pairs, j = i ... n - 1 - i."""
-    rows = np.arange((n + 1) // 2)
-    counts = n - 2 * rows
-    i = np.repeat(rows, counts)
-    j = np.arange(i.size) - np.repeat(np.cumsum(counts) - counts - rows, counts)
-    return counts, i, j, i + j
-
-
-@functools.lru_cache(maxsize=1)
-def _row_blocks(n):
-    """The pair triangle's rows cut into runs of at most _PAIR_BLOCK pairs,
-    as (first row, end row, first pair, end pair)."""
-    counts = _pair_triangle(n)[0]
-    starts = np.concatenate([[0], np.cumsum(counts)])
-    cuts = [0]
-    for r in range(counts.size):
-        if starts[r + 1] - starts[cuts[-1]] > _PAIR_BLOCK:
-            cuts.append(r)
-    cuts.append(counts.size)
-    return [(r0, r1, int(starts[r0]), int(starts[r1])) for r0, r1 in zip(cuts, cuts[1:])]
+# pairs per band of the triangle scan: its float temporaries (at most
+# 120 KB) stay under glibc's default 128 KiB mmap threshold, so every scan
+# reuses heap memory, whatever the allocator's state, instead of faulting
+# in freshly mapped pages
+_BAND = 15_000
 
 
 def _worst_pair(vals):
     """(i, j, gap): the largest gap = vals[i + j] - vals[i] - vals[j] over
-    i <= j, i + j < len(vals), at its first pair in row-major order."""
-    counts, i, j, ij = _pair_triangle(vals.size)
-    best, at = -np.inf, 0
-    for r0, r1, lo, hi in _row_blocks(vals.size):
-        # vals[i] is constant along a row, and the tables hold only valid
-        # indices, so take need not check them
-        gaps = vals.take(ij[lo:hi], mode="clip")
-        gaps -= np.repeat(vals[r0:r1], counts[r0:r1])
-        gaps -= vals.take(j[lo:hi], mode="clip")
+    i <= j, i + j < n = len(vals), at its first pair in row-major order.
+    Row i is vals[2i:n] - vals[i] - vals[i:n - i]; rows go in bands as wide
+    as their first row, the shifted terms being windows of vals padded with
+    -inf and 0, so a gap past the end of a shorter row is -inf."""
+    n = vals.size
+    rows = (n + 1) // 2
+    sums = sliding_window_view(np.concatenate([vals, np.full(n, -np.inf)]), n)[:2 * rows:2]
+    lone = sliding_window_view(np.concatenate([vals, np.zeros(n)]), n)[:rows]
+    best, at = -np.inf, (0, 0)
+    r0 = 0
+    while r0 < rows:
+        w = n - 2 * r0
+        r1 = min(rows, r0 + max(1, _BAND // w))
+        gaps = sums[r0:r1, :w] - vals[r0:r1, None]
+        gaps -= lone[r0:r1, :w]
         k = int(np.argmax(gaps))
-        if gaps[k] > best:
-            best, at = float(gaps[k]), lo + k
-    return int(i[at]), int(j[at]), best
+        if gaps.flat[k] > best:
+            i = r0 + k // w
+            best, at = float(gaps.flat[k]), (i, i + k % w)
+        r0 = r1
+    return (*at, best)
 
 
 def _check_om_sub(w, grid):

@@ -43,8 +43,9 @@ __all__ = [
 _Y_SAMPLES = 2001
 _ZOOM_POINTS = 33
 _ZOOM_ROUNDS = 6
-# x values per block, so the x-by-y sample matrix stays a few MB
-_X_BLOCK = 256
+# x values per block, so the x-by-y sample matrix stays at 1 MB (a 201-point
+# request in one block raised a process's peak RSS by 4 MB)
+_X_BLOCK = 64
 
 
 @dataclass

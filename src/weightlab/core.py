@@ -9,6 +9,7 @@ dilated or normalized profile carries its own corners as its `profile`.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
@@ -61,10 +62,13 @@ class GridSpec:
         if self.spacing == "logarithmic" and self.t_min <= 0:
             raise ValidationFailed("logarithmic spacing needs t_min > 0")
 
+    @functools.lru_cache(maxsize=32)
     def points(self) -> np.ndarray:
-        if self.spacing == "linear":
-            return np.linspace(self.t_min, self.t_max, self.n_points)
-        return np.geomspace(self.t_min, self.t_max, self.n_points)
+        """The grid's points, computed once per process and read-only."""
+        space = np.linspace if self.spacing == "linear" else np.geomspace
+        pts = space(self.t_min, self.t_max, self.n_points)
+        pts.flags.writeable = False
+        return pts
 
     def decades(self):
         """Split grid points into per-decade chunks (for trend tests)."""

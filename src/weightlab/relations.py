@@ -48,6 +48,7 @@ DEFAULT_ELL_GRID = tuple(2.0 ** k for k in range(-6, 7))
 _EXTENDED_ELL_GRID = tuple(2.0 ** k for k in range(-12, 13))
 _C_GRID = 2.0 ** np.arange(41)
 _EPS_GRID = (1.0, 0.5, 0.1, 0.01)
+_C1_GRID = [2.0 ** k for k in range(13)]
 
 # the relation ids `compare` and `matrix_relation` accept
 RELATIONS = ("le", "preceq", "sim", "triangle", "preceq_c", "sim_c", "triangle_c")
@@ -133,20 +134,11 @@ class WeightMatrix:
 
     def verify_pointwise_order(self, ell_grid=DEFAULT_ELL_GRID, grid=DEFAULT_GRID):
         tg = grid.points()
-        ells = sorted(self.indices(ell_grid))
-        try:
-            rows = self._rows(ells, tg)
-        except WeightlabError:
-            # read row by row: the pairs below the first row that cannot be
-            # read are checked before its error is raised
-            rows = []
-            for l in ells:
-                try:
-                    rows.append(self._rows([l], tg)[0])
-                except WeightlabError:
-                    _check_order(tg, rows)
-                    raise
+        # the pairs below a row that cannot be read are checked first
+        rows, err = _Rows(self._rows, tg).block(sorted(self.indices(ell_grid)))
         _check_order(tg, rows)
+        if err is not None:
+            raise err
 
 
 def _check_index(ell):
@@ -161,7 +153,6 @@ def _check_order(tg, rows):
     where the lower row exceeds the upper one beyond its tolerance."""
     if len(rows) < 2:
         return
-    rows = np.asarray(rows)
     upper = rows[1:]
     tol = 1e-9 * (1.0 + np.abs(upper).max(axis=1))
     bad = rows[:-1] > upper + tol[:, None]
@@ -169,6 +160,48 @@ def _check_order(tg, rows):
     if pairs.any():
         k = int(np.argmax(bad[np.argmax(pairs)]))
         raise ValidationFailed(f"matrix order violated at t={tg[k]:g} between indices")
+
+
+class _Rows:
+    """The rows of a matrix on one argument grid, each read at most once,
+    in blocks by `read(ells, args)` (`WeightMatrix._rows`); a block read is
+    kept whole, so asking for the same indices again copies nothing.  A
+    block that cannot be read is read again row by row, in order, up to
+    the first row that cannot be read, whose error is kept."""
+
+    def __init__(self, read, args):
+        self.read, self.args = read, args
+        self.rows, self.blocks = {}, {}
+
+    def block(self, ells):
+        """(rows, error): the rows of `ells` stacked, and None; or, if one
+        cannot be read, the rows before the first such row and its error."""
+        key = tuple(ells)
+        if key in self.blocks:
+            return self.blocks[key], None
+        missing = list(dict.fromkeys(l for l in key if l not in self.rows))
+        if missing:
+            try:
+                block = self.read(missing, self.args)
+            except WeightlabError:
+                return self._prefix(key)
+            self.blocks[tuple(missing)] = block
+            self.rows.update(zip(missing, block))
+            if len(missing) == len(key):
+                return block, None
+        return np.stack([self.rows[l] for l in key]), None
+
+    def _prefix(self, key):
+        """(rows, error) of `key`, its rows read one at a time."""
+        got = []
+        for l in key:
+            if l not in self.rows:
+                try:
+                    self.rows[l] = self.read([l], self.args)[0]
+                except WeightlabError as exc:
+                    return np.reshape(got, (len(got), np.size(self.args))), exc
+            got.append(self.rows[l])
+        return np.stack(got), None
 
 
 @dataclass(frozen=True)
@@ -253,9 +286,9 @@ class _Gaps:
         return inconclusive(margin=peak, notes=f"{what} trend undecided at horizon")
 
 
-def _bounded_gap(tg, d, what="gap", edges=None):
+def _bounded_gap(tg, d, what="gap"):
     """Verdict on sup d < oo from the decade trend of d."""
-    return _Gaps(tg, d[None], edges, what).verdict(0)
+    return _Gaps(tg, d[None], what=what).verdict(0)
 
 
 def _affine_dom(tg, s, t):
@@ -330,37 +363,44 @@ def _relation(sigma, tau, rel, tg, s, t) -> Verdict:
         return _dilation_dom(sigma, tg, s, t)
 
     if rel == "triangle_c":
-        parts, edges = {}, _decade_edges(tg)
-        for eps in _EPS_GRID:
-            d = t - (s if eps == 1.0 else np.asarray(sigma.evaluate(eps * tg)))
-            parts[f"eps={eps}"] = _bounded_gap(tg, d, edges=edges)
-        return conjunction(parts)
+        block, err = _dilations(sigma, tg, s).block(_EPS_GRID)
+        # a grid of too few decades raises here, before any row's error
+        gaps = _Gaps(tg, t - block, _decade_edges(tg))
+        if err is not None:
+            raise err
+        return conjunction({f"eps={eps}": gaps.verdict(i) for i, eps in enumerate(_EPS_GRID)})
 
     raise ValueError(f"unknown relation {rel!r}")
 
 
+def _dilations(sigma, tg, s):
+    """The rows sigma(C tg) of sigma's dilatation matrix, the row C = 1 being
+    s = sigma(tg); a row that cannot be read keeps sigma's own error."""
+    rows = _Rows(lambda cs, args: sigma.evaluate(np.multiply.outer(cs, args)), tg)
+    rows.rows[1.0] = s
+    return rows
+
+
 def _dilation_dom(sigma, tg, s, t):
-    """tau(t) <= sigma(C1 t) + C2 for some C1, C2; s = sigma(tg), t = tau(tg)."""
-    last_peak = prev_peak = None
-    edges = _decade_edges(tg)
-    for k in range(0, 13):
-        C1 = 2.0 ** k
-        d = t - (s if k == 0 else np.asarray(sigma.evaluate(C1 * tg)))
-        v = _bounded_gap(tg, d, edges=edges)
-        if v.holds:
-            return holds({"C1": C1, "C2": v.certificate["C"]},
-                         margin=v.margin)
-        prev_peak, last_peak = last_peak, float(np.max(d))
+    """tau(t) <= sigma(C1 t) + C2 for some C1, C2; s = sigma(tg), t = tau(tg).
+    The factors C1 = 1, 2, 4, ..., 2^12 are tested in chunks, as a partner
+    search tests its candidates, and the first that holds is kept."""
+    for chunk, gaps in _gap_chunks(tg, _decade_edges(tg), t, _C1_GRID,
+                                   _dilations(sigma, tg, s), np.subtract, 1):
+        hits = np.flatnonzero(gaps.held)
+        if hits.size:
+            v = gaps.verdict(hits[0])
+            return holds({"C1": chunk[hits[0]], "C2": v.certificate["C"]}, margin=v.margin)
     # dilation-insensitive divergence: doubling C1 no longer helps, and the
-    # gap still grows between decades — certifies failure
-    # (d and v are still those of the last factor, 2^12)
-    if prev_peak is not None and last_peak > 0 \
-            and abs(prev_peak - last_peak) <= 0.1 * abs(last_peak):
-        if v.fails:
-            k = int(np.argmax(d))
-            return fails({"t": float(tg[k]), "gap": float(d[k]),
-                          "C1_max": 2.0 ** 12},
-                         notes="gap diverges and is insensitive to further dilation")
+    # gap still grows between decades -- certifies failure (the last two
+    # rows are the factors 2^11 and 2^12)
+    prev_peak, last_peak = gaps.peak[-2:].tolist()
+    if last_peak > 0 and abs(prev_peak - last_peak) <= 0.1 * abs(last_peak) \
+            and gaps.verdict(-1).fails:
+        k = int(np.argmax(gaps.D[-1]))
+        return fails({"t": float(tg[k]), "gap": float(gaps.D[-1][k]),
+                      "C1_max": _C1_GRID[-1]},
+                     notes="gap diverges and is insensitive to further dilation")
     return inconclusive(notes="no dilation factor up to 2^12 certified")
 
 
@@ -424,60 +464,19 @@ def _any_holds(v1: Verdict, v2: Verdict) -> Verdict:
 # matrix-level relations
 # ---------------------------------------------------------------------------
 
-class _Rows:
-    """The rows of the matrix W on one argument grid, each read at most
-    once.  Rows are read in blocks (`WeightMatrix._rows`); a block read
-    is kept whole, so asking for the same indices again copies nothing."""
-
-    def __init__(self, W, args):
-        self.W, self.args = W, args
-        self.rows, self.blocks = {}, {}
-
-    def block(self, ells):
-        """The rows of `ells`, stacked; those not read yet are read with
-        one evaluation, which raises if any of them cannot be evaluated."""
-        key = tuple(ells)
-        if key in self.blocks:
-            return self.blocks[key]
-        missing = list(dict.fromkeys(l for l in key if l not in self.rows))
-        if missing:
-            block = self.W._rows(missing, self.args)
-            self.blocks[tuple(missing)] = block
-            self.rows.update(zip(missing, block))
-            if len(missing) == len(key):
-                return block
-        return np.stack([self.rows[l] for l in key])
-
-    def read_ahead(self, ells):
-        """Read the rows of `ells` if all of them can be evaluated; if not,
-        each raises only when asked for alone."""
-        try:
-            self.block(ells)
-        except WeightlabError:
-            pass
-
-    def __call__(self, ell):
-        if ell not in self.rows:
-            self.block([ell])
-        return self.rows[ell]
-
-
 def _gap_chunks(tg, edges, row, cands, rows, gap, size):
     """The bounded-gap rule on gap(row, rows(c)) for the candidates c, in
     chunks of `size` candidates that double from chunk to chunk: yields
-    each chunk with its _Gaps.  A chunk whose rows cannot be read as one
-    block is tested one candidate at a time, each row read when its test
-    comes, so only a row the caller goes on to reach raises."""
+    each chunk with its _Gaps.  Of a chunk with a row that cannot be read,
+    the candidates before that row are yielded, then its error is raised,
+    so only a row the caller goes on to reach raises."""
     i = 0
     while i < len(cands):
-        chunk = cands[i:i + size]
-        try:
-            block = rows.block(chunk)
-        except WeightlabError:
-            for c in chunk:
-                yield [c], _Gaps(tg, gap(row, rows(c))[None], edges)
-        else:
-            yield chunk, _Gaps(tg, gap(row, block), edges)
+        block, err = rows.block(cands[i:i + size])
+        if len(block):
+            yield cands[i:i + len(block)], _Gaps(tg, gap(row, block), edges)
+        if err is not None:
+            raise err
         i, size = i + size, 2 * size
 
 
@@ -485,21 +484,20 @@ def _partner_search(outer, cands, outer_rows, cand_rows, gap, tg):
     """For every o in `outer`, the first c in `cands(o)` whose
     gap(outer_rows(o), cand_rows(c)) is certified bounded on tg.
 
-    The outer rows are read ahead as one block.  The candidates of an
-    outer index are tested in chunks of 1, 2, 4, ..., one block of gaps
-    per chunk, and the first that holds is kept, as in a loop over them.
-    A block of rows that cannot be read is read again row by row, in that
-    loop's order and outer row first, so a row that cannot be evaluated
-    raises only once the search reaches it.  Returns ({o: (c, C)}, None,
-    None), or (None, o, v) for the first o without a partner, v being the
-    verdict on its last candidate (None if it had none).
+    The outer rows are read as one block.  The candidates of an outer
+    index are tested in chunks of 1, 2, 4, ..., one block of gaps per
+    chunk, and the first that holds is kept, as in a loop over them; a row
+    that cannot be read raises once that loop, outer row first, reaches it.
+    Returns ({o: (c, C)}, None, None), or (None, o, v) for the first o
+    without a partner, v being the verdict on its last candidate (None if
+    it had none).
     """
     edges = _decade_edges(tg)
     found = {}
-    outer_rows.read_ahead(outer)
-    for o in outer:
-        row, cs, last = outer_rows(o), list(cands(o)), None
-        for chunk, gaps in _gap_chunks(tg, edges, row, cs, cand_rows, gap, 1):
+    rows, err = outer_rows.block(outer)
+    for o, row in zip(outer, rows):
+        last = None
+        for chunk, gaps in _gap_chunks(tg, edges, row, list(cands(o)), cand_rows, gap, 1):
             hits = np.flatnonzero(gaps.held)
             if hits.size:
                 found[o] = (chunk[hits[0]], gaps.C(hits[0]))
@@ -507,6 +505,8 @@ def _partner_search(outer, cands, outer_rows, cand_rows, gap, tg):
             last = gaps
         else:
             return None, o, last and last.verdict(-1)
+    if err is not None:
+        raise err
     return found, None, None
 
 
@@ -518,19 +518,16 @@ def _every_pair(outer, cands, outer_rows, cand_rows, gap, tg):
     first pair in that order that does not hold, v being its verdict."""
     edges = _decade_edges(tg)
     found = {}
-    outer_rows.read_ahead(outer)
-    for o in outer:
-        row = outer_rows(o)
+    rows, err = outer_rows.block(outer)
+    for o, row in zip(outer, rows):
         for chunk, gaps in _gap_chunks(tg, edges, row, cands, cand_rows, gap, len(cands)):
             misses = np.flatnonzero(~gaps.held)
             if misses.size:
                 return None, (o, chunk[misses[0]]), gaps.verdict(misses[0])
             found.update(((o, c), (c, gaps.C(j))) for j, c in enumerate(chunk))
+    if err is not None:
+        raise err
     return found, None, None
-
-
-def _minus(a, b):
-    return a - b
 
 
 def _minus_from(a, b):
@@ -539,16 +536,19 @@ def _minus_from(a, b):
 
 def _matrix_search(S, T, rel, ell_grid, tg):
     """The partner search behind `rel`, on rows T minus rows S."""
-    tau, sig = _Rows(T, tg), _Rows(S, tg)
+    tau, sig = _Rows(T._rows, tg), _Rows(S._rows, tg)
     s_idx, t_idx = sorted(S.indices(ell_grid)), sorted(T.indices(ell_grid))
     if rel == "beurling":
         s_ext = sorted(S.indices(ell_grid, extended=True))
-        return _partner_search(t_idx, lambda ell: s_ext, tau, sig, _minus, tg)
+        return _partner_search(t_idx, lambda ell: s_ext, tau, sig, np.subtract, tg)
     if rel == "roumieu":
         t_ext = sorted(T.indices(ell_grid, extended=True))
-        tau(t_ext[0])   # pairs read T's row first: if both rows fail, T's error wins
+        # pairs read T's row first: if both rows fail, T's error wins
+        err = tau.block(t_ext[:1])[1]
+        if err is not None:
+            raise err
         return _partner_search(s_idx, lambda n: t_ext, sig, tau, _minus_from, tg)
-    return _every_pair(t_idx, s_idx, tau, sig, _minus, tg)
+    return _every_pair(t_idx, s_idx, tau, sig, np.subtract, tg)
 
 
 def _reduction(S, T, rel, grid):
@@ -570,7 +570,7 @@ def matrix_relation(S: WeightMatrix, T: WeightMatrix, rel: str,
     T.verify_pointwise_order(ell_grid, grid)
     # pair certificates are checked far beyond the reporting grid: a large
     # partner index can push the crossover point out by many decades
-    tg = np.geomspace(grid.t_min, grid.t_max * 1e6, 2 * grid.n_points)
+    tg = GridSpec(grid.t_min, grid.t_max * 1e6, 2 * grid.n_points).points()
 
     red, red_name = _reduction(S, T, rel, grid)
     found, binding, v = _matrix_search(S, T, rel, ell_grid, tg)
@@ -805,8 +805,8 @@ def mixed_doubling_search(S, T, outer, tg, ell_grid=DEFAULT_ELL_GRID):
     ell without a partner.
     """
     s_ext = sorted(S.indices(ell_grid, extended=True))
-    found, binding, _ = _partner_search(outer, lambda ell: s_ext, _Rows(T, 2 * tg),
-                                        _Rows(S, tg), _minus, tg)
+    found, binding, _ = _partner_search(outer, lambda ell: s_ext, _Rows(T._rows, 2 * tg),
+                                        _Rows(S._rows, tg), np.subtract, tg)
     if found is None:
         return None, binding
     return {ell: {"n": n, "L": L} for ell, (n, L) in found.items()}, None
@@ -821,8 +821,8 @@ def _mixed_om1(W, cond, ell_grid, tg):
             return inconclusive(notes=f"no partner index for ell={binding}")
     else:
         ext = sorted(W.indices(ell_grid, extended=True))
-        found, binding, _ = _partner_search(outer, lambda n: ext, _Rows(W, tg),
-                                            _Rows(W, 2 * tg), _minus_from, tg)
+        found, binding, _ = _partner_search(outer, lambda n: ext, _Rows(W._rows, tg),
+                                            _Rows(W._rows, 2 * tg), _minus_from, tg)
         if found is None:
             return inconclusive(notes=f"no partner index for n={binding}")
         index_map = {n: {"ell": ell, "L": L} for n, (ell, L) in found.items()}
@@ -841,7 +841,7 @@ def _weak_om1(W, cond, ell_grid, tg):
 
     outer = sorted(W.indices(ell_grid))
     ext = sorted(W.indices(ell_grid, extended=True))
-    at_t, at_t1 = _Rows(W, tg), _Rows(W, tg + 1.0)
+    at_t, at_t1 = _Rows(W._rows, tg), _Rows(W._rows, tg + 1.0)
     if cond == "weakom1":
         # given = ell on the right-hand side; search the smaller ell1
         def cands(given):
@@ -856,7 +856,7 @@ def _weak_om1(W, cond, ell_grid, tg):
         # given = ell1 on the left; search the larger ell
         found, binding, _ = _partner_search(
             outer, lambda given: [c for c in ext if c >= given], at_t1, at_t,
-            _minus, tg)
+            np.subtract, tg)
         partner, missing = "ell", "no larger partner for ell1"
     if found is None:
         return inconclusive(notes=f"{missing}={binding}")
@@ -879,7 +879,7 @@ def _strong_different_growth(W, ell_grid, tg, grid):
         reduction = conditions.check_condition(W.base, "om3", grid)
 
     log1t = np.log1p(tg)
-    rows = _Rows(W, tg)
+    rows = _Rows(W._rows, tg)
     ext = sorted(W.indices(ell_grid, extended=True))
     for a in (1.5, 2.0):
         # need the gap bounded above: b = -sup gap

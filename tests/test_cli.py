@@ -248,6 +248,30 @@ def test_kappa_values_are_json_objects(weight_file, tmp_path):
     assert k["value"] == pytest.approx(4.0, rel=1e-6)  # 2 sqrt(y) for t^(1/2)
 
 
+@pytest.mark.parametrize("argv,key", [
+    (["kappa", "--weight", "W", "--y", "1.0000001,1.0000002,4"], "1"),
+    (["kappa", "--weight", "W", "--y", "4,1,4"], "4"),
+    (["matrix", "--weight", "W", "--ell", "1.0000001,1.0000002"], "1"),
+    (["matrix", "--weight", "W", "--ell", "0.5,2,0.50000001"], "0.5"),
+])
+def test_values_that_share_a_report_key_are_refused(argv, key, weight_file, capsys):
+    # the report keys values by f"{v:g}", so it would keep only one of them
+    assert cli.run([weight_file if a == "W" else a for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: two {argv[3]} values share the report key {key!r}\n"
+
+
+def test_values_with_distinct_report_keys_are_all_reported(weight_file, tmp_path):
+    out = tmp_path / "k.json"
+    assert cli.run(["kappa", "--weight", weight_file, "--y", "1.00001,1.00002,4",
+                    "--out", str(out)]) == 0
+    assert sorted(_load(out)["results"]["kappa"]) == ["1.00001", "1.00002", "4"]
+    assert cli.run(["matrix", "--weight", weight_file, "--ell", "0.5,2",
+                    "--out", str(out)]) == 0
+    assert sorted(_load(out)["results"]["log_matrix"]) == ["0.5", "2"]
+
+
 def test_unknown_report_content_is_refused():
     with pytest.raises(TypeError):
         to_json({"x": object()})

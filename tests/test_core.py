@@ -103,6 +103,19 @@ def test_gridspec():
         GridSpec(5.0, 1.0)
 
 
+@pytest.mark.parametrize("spec,space", [
+    ((1e-2, 1e6, 600), np.geomspace), ((1e-2, 1e12, 1200), np.geomspace),
+    ((0.0, 2048.0, 512, "linear"), np.linspace), ((1.0, 3.0, 7, "linear"), np.linspace),
+])
+def test_grid_points_are_built_once_and_read_only(spec, space):
+    pts = GridSpec(*spec).points()
+    assert pts.tobytes() == space(*spec[:3]).tobytes()
+    assert not pts.flags.writeable
+    with pytest.raises(ValueError):
+        pts[0] = 1.0
+    assert GridSpec(*spec).points() is pts
+
+
 @pytest.mark.parametrize("w", [
     Power(0.5), Gevrey(3.0), Log(), LogPower(2.0), Exp(),
     Scaled(2.0, Power(1.0)), Dilated(0.5, Log()), Normalized(Log()),

@@ -161,7 +161,7 @@ def test_each_row_is_evaluated_at_most_once(monkeypatch):
 
     def counting(self, ells, args):
         for ell in ells:
-            seen[repr(self), ell, np.asarray(args, dtype=float).tobytes()] += 1
+            seen[id(self), ell, np.asarray(args, dtype=float).tobytes()] += 1
         return read(self, ells, args)
 
     monkeypatch.setattr(WeightMatrix, "_rows", counting)

@@ -1,5 +1,5 @@
-"""The numeric subadditivity scan: the pair triangle, pinned verdicts and
-the witness kept across a horizon error."""
+"""The numeric subadditivity scan: the banded pair triangle, pinned
+verdicts and the witness kept across a horizon error."""
 
 import hashlib
 import json
@@ -111,15 +111,13 @@ def test_the_triangle_scan_matches_the_masked_matrix(vals):
     assert conditions._worst_pair(vals) == _masked_scan(vals)
 
 
-def test_the_triangle_tables_cover_the_valid_pairs_in_row_major_order():
-    n = 512
-    counts, i, j, ij = conditions._pair_triangle(n)
-    idx = np.arange(n)
-    pairs = (idx[:, None] + idx[None, :] < n) & (idx[:, None] <= idx[None, :])
-    assert i.size == 65_792
-    np.testing.assert_array_equal(i * n + j, np.flatnonzero(pairs))
-    np.testing.assert_array_equal(ij, i + j)
-    np.testing.assert_array_equal(np.repeat(np.arange(counts.size), counts), i)
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 511, 512])
+def test_the_banded_scan_matches_the_masked_matrix_at_fixed_sizes(n):
+    x = np.linspace(0.0, 64.0, n)
+    rng = np.random.default_rng(n)
+    for vals in (rng.normal(size=n), np.sqrt(x), x ** 2, np.floor(x / 3.0),
+                 rng.integers(0, 3, n).astype(float)):
+        assert conditions._worst_pair(vals) == _masked_scan(vals)
 
 
 # --------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""One sha256 per op of a library workload, to show which results a change alters.
+"""One sha256 per op of a workload, to show which results a change alters.
 
     python3 tools/op_digests.py --workload lib-numeric --seed 11 > change.txt
     python3 tools/op_digests.py --workload lib-numeric --seed 11 \\
@@ -13,6 +13,12 @@ or of the error's type name and message when the call raises.  ``--src``
 names the directory whose ``weightlab`` package is imported, this
 checkout's ``src`` by default, so one copy of the tool and of ``wlbench``
 can digest two revisions of the library.
+
+On ``cli-cold`` each op runs ``cli.run`` in this process
+(``wlbench.libops.run_cli_in_process``), on weight files that
+``wlbench.worker.write_weight_files`` writes into a temporary directory;
+the line names the subcommand, and the digest is that of the exit code
+and the stdout.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ import argparse
 import hashlib
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -33,10 +40,24 @@ def result_json(result):
     return json.dumps(doc, sort_keys=True)
 
 
+def cli_digests(spec):
+    """(op id, subcommand, sha256 of the exit code and stdout) per CLI op."""
+    from wlbench import libops, worker
+    with tempfile.TemporaryDirectory() as tmp:
+        files = worker.write_weight_files(spec, Path(tmp))
+        for op in spec["ops"]:
+            code, out, _ = libops.run_cli_in_process(worker.resolve_argv(op["argv"], files))
+            text = f"{code}\n{out}"
+            yield op["id"], op["argv"][0], hashlib.sha256(text.encode()).hexdigest()
+
+
 def digests(workload: str, seed: int):
     """(op id, call, sha256) for every op of the workload, in run order."""
     from wlbench import libops, workloads
     spec = workloads.generate(workload, seed)
+    if workload == "cli-cold":
+        yield from cli_digests(spec)
+        return
     inputs = libops.Inputs(spec)
     for op in spec["ops"]:
         try:
@@ -48,7 +69,8 @@ def digests(workload: str, seed: int):
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--workload", required=True, choices=("lib-numeric", "lib-families"))
+    ap.add_argument("--workload", required=True,
+                    choices=("cli-cold", "lib-numeric", "lib-families"))
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--src", default=str(ROOT / "src"),
                     help="directory holding the weightlab package to digest")
