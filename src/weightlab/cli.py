@@ -10,7 +10,6 @@ CSV tables with --emit csv.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -18,7 +17,7 @@ import sys
 
 import numpy as np
 
-from . import conditions, conjugate, core, counterexample, growth, lpspace, relations
+from . import core
 from .errors import JHorizonTooSmall, ValidationFailed, WeightlabError
 from .verdict import to_json
 
@@ -53,6 +52,8 @@ def _write_report(report, args):
 
 def emit_plot_data(report, out_dir="."):
     """One CSV per sampled curve in the report; returns written paths."""
+    import csv
+
     paths = []
     curves = report.get("curves", {})
     for name in sorted(curves):
@@ -75,19 +76,19 @@ def _load_weight(path):
 def _grid_from(args):
     if args.horizon is not None:
         return core.GridSpec(1e-2, args.horizon, 600)
-    return conditions.DEFAULT_GRID
+    return core.DEFAULT_GRID
 
 
 _CERTIFICATES = ("verify", "nonconvexity", "slowvar", "nonequivalence", "om4")
 
-_MATRIX_KINDS = {"exp": relations.WeightMatrix.exponential,
-                 "exponential": relations.WeightMatrix.exponential,
-                 "dil": relations.WeightMatrix.dilatation,
-                 "dilatation": relations.WeightMatrix.dilatation}
+_MATRIX_KINDS = {"exp": "exponential", "exponential": "exponential",
+                 "dil": "dilatation", "dilatation": "dilatation"}
 
 
 def _matrix_from(kind, w):
-    return _MATRIX_KINDS[kind](w)
+    from .relations import WeightMatrix
+
+    return getattr(WeightMatrix, _MATRIX_KINDS[kind])(w)
 
 
 def _keys(values, flag):
@@ -104,6 +105,8 @@ def _keys(values, flag):
 # ---------------------------------------------------------------------------
 
 def _cmd_analyze(args):
+    from . import conditions
+
     w = _load_weight(args.weight)
     grid = _grid_from(args)
     conds = (conditions.CONDITION_IDS if args.conditions in (None, "all")
@@ -114,12 +117,16 @@ def _cmd_analyze(args):
 
 
 def _cmd_classify(args):
+    from . import conditions
+
     w = _load_weight(args.weight)
     return {"classification": conditions.classify(w, _grid_from(args)),
             "weight": w.to_json_dict()}
 
 
 def _cmd_conjugate(args):
+    from . import conjugate
+
     w = _load_weight(args.weight)
     prof = conjugate.young_conjugate(w, args.xmax)
     xs = np.linspace(0.0, min(args.xmax, prof.slope_cap), 201)
@@ -131,6 +138,8 @@ def _cmd_conjugate(args):
 
 
 def _cmd_matrix(args):
+    from . import conjugate
+
     w = _load_weight(args.weight)
     table = {}
     for key, ell in zip(_keys(args.ell, "--ell"), args.ell):
@@ -141,6 +150,8 @@ def _cmd_matrix(args):
 
 
 def _cmd_index(args):
+    from . import growth
+
     w = _load_weight(args.weight)
     T = args.horizon if args.horizon is not None else 1e8
     est = growth.growth_index(w, gamma_grid=args.gammas, T=T)
@@ -148,6 +159,8 @@ def _cmd_index(args):
 
 
 def _cmd_kappa(args):
+    from . import growth
+
     w = _load_weight(args.weight)
     T = args.horizon if args.horizon is not None else 1e6
     vals = dict(zip(_keys(args.y, "--y"), growth.kappa(w, args.y, T)))
@@ -157,6 +170,8 @@ def _cmd_kappa(args):
 
 
 def _cmd_compare(args):
+    from . import relations
+
     sigma = _load_weight(args.sigma)
     tau = _load_weight(args.tau)
     grid = _grid_from(args)
@@ -166,6 +181,8 @@ def _cmd_compare(args):
 
 
 def _cmd_matrix_compare(args):
+    from . import relations
+
     S = _matrix_from(args.s_type, _load_weight(args.s_weight))
     T = _matrix_from(args.t_type, _load_weight(args.t_weight))
     return {"matrix_compare": {r: relations.matrix_relation(S, T, r)
@@ -173,6 +190,8 @@ def _cmd_matrix_compare(args):
 
 
 def _cmd_lp_experiment(args):
+    from . import lpspace
+
     S = _matrix_from(args.s_type, _load_weight(args.s))
     T = _matrix_from(args.t_type, _load_weight(args.t))
     rep = lpspace.inclusion_experiment(S, T, args.p, kind=args.type)
@@ -180,6 +199,8 @@ def _cmd_lp_experiment(args):
 
 
 def _cmd_counterexample(args):
+    from . import conditions, counterexample
+
     J, t1 = args.J, args.t1
     delta = counterexample.default_delta(J)
     if args.delta != "default":
@@ -223,6 +244,8 @@ def _cmd_counterexample(args):
 
 
 def _cmd_report(args):
+    from . import conditions, growth
+
     w = _load_weight(args.weight)
     grid = _grid_from(args)
     out = {"classification": conditions.classify(w, grid),
@@ -277,6 +300,16 @@ def _names(choices):
             raise ValueError(text)
         return names
     return _arg_type(parse, "comma-separated names from " + ", ".join(choices))
+
+
+def _relation_names(ids):
+    """_names over the id tuple `ids` of `relations`, read only when the
+    type runs, so building the parser loads no relations."""
+    def convert(text):
+        from . import relations
+
+        return _names(getattr(relations, ids))(text)
+    return convert
 
 
 def _finite(text):
@@ -359,7 +392,7 @@ def _build_parser(defaults=None):
     p = sub.add_parser("compare")
     p.add_argument("--sigma", required=True)
     p.add_argument("--tau", required=True)
-    p.add_argument("--rel", type=_names(relations.RELATIONS), default="preceq")
+    p.add_argument("--rel", type=_relation_names("RELATIONS"), default="preceq")
     common(p, horizon=True)
 
     p = sub.add_parser("matrix-compare")
@@ -367,7 +400,7 @@ def _build_parser(defaults=None):
     p.add_argument("--s-weight", required=True)
     p.add_argument("--t-type", choices=_MATRIX_KINDS, default="exp")
     p.add_argument("--t-weight", required=True)
-    p.add_argument("--rel", type=_names(relations.MATRIX_RELATIONS), default="beurling")
+    p.add_argument("--rel", type=_relation_names("MATRIX_RELATIONS"), default="beurling")
     common(p)
 
     p = sub.add_parser("lp-experiment")

@@ -31,8 +31,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import growth
-from .core import (Associated, Dilated, Exp, GridSpec, Log, LogPower, Normalized, Power,
-                   Scaled, WeightFunction)
+from .core import (DEFAULT_GRID, Associated, Dilated, Exp, GridSpec, Log, LogPower,
+                   Normalized, Power, Scaled, WeightFunction)
 from .errors import (ChainViolation, HorizonTooSmall, NonFinite, NotMonotone,
                      UnknownCondition, WeightlabError)
 from .verdict import Verdict, conjunction, fails, holds, inconclusive, report_dict
@@ -52,8 +52,6 @@ CONDITION_IDS = (
     "om_nq", "om_snq", "om_sub", "alpha0",
     "normalized", "nondecreasing", "unbounded_limit",
 )
-
-DEFAULT_GRID = GridSpec(1e-2, 1e6, 600)
 
 # the asymptotic conditions: each needs a grid spanning decades, and each
 # is invariant under passing to an equivalent weight

@@ -22,6 +22,7 @@ from .verdict import report_dict
 
 __all__ = [
     "GridSpec",
+    "DEFAULT_GRID",
     "WeightFunction",
     "Power",
     "Gevrey",
@@ -83,6 +84,10 @@ class GridSpec:
         return chunks
 
     describe = report_dict
+
+
+# the grid the condition checks and the scalar relations sample by default
+DEFAULT_GRID = GridSpec(1e-2, 1e6, 600)
 
 
 def _as_array(t):

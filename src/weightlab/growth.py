@@ -48,17 +48,44 @@ _C_GRID = 2.0 ** np.arange(0, 41)
 # its gap to the one-piece rule the panel's error estimate.  The one-piece
 # rule has nodes at the panel ends, so a kink closer to an end than any
 # Gauss node, which both halves' rules would miss alike, still shows.
+#
+# The nodes and weights on [-1, 1] are numpy.polynomial.legendre's, written
+# out so that no call loads numpy.polynomial: leggauss(15), and the ends
+# with the roots of the derivative of Legendre.basis(14), weighted by
+# 2 / (15 * 14 * P_14(x)^2).  A test checks them bit for bit.
 _GL_N = 15
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(_GL_N)
-_LOB_P = np.polynomial.legendre.Legendre.basis(_GL_N - 1)
-_LOB_X = np.concatenate([[-1.0], np.sort(_LOB_P.deriv().roots().real), [1.0]])
-_LOB_W = 2.0 / (_GL_N * (_GL_N - 1) * _LOB_P(_LOB_X) ** 2)
-_GL_X, _GL_W = (_GL_X + 1.0) / 2.0, _GL_W / 2.0
-_NODES = np.concatenate([(_LOB_X + 1.0) / 2.0, _GL_X / 2.0, (_GL_X + 1.0) / 2.0])
+_GL_X = (
+    -0.9879925180204854, -0.9372733924007058, -0.8482065834104272, -0.7244177313601701,
+    -0.5709721726085388, -0.3941513470775634, -0.20119409399743451, 0.0,
+    0.20119409399743451, 0.3941513470775634, 0.5709721726085388, 0.7244177313601701,
+    0.8482065834104272, 0.9372733924007058, 0.9879925180204854,
+)
+_GL_W = (
+    0.030753241996117203, 0.0703660474881084, 0.10715922046717141, 0.13957067792615444,
+    0.16626920581699398, 0.1861610000155622, 0.1984314853271116, 0.2025782419255613,
+    0.1984314853271116, 0.1861610000155622, 0.16626920581699398, 0.13957067792615444,
+    0.10715922046717141, 0.0703660474881084, 0.030753241996117203,
+)
+_LOB_X = (
+    -1.0, -0.9652459265038373, -0.8850820442229768, -0.7635196899518134,
+    -0.6062532054698461, -0.42063805471367227, -0.21535395536379454,
+    -6.788974810402844e-17, 0.21535395536379376, 0.4206380547136721,
+    0.6062532054698454, 0.7635196899518158, 0.8850820442229755, 0.9652459265038382,
+    1.0,
+)
+_LOB_W = (
+    0.009523809523809514, 0.05802989302860125, 0.10166007032571812, 0.1405116998024281,
+    0.17278964725360088, 0.19698723596461332, 0.21197358592682092, 0.21704811634881566,
+    0.21197358592682083, 0.19698723596461332, 0.17278964725360085, 0.1405116998024282,
+    0.10166007032571801, 0.058029893028601384, 0.009523809523809514,
+)
+_GL_01 = (np.asarray(_GL_X) + 1.0) / 2.0
+_NODES = np.concatenate([(np.asarray(_LOB_X) + 1.0) / 2.0, _GL_01 / 2.0,
+                         (_GL_01 + 1.0) / 2.0])
 _RULES = np.zeros((3 * _GL_N, 3))
-_RULES[:_GL_N, 0] = _LOB_W / 2.0
-_RULES[_GL_N:2 * _GL_N, 1] = _GL_W / 2.0
-_RULES[2 * _GL_N:, 2] = _GL_W / 2.0
+_RULES[:_GL_N, 0] = np.asarray(_LOB_W) / 2.0
+_RULES[_GL_N:2 * _GL_N, 1] = np.asarray(_GL_W) / 4.0
+_RULES[2 * _GL_N:, 2] = np.asarray(_GL_W) / 4.0
 # a panel whose error estimate is at rounding level is not split further
 _ROUNDOFF = 50.0 * np.finfo(float).eps
 _MAX_PANELS = 4000

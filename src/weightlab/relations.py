@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dilated, Exp, GridSpec, Scaled, WeightFunction
-from .errors import (BridgeViolation, HorizonTooSmall, IndexSearchExhausted,
+from .core import DEFAULT_GRID, Dilated, Exp, GridSpec, Scaled, WeightFunction
+from .errors import (BridgeViolation, EmptyInput, HorizonTooSmall, IndexSearchExhausted,
                      NonFinite, NotMonotone, ValidationFailed, WeightlabError)
 from .verdict import Verdict, conjunction, fails, holds, inconclusive, report_dict, to_json
 
@@ -43,7 +43,6 @@ __all__ = [
     "matrix_condition",
 ]
 
-DEFAULT_GRID = GridSpec(1e-2, 1e6, 600)
 DEFAULT_ELL_GRID = tuple(2.0 ** k for k in range(-6, 7))
 _EXTENDED_ELL_GRID = tuple(2.0 ** k for k in range(-12, 13))
 _C_GRID = 2.0 ** np.arange(41)
@@ -167,18 +166,23 @@ class _Rows:
     in blocks by `read(ells, args)` (`WeightMatrix._rows`); a block read is
     kept whole, so asking for the same indices again copies nothing.  A
     block that cannot be read is read again row by row, in order, up to
-    the first row that cannot be read, whose error is kept."""
+    the first row that cannot be read, whose error is kept: that row is
+    not read again, nor is a block that holds it."""
 
     def __init__(self, read, args):
         self.read, self.args = read, args
-        self.rows, self.blocks = {}, {}
+        self.rows, self.blocks, self.errors = {}, {}, {}
 
     def block(self, ells):
         """(rows, error): the rows of `ells` stacked, and None; or, if one
         cannot be read, the rows before the first such row and its error."""
         key = tuple(ells)
+        if not key:
+            raise EmptyInput("no matrix indices to read")
         if key in self.blocks:
             return self.blocks[key], None
+        if not self.errors.keys().isdisjoint(key):
+            return self._prefix(key)
         missing = list(dict.fromkeys(l for l in key if l not in self.rows))
         if missing:
             try:
@@ -195,11 +199,13 @@ class _Rows:
         """(rows, error) of `key`, its rows read one at a time."""
         got = []
         for l in key:
-            if l not in self.rows:
+            if l not in self.rows and l not in self.errors:
                 try:
                     self.rows[l] = self.read([l], self.args)[0]
                 except WeightlabError as exc:
-                    return np.reshape(got, (len(got), np.size(self.args))), exc
+                    self.errors[l] = exc
+            if l in self.errors:
+                return np.reshape(got, (len(got), np.size(self.args))), self.errors[l]
             got.append(self.rows[l])
         return np.stack(got), None
 

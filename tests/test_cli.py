@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -334,3 +337,57 @@ def test_config_numbers_are_read_like_the_command_line(tmp_path):
     assert cli.run(["counterexample", "--config", str(cfg), "--out", str(out)]) == 0
     assert _load(out)["results"]["parameters"] == {
         "J": 12, "A_max": 4.0, "delta": "power:0.5", "t1": 0.5}
+
+
+# --------------------------------------------------------------------------
+# what a cold call loads
+# --------------------------------------------------------------------------
+
+# runs the CLI as `python -m weightlab.cli` does, then prints its exit code
+# and the modules it loaded
+_RUN_AS_MAIN = """
+import json, runpy, sys
+try:
+    runpy.run_module("weightlab.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    print(json.dumps({"code": exc.code, "modules": sorted(sys.modules)}))
+"""
+_UNNEEDED = ("weightlab.relations", "weightlab.lpspace", "weightlab.counterexample",
+             "weightlab.conjugate", "numpy.polynomial")
+
+
+def _python(*args):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("argv,loaded,unloaded", [
+    (["classify"], {"weightlab.conditions"}, _UNNEEDED),
+    (["analyze", "--conditions", "om1"], {"weightlab.conditions"}, _UNNEEDED),
+    (["compare", "--rel", "preceq"], {"weightlab.relations"},
+     ("weightlab.lpspace", "numpy.polynomial")),
+], ids=["classify", "analyze", "compare"])
+def test_a_cold_call_loads_only_the_modules_it_runs(argv, loaded, unloaded, weight_file,
+                                                    log_file, tmp_path):
+    files = (["--sigma", weight_file, "--tau", log_file] if argv[0] == "compare"
+             else ["--weight", weight_file])
+    p = _python("-c", _RUN_AS_MAIN, *argv, *files, "--out", str(tmp_path / "r.json"))
+    assert p.stderr == ""
+    done = json.loads(p.stdout)
+    assert done["code"] == 0
+    modules = set(done["modules"])
+    assert loaded <= modules
+    assert not {m for m in modules if m.startswith(unloaded)}
+
+
+def test_the_package_loads_its_modules_on_first_use():
+    p = _python("-c", (
+        "import sys, weightlab\n"
+        "assert 'weightlab.relations' not in sys.modules\n"
+        "assert 'preceq' in weightlab.relations.RELATIONS\n"
+        "assert {'relations', 'lpspace', 'Power', 'load_weight'} <= set(dir(weightlab))\n"
+        "from weightlab import *\n"
+        "assert all(name in globals() for name in weightlab.__all__)\n"
+        "assert lpspace.inclusion_experiment and conditions.classify\n"))
+    assert (p.returncode, p.stderr) == (0, "")

@@ -9,6 +9,17 @@ from weightlab.errors import (HorizonTooSmall, NonFinite, NotMonotone,
                               QuadratureFailure, ValidationFailed)
 
 
+def test_quadrature_nodes_are_numpys_bit_for_bit():
+    legendre = np.polynomial.legendre
+    x, w = legendre.leggauss(15)
+    p = legendre.Legendre.basis(14)
+    lob_x = np.concatenate([[-1.0], np.sort(p.deriv().roots().real), [1.0]])
+    lob_w = 2.0 / (15 * 14 * p(lob_x) ** 2)
+    for literal, computed in ((growth._GL_X, x), (growth._GL_W, w),
+                              (growth._LOB_X, lob_x), (growth._LOB_W, lob_w)):
+        assert np.asarray(literal).tobytes() == computed.tobytes()
+
+
 def test_kappa_sqrt_oracle():
     # integral of (y t)^{1/2} / t^2 over [1, inf) equals 2 sqrt(y)
     for y in (1.0, 4.0, 100.0):

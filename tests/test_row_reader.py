@@ -1,12 +1,14 @@
 """The row reader: compare's dilation relations, and the rule that a row
 which cannot be read raises only where a loop over the rows reaches it."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from weightlab import (Dilated, Exp, GridSpec, Log, LogPower, PiecewiseLogLinear, Power,
                        Scaled, WeightFunction, load_weight, relations)
-from weightlab.errors import IndexSearchExhausted, WeightlabError
+from weightlab.errors import EmptyInput, IndexSearchExhausted, WeightlabError
 from weightlab.relations import DEFAULT_ELL_GRID, DEFAULT_GRID, RelationVerdict, WeightMatrix
 from weightlab.verdict import conjunction, fails, holds, inconclusive
 
@@ -281,3 +283,39 @@ def test_the_failing_rows_are_reached():
                 for S, T in ((_failing_from(k, _BAD[bad]), _GOOD),
                              (_GOOD, _failing_from(k, _BAD[bad])))}
     assert {"ok", "NonFinite", "HorizonTooSmall"} <= outcomes
+
+
+def test_a_row_that_cannot_be_read_is_read_once(monkeypatch):
+    # S rows n >= 2^11 overflow on the search grid; every outer index whose
+    # candidate chunk holds 2^11 gets that row's error without a read
+    reads = Counter()
+    read = WeightMatrix._rows
+
+    def counted(W, ells, args):
+        reads[id(W), tuple(ells), args.size, float(args[-1])] += 1
+        return read(W, ells, args)
+
+    monkeypatch.setattr(WeightMatrix, "_rows", counted)
+    base = Power(25.42)
+    rv = relations.matrix_relation(WeightMatrix.exponential(base),
+                                   WeightMatrix.exponential(Scaled(16.0, base)), "beurling")
+    assert rv.holds
+    assert {ell: v["n"] for ell, v in rv.index_map.items()} == {
+        ell: 16 * ell for ell in DEFAULT_ELL_GRID}
+    assert max(reads.values()) == 1
+    assert sum(key[1] == (2.0 ** 11,) for key in reads) == 1
+
+
+@pytest.mark.parametrize("rel", relations.MATRIX_RELATIONS)
+def test_an_empty_index_grid_is_a_typed_error(rel):
+    S, T = WeightMatrix.exponential(Power(0.5)), WeightMatrix.dilatation(Log())
+    with pytest.raises(EmptyInput):
+        relations.matrix_relation(S, T, rel, ell_grid=())
+
+
+def test_an_empty_index_list_is_a_typed_error():
+    S, T = WeightMatrix.exponential(Power(0.5)), WeightMatrix.dilatation(Log())
+    with pytest.raises(EmptyInput):
+        relations.mixed_doubling_search(S, T, [], DEFAULT_GRID.points())
+    with pytest.raises(EmptyInput):
+        S.verify_pointwise_order(ell_grid=())

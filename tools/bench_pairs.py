@@ -18,7 +18,10 @@ the argv of every op whose stdout digest differs between the two sides,
 so the record shows which outputs a change altered.  Each side also
 records ``src_lines`` and ``declared_dependencies``, the size of its
 ``src/`` and the count of its dependencies, from the context of its
-first result file.  The record is rewritten after every pair, so an
+first result file.  The ``host`` block records ``PYTHONDONTWRITEBYTECODE``
+as the runs see it (null when unset): with it set, every cold CLI call
+compiles weightlab's modules from source, so cli-cold latencies read
+higher than on a host that caches bytecode.  The record is rewritten after every pair, so an
 interrupted run keeps the pairs it finished.
 """
 
@@ -129,7 +132,8 @@ def main(argv=None) -> int:
         "change": {"rev": args.change, "sha": git("rev-parse", args.change)},
         "command": "python3 wlbench/run.py --workload W --seed S --trace T",
         "host": {"python": platform.python_version(), "machine": platform.machine(),
-                 "nproc": os.cpu_count()},
+                 "nproc": os.cpu_count(),
+                 "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")},
         "runs": [],
     }
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
