@@ -53,7 +53,6 @@ def _write_report(report, args):
 def emit_plot_data(report, out_dir="."):
     """One CSV per sampled curve in the report; returns written paths."""
     import csv
-
     paths = []
     curves = report.get("curves", {})
     for name in sorted(curves):
@@ -87,7 +86,6 @@ _MATRIX_KINDS = {"exp": "exponential", "exponential": "exponential",
 
 def _matrix_from(kind, w):
     from .relations import WeightMatrix
-
     return getattr(WeightMatrix, _MATRIX_KINDS[kind])(w)
 
 
@@ -106,7 +104,6 @@ def _keys(values, flag):
 
 def _cmd_analyze(args):
     from . import conditions
-
     w = _load_weight(args.weight)
     grid = _grid_from(args)
     conds = (conditions.CONDITION_IDS if args.conditions in (None, "all")
@@ -118,7 +115,6 @@ def _cmd_analyze(args):
 
 def _cmd_classify(args):
     from . import conditions
-
     w = _load_weight(args.weight)
     return {"classification": conditions.classify(w, _grid_from(args)),
             "weight": w.to_json_dict()}
@@ -126,7 +122,6 @@ def _cmd_classify(args):
 
 def _cmd_conjugate(args):
     from . import conjugate
-
     w = _load_weight(args.weight)
     prof = conjugate.young_conjugate(w, args.xmax)
     xs = np.linspace(0.0, min(args.xmax, prof.slope_cap), 201)
@@ -139,7 +134,6 @@ def _cmd_conjugate(args):
 
 def _cmd_matrix(args):
     from . import conjugate
-
     w = _load_weight(args.weight)
     table = {}
     for key, ell in zip(_keys(args.ell, "--ell"), args.ell):
@@ -151,7 +145,6 @@ def _cmd_matrix(args):
 
 def _cmd_index(args):
     from . import growth
-
     w = _load_weight(args.weight)
     T = args.horizon if args.horizon is not None else 1e8
     est = growth.growth_index(w, gamma_grid=args.gammas, T=T)
@@ -160,7 +153,6 @@ def _cmd_index(args):
 
 def _cmd_kappa(args):
     from . import growth
-
     w = _load_weight(args.weight)
     T = args.horizon if args.horizon is not None else 1e6
     vals = dict(zip(_keys(args.y, "--y"), growth.kappa(w, args.y, T)))
@@ -171,7 +163,6 @@ def _cmd_kappa(args):
 
 def _cmd_compare(args):
     from . import relations
-
     sigma = _load_weight(args.sigma)
     tau = _load_weight(args.tau)
     grid = _grid_from(args)
@@ -182,7 +173,6 @@ def _cmd_compare(args):
 
 def _cmd_matrix_compare(args):
     from . import relations
-
     S = _matrix_from(args.s_type, _load_weight(args.s_weight))
     T = _matrix_from(args.t_type, _load_weight(args.t_weight))
     return {"matrix_compare": {r: relations.matrix_relation(S, T, r)
@@ -191,7 +181,6 @@ def _cmd_matrix_compare(args):
 
 def _cmd_lp_experiment(args):
     from . import lpspace
-
     S = _matrix_from(args.s_type, _load_weight(args.s))
     T = _matrix_from(args.t_type, _load_weight(args.t))
     rep = lpspace.inclusion_experiment(S, T, args.p, kind=args.type)
@@ -200,7 +189,6 @@ def _cmd_lp_experiment(args):
 
 def _cmd_counterexample(args):
     from . import conditions, counterexample
-
     J, t1 = args.J, args.t1
     delta = counterexample.default_delta(J)
     if args.delta != "default":
@@ -245,7 +233,6 @@ def _cmd_counterexample(args):
 
 def _cmd_report(args):
     from . import conditions, growth
-
     w = _load_weight(args.weight)
     grid = _grid_from(args)
     out = {"classification": conditions.classify(w, grid),
@@ -307,7 +294,6 @@ def _relation_names(ids):
     type runs, so building the parser loads no relations."""
     def convert(text):
         from . import relations
-
         return _names(getattr(relations, ids))(text)
     return convert
 
