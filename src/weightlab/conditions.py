@@ -32,7 +32,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import growth
 from .core import (DEFAULT_GRID, Associated, Dilated, Exp, GridSpec, Log, LogPower,
-                   Normalized, Power, Scaled, WeightFunction)
+                   Normalized, Power, Scaled, WeightFunction, _BLOCK, dilations)
 from .errors import (ChainViolation, HorizonTooSmall, NonFinite, NotMonotone,
                      UnknownCondition, WeightlabError)
 from .verdict import Verdict, conjunction, fails, holds, inconclusive, report_dict
@@ -218,15 +218,22 @@ def _check_om6(w, grid):
     tg = grid.points()
     wt = np.asarray(w.evaluate(tg))
     last, prev = _split_top(tg)
-    for k in range(1, 41):
-        H = 2.0 ** k
-        gap = 2 * wt - np.asarray(w.evaluate(H * tg))
-        if float(np.max(gap)) <= H:
-            sup_last = float(np.max(gap[last]))
-            sup_prev = float(np.max(gap[prev]))
-            if sup_last <= max(sup_prev * 1.05 + 1e-9, 0.0):
-                return holds({"H": H}, margin=H - float(np.max(gap)),
-                             horizon=grid.describe())
+    # H = 2, 4, ..., 2^40 in chunks of 1, 2, 4, ... rows, so that the scan
+    # stops at the first H that holds, and a row past it is never read
+    Hs = 2.0 ** np.arange(1, 41)
+    i, size = 0, 1
+    while i < len(Hs):
+        rows, err = dilations(w, Hs[i:i + size], tg)
+        gaps = 2 * wt - rows
+        for H, gap, peak in zip(Hs[i:].tolist(), gaps, gaps.max(axis=1).tolist()):
+            if peak <= H:
+                sup_last = float(np.max(gap[last]))
+                sup_prev = float(np.max(gap[prev]))
+                if sup_last <= max(sup_prev * 1.05 + 1e-9, 0.0):
+                    return holds({"H": H}, margin=H - peak, horizon=grid.describe())
+        if err is not None:
+            raise err
+        i, size = i + size, 2 * size
     return inconclusive(horizon=grid.describe(),
                         notes="no H up to 2^40 certified at this horizon")
 
@@ -266,11 +273,14 @@ def _check_alpha0(w, grid):
     ok = wt > 0
     if not np.any(ok):
         return inconclusive(notes="weight vanishes on the whole test range")
+    rows, err = dilations(w, lam, tg)
+    if err is not None:
+        raise err
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cs = np.where(ok, rows / (lam[:, None] * np.where(ok, wt, 1.0)), 0.0)
+    # folded row by row, in order, as the scan over lambda folds them
     needed = np.zeros_like(tg)
-    for L in lam:
-        wl = np.asarray(w.evaluate(L * tg))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            c = np.where(ok, wl / (L * np.where(ok, wt, 1.0)), 0.0)
+    for c in cs:
         needed = np.maximum(needed, c)
     last, prev = _split_top(tg)
     sup_last = float(np.max(needed[last])) if np.any(last) else math.inf
@@ -281,13 +291,6 @@ def _check_alpha0(w, grid):
                      margin=C - float(np.max(needed)), horizon=grid.describe())
     return inconclusive(margin=sup_last, horizon=grid.describe(),
                         notes="scaling constant still growing at horizon")
-
-
-# pairs per band of the triangle scan: its float temporaries (at most
-# 120 KB) stay under glibc's default 128 KiB mmap threshold, so every scan
-# reuses heap memory, whatever the allocator's state, instead of faulting
-# in freshly mapped pages
-_BAND = 15_000
 
 
 def _worst_pair(vals):
@@ -304,7 +307,7 @@ def _worst_pair(vals):
     r0 = 0
     while r0 < rows:
         w = n - 2 * r0
-        r1 = min(rows, r0 + max(1, _BAND // w))
+        r1 = min(rows, r0 + max(1, _BLOCK // w))
         gaps = sums[r0:r1, :w] - vals[r0:r1, None]
         gaps -= lone[r0:r1, :w]
         k = int(np.argmax(gaps))
@@ -382,7 +385,9 @@ def _check_unbounded_limit(w, grid):
     chunks = grid.decades()
     if len(chunks) < 3:
         raise HorizonTooSmall("need at least 3 decades for the unboundedness trend")
-    tops = [float(np.max(np.asarray(w.evaluate(c)))) for c in chunks]
+    # one evaluation over the decades back to back, one maximum per decade
+    starts = np.cumsum([0] + [c.size for c in chunks[:-1]])
+    tops = np.maximum.reduceat(w.evaluate(np.concatenate(chunks)), starts).tolist()
     if all(b > a * (1 + 1e-3) + 1e-12 for a, b in zip(tops[:-1], tops[1:])):
         return holds({"decade_maxima": tops}, horizon=grid.describe())
     return inconclusive(horizon=grid.describe(),

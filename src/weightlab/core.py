@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInput, HorizonTooSmall, NonFinite, NotMonotone, ValidationFailed
+from .errors import (EmptyInput, HorizonTooSmall, NonFinite, NotMonotone, ValidationFailed,
+                     WeightlabError)
 from .verdict import report_dict
 
 __all__ = [
@@ -507,6 +508,46 @@ def evaluate(w: WeightFunction, t):
 
 def phi(w: WeightFunction, u):
     return w.phi(u)
+
+
+# ---------------------------------------------------------------------------
+# block reads: the rows of a scan with one evaluation
+# ---------------------------------------------------------------------------
+
+# doubles in one block temporary of a scan: at most 120 KB, under glibc's
+# default 128 KiB mmap threshold, so every scan reuses heap memory, whatever
+# the allocator's state, instead of faulting in freshly mapped pages
+_BLOCK = 15_000
+
+
+def dilate(w: WeightFunction, scales, args):
+    """The rows w(c * args), c in scales, as one (len(scales), len(args))
+    array read with one evaluation of w; row i is bit for bit
+    w.evaluate(scales[i] * args)."""
+    return w.evaluate(np.multiply.outer(scales, args))
+
+
+def read_rows(read, args):
+    """(rows, error): read(args) on the rows of the 2-d array args as one
+    block, and None.  A block that cannot be read is read again row by
+    row, in order, up to the first row that cannot be read: the rows
+    before it come back with that row's own error, as a loop over the rows
+    meets it."""
+    try:
+        return read(args), None
+    except WeightlabError:
+        rows = np.empty(args.shape)
+        for i, row in enumerate(args):
+            try:
+                rows[i] = read(row)
+            except WeightlabError as exc:
+                return rows[:i], exc
+        return rows, None
+
+
+def dilations(w: WeightFunction, scales, args):
+    """(rows, error): the rows of `dilate`, read through `read_rows`."""
+    return read_rows(w.evaluate, np.multiply.outer(scales, args))
 
 
 # ---------------------------------------------------------------------------

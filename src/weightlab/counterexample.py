@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PiecewiseLogLinear, WeightFunction
+from .core import PiecewiseLogLinear, WeightFunction, read_rows
 from .errors import (GammaTooLarge, JHorizonTooSmall, MismatchedCorners,
                      OverflowAtJ, ValidationFailed)
 from .verdict import Verdict, fails, holds, inconclusive, report_dict, to_json
@@ -340,16 +340,19 @@ def slow_variation_certificate(p: CounterexampleProfile, gamma_set):
                 bounds.append({"j": j, "case": "next_rise", "value": r3,
                                "bound": b3, "ok": r3 <= b3 * (1 + _RTOL)})
 
-        sups = []
-        phi = p.weight.phi
-        for j in range(j0, p.J + 1):
-            i = j - 1
-            hi = p.x[i + 1] if j < p.J else p.y[i]
-            if not math.isfinite(hi) or hi + gamma > 1e300:
-                break
-            s = np.linspace(p.x[i], hi, 60)
-            ratio = np.asarray(phi(s + gamma)) / np.asarray(phi(s))
-            sups.append({"j": j, "sup_minus_1": float(np.max(ratio)) - 1.0})
+        # the blocks j0, j0 + 1, ... up to the first whose end leaves the
+        # double range; phi(s + gamma) and phi(s) of each block are read as
+        # the rows of one array, in the order of a loop over the blocks
+        his = np.append(p.x[j0:p.J], p.y[p.J - 1])
+        reach = ~(np.isfinite(his) & (his + gamma <= 1e300))
+        n = int(reach.argmax()) if reach.any() else his.size
+        s = np.linspace(p.x[j0 - 1:j0 - 1 + n], his[:n], 60, axis=1)
+        vals, err = read_rows(p.weight.phi, np.stack([s + gamma, s], axis=1).reshape(-1, 60))
+        if err is not None:
+            raise err
+        ratio = vals[0::2] / vals[1::2]
+        sups = [{"j": j, "sup_minus_1": sup - 1.0}
+                for j, sup in enumerate(ratio.max(axis=1).tolist(), start=j0)]
 
         threshold = None
         for row in sups:

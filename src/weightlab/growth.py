@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dilated, Log, LogPower, Power, Scaled, WeightFunction
+from .core import Dilated, Log, LogPower, Power, Scaled, WeightFunction, dilations
 from .errors import HorizonTooSmall, NotMonotone, QuadratureFailure, ValidationFailed
 from .verdict import Verdict, fails, holds, inconclusive, report_dict
 
@@ -363,39 +363,62 @@ class IndexEstimate:
     to_dict = report_dict
 
 
-def _classify_gamma(w, gamma, K_grid, tg, T):
-    """One row of the index scan: limsup estimates of w(K^gamma t)/w(t)."""
+def _index_rows(w, gammas, K_grid, tg, T, wt):
+    """The rows of the index scan at the gammas, wt being w(tg): limsup
+    estimates of w(K^gamma t)/w(t), from the dilations of every gamma and K
+    read as one block."""
+    # the scales in the order of the loop over gamma and K; one whose
+    # K^gamma T passes 1e305 is skipped, and one that overflows raises once
+    # the rows before it are read
+    plan, pending = [[] for _ in gammas], None
+    try:
+        for ks, gamma in zip(plan, gammas):
+            for K in K_grid:
+                scale = K ** gamma
+                if not scale * T > 1e305:
+                    ks.append((K, scale))
+    except OverflowError as exc:
+        pending = exc
+    scales = [scale for ks in plan for _, scale in ks]
     last = tg >= T / 10
-    wt = np.asarray(w.evaluate(tg))
     ok = wt > 0
-    best = None
-    certified = False
-    refutes = 0
-    for K in K_grid:
-        scale = K ** gamma
-        if scale * T > 1e305:
-            continue
-        wk = np.asarray(w.evaluate(scale * tg))
-        ratio = np.where(ok, wk / np.where(ok, wt, 1.0), np.nan)
-        est_last = float(np.nanmax(ratio[last & ok]))
-        est_prev = float(np.nanmax(ratio[~last & ok]))
-        agree = abs(est_last - est_prev) <= 0.01 * max(est_prev, 1e-12)
-        # a decreasing estimate is a safe upper bound for the limsup, an
-        # increasing one is safe evidence for refutation
-        trend_down = est_last <= est_prev * (1 + 1e-9)
-        trend_up = est_last >= est_prev * (1 - 1e-9)
-        if best is None or est_last / K < best["est"] / best["K"]:
-            best = {"K": float(K), "est": est_last, "agree": bool(agree)}
-        if est_last < K * (1 - 1e-3) and (agree or trend_down):
-            certified = True
-        if est_last >= K * (1 - 1e-4) and (agree or trend_up):
-            refutes += 1
-    n_considered = sum(1 for K in K_grid if K ** gamma * T <= 1e305)
-    refuted = (not certified) and n_considered > 0 and refutes == n_considered
-    status = "certified" if certified else ("refuted" if refuted else "inconclusive")
-    row = {"gamma": float(gamma), "status": status}
-    row.update(best or {})
-    return row
+    sel_last, sel_prev = last & ok, ~last & ok
+    if not (sel_last.any() and sel_prev.any()):
+        del scales[1:]  # the scan stops at its first row: no ratio to take the maximum of
+    if scales:
+        rows, err = dilations(w, scales, tg)
+        if err is not None:
+            raise err
+        est_last = np.nanmax(rows[:, sel_last] / wt[sel_last], axis=1).tolist()
+        est_prev = np.nanmax(rows[:, sel_prev] / wt[sel_prev], axis=1).tolist()
+    if pending is not None:
+        raise pending
+
+    out, r = [], 0
+    for gamma, ks in zip(gammas, plan):
+        best = None
+        certified = False
+        refutes = 0
+        for K, _ in ks:
+            est_last_k, est_prev_k = est_last[r], est_prev[r]
+            r += 1
+            agree = abs(est_last_k - est_prev_k) <= 0.01 * max(est_prev_k, 1e-12)
+            # a decreasing estimate is a safe upper bound for the limsup, an
+            # increasing one is safe evidence for refutation
+            trend_down = est_last_k <= est_prev_k * (1 + 1e-9)
+            trend_up = est_last_k >= est_prev_k * (1 - 1e-9)
+            if best is None or est_last_k / K < best["est"] / best["K"]:
+                best = {"K": float(K), "est": est_last_k, "agree": bool(agree)}
+            if est_last_k < K * (1 - 1e-3) and (agree or trend_down):
+                certified = True
+            if est_last_k >= K * (1 - 1e-4) and (agree or trend_up):
+                refutes += 1
+        refuted = (not certified) and len(ks) > 0 and refutes == len(ks)
+        status = "certified" if certified else ("refuted" if refuted else "inconclusive")
+        row = {"gamma": float(gamma), "status": status}
+        row.update(best or {})
+        out.append(row)
+    return out
 
 
 def growth_index(w: WeightFunction, gamma_grid=None, K_grid=None,
@@ -411,7 +434,10 @@ def growth_index(w: WeightFunction, gamma_grid=None, K_grid=None,
     K_grid = tuple(K_grid if K_grid is not None else DEFAULT_K_GRID)
     tg = np.geomspace(T / 100, T, 300)
 
-    rows = [_classify_gamma(w, g, K_grid, tg, T) for g in gamma_grid]
+    rows = []
+    if gamma_grid:
+        wt = np.asarray(w.evaluate(tg))
+        rows = _index_rows(w, gamma_grid, K_grid, tg, T, wt)
     certified = [r["gamma"] for r in rows if r["status"] == "certified"]
     refuted = [r["gamma"] for r in rows if r["status"] == "refuted"]
 
@@ -432,7 +458,7 @@ def growth_index(w: WeightFunction, gamma_grid=None, K_grid=None,
             if hi / lo <= 1.02:
                 break
             mid = math.sqrt(lo * hi)
-            row = _classify_gamma(w, mid, K_grid, tg, T)
+            row = _index_rows(w, [mid], K_grid, tg, T, wt)[0]
             est.table.append(row)
             if row["status"] == "certified":
                 lo = mid

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import relations
-from .core import GridSpec, WeightFunction
-from .errors import (GridTooNarrow, NoViolationFound, OverflowUnrecoverable,
-                     ValidationFailed, WitnessConstructionFailed)
+from .core import _BLOCK, GridSpec, WeightFunction
+from .errors import (GridTooNarrow, NoViolationFound, ValidationFailed,
+                     WitnessConstructionFailed)
 from .relations import WeightMatrix
 from .verdict import Verdict, fails, holds, inconclusive, report_dict, to_json
 
@@ -133,69 +133,114 @@ def _check_exponent(p):
 def weighted_norm(f: SampledFunction, w: WeightFunction, p) -> NormResult:
     """||f||_{p,w} on the sample grid (p in [1, oo])."""
     _check_exponent(p)
-    ts = f.t_array()
-    wt = np.asarray(w.evaluate(ts))
-    logf = f.log_value_array()
+    return _Norms([f], p)(np.asarray(w.evaluate(f.ts)))[0]
 
-    if p == math.inf:
-        log_terms = logf + wt
-        fin = np.isfinite(log_terms)
-        if not np.any(fin):
-            return NormResult(p, "finite", 0.0, 0.0)
-        peak = float(np.max(log_terms[fin]))
-        if peak > 700.0:
-            return NormResult(p, "divergent", evidence=f"log supremum {peak:g}")
-        # a supremum attained "at infinity": the log terms still climb at
-        # the right edge of the grid
-        T = ts[fin][-1]
-        half = fin & (ts >= T / 2)
-        if np.count_nonzero(half) >= 3:
-            tail = log_terms[half]
-            if tail[-1] >= float(np.max(tail[:3])) + 0.5 and tail[-1] >= tail[-3]:
-                return NormResult(
-                    p, "divergent",
-                    evidence=f"sup still climbing at the grid edge "
-                             f"(log level {tail[-1]:.3g})")
-        return NormResult(p, "finite", math.exp(peak), 0.0)
 
-    cd = sphere_factor(f.d)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_int = p * logf + wt + math.log(cd) + (f.d - 1) * np.log(
-            np.where(ts > 0, ts, 1.0))
-    log_int[ts == 0] = -math.inf if f.d > 1 else log_int[ts == 0]
-    finite = np.isfinite(log_int)
-    if not np.any(finite):
+def _sup_norm(ts, log_terms, p):
+    """||f||_{oo,w} from log_terms = log f + w on the radii ts."""
+    fin = np.isfinite(log_terms)
+    if not np.any(fin):
         return NormResult(p, "finite", 0.0, 0.0)
-    shift = float(np.max(log_int[finite]))
-    if not math.isfinite(shift):
-        raise OverflowUnrecoverable("integrand is infinite even in log scale")
+    peak = float(np.max(log_terms[fin]))
+    if peak > 700.0:
+        return NormResult(p, "divergent", evidence=f"log supremum {peak:g}")
+    # a supremum attained "at infinity": the log terms still climb at
+    # the right edge of the grid
+    T = ts[fin][-1]
+    half = fin & (ts >= T / 2)
+    if np.count_nonzero(half) >= 3:
+        tail = log_terms[half]
+        if tail[-1] >= float(np.max(tail[:3])) + 0.5 and tail[-1] >= tail[-3]:
+            return NormResult(
+                p, "divergent",
+                evidence=f"sup still climbing at the grid edge "
+                         f"(log level {tail[-1]:.3g})")
+    return NormResult(p, "finite", math.exp(peak), 0.0)
 
-    # divergence trend: the integrand must decay over the final decade of
-    # radii where f is supported
-    sup_ts = ts[np.isfinite(logf)]
-    if sup_ts.size:
-        T = sup_ts[-1]
-        last = finite & (ts >= max(T * 0.9, T - 5.0)) & (ts <= T)
-        if np.count_nonzero(last) >= 3:
-            tail = log_int[last]
-            if tail[-1] >= tail[0] - 1e-12 and tail[-1] - shift > -30:
-                return NormResult(
+
+class _Norms:
+    """Weighted norms of sampled functions that share their radii and
+    dimension.  What the norms need of the functions (log f, p log f, the
+    final decade of each support) and of the radii (the (d - 1) log t
+    term, the trapezoid spacings) is computed once; each call takes the
+    samples of a weight on the radii, one row for all the functions or one
+    row per function, and gives a NormResult per row, each computed as
+    weighted_norm computes it."""
+
+    def __init__(self, fns, p):
+        f = fns[0]
+        self.ts, self.d, self.p = f.ts, f.d, p
+        self.logf = np.stack([g.log_value_array() for g in fns])
+        if p == math.inf:
+            return
+        ts = self.ts
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.plogf = p * self.logf
+            self.radial = (f.d - 1) * np.log(np.where(ts > 0, ts, 1.0))
+        self.log_cd = math.log(sphere_factor(f.d))
+        # the divergence trend: the integrand must decay over the final
+        # decade of radii where the function is supported
+        self.window = np.zeros(self.logf.shape, dtype=bool)
+        for win, logf in zip(self.window, self.logf):
+            sup_ts = ts[np.isfinite(logf)]
+            if sup_ts.size:
+                T = sup_ts[-1]
+                win[:] = (ts >= max(T * 0.9, T - 5.0)) & (ts <= T)
+        self.steps, self.coarse_steps = np.diff(ts), np.diff(ts[::2])
+
+    def __call__(self, wt) -> list:
+        p, ts = self.p, self.ts
+        if p == math.inf:
+            return [_sup_norm(ts, row, p) for row in np.atleast_2d(self.logf + wt)]
+        wt = np.atleast_2d(wt)
+        # a few rows at a time, each temporary within core._BLOCK doubles;
+        # a single row stands for every row
+        step = max(1, _BLOCK // ts.size)
+        out = []
+        for r in range(0, max(len(self.logf), len(wt)), step):
+            out += self._block(*(a if len(a) == 1 else a[r:r + step]
+                                 for a in (self.plogf, wt, self.window)))
+        return out
+
+    def _block(self, plogf, wt, window):
+        p, ts = self.p, self.ts
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_int = plogf + wt + self.log_cd + self.radial
+        if self.d > 1:
+            log_int[:, ts == 0] = -math.inf
+        finite = np.isfinite(log_int)
+        found = finite.any(axis=1)
+        shift = np.where(found, np.where(finite, log_int, -math.inf).max(axis=1), 0.0)
+        last = finite & window
+        count = np.count_nonzero(last, axis=1)
+        rows = np.arange(len(log_int))
+        head = log_int[rows, last.argmax(axis=1)]
+        tail = log_int[rows, last.shape[1] - 1 - last[:, ::-1].argmax(axis=1)]
+        dens = np.where(finite, np.exp(log_int - shift[:, None]), 0.0)
+        total = (self.steps * (dens[:, 1:] + dens[:, :-1]) / 2.0).sum(axis=1)
+        dens = dens[:, ::2]
+        coarse = (self.coarse_steps * (dens[:, 1:] + dens[:, :-1]) / 2.0).sum(axis=1)
+        out = []
+        for k, sh, n, hd, tl, tot, crs in zip(found.tolist(), shift.tolist(), count.tolist(),
+                                               head, tail, total.tolist(), coarse.tolist()):
+            if not k:
+                out.append(NormResult(p, "finite", 0.0, 0.0))
+            elif n >= 3 and tl >= hd - 1e-12 and tl - sh > -30:
+                out.append(NormResult(
                     p, "divergent",
                     evidence=f"integrand nondecreasing near the grid edge "
-                             f"(log level {tail[-1]:.3g})")
-
-    dens = np.where(finite, np.exp(log_int - shift), 0.0)
-    total = float(np.trapezoid(dens, ts))
-    coarse = float(np.trapezoid(dens[::2], ts[::2]))
-    if total <= 0:
-        return NormResult(p, "finite", 0.0, 0.0)
-    log_ip = shift + math.log(total)
-    err = abs(total - coarse) / total
-    value = math.exp(log_ip / p) if log_ip / p < 700 else math.inf
-    if not math.isfinite(value):
-        return NormResult(p, "divergent",
-                          evidence=f"norm exponent {log_ip / p:g} overflows")
-    return NormResult(p, "finite", value, err)
+                             f"(log level {tl:.3g})"))
+            elif tot <= 0:
+                out.append(NormResult(p, "finite", 0.0, 0.0))
+            else:
+                log_ip = sh + math.log(tot)
+                value = math.exp(log_ip / p) if log_ip / p < 700 else math.inf
+                if math.isfinite(value):
+                    out.append(NormResult(p, "finite", value, abs(tot - crs) / tot))
+                else:
+                    out.append(NormResult(p, "divergent",
+                                          evidence=f"norm exponent {log_ip / p:g} overflows"))
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +251,11 @@ def theta_function(w: WeightFunction, p, grid: GridSpec = DEFAULT_NORM_GRID,
                    d: int = 1) -> SampledFunction:
     """theta^p_w = e^{-w/p} (p < oo) or e^{-w} (p = oo)."""
     ts = grid.points()
-    wt = np.asarray(w.evaluate(ts))
+    return _theta(ts, np.asarray(w.evaluate(ts)), p, d)
+
+
+def _theta(ts, wt, p, d):
+    """theta^p from the samples wt of the weight on the radii ts."""
     scale = 1.0 if p == math.inf else 1.0 / p
     return SampledFunction.from_log_values(ts, -scale * wt, d,
                                            label=f"theta_p{p}")
@@ -269,9 +318,11 @@ def nontriviality_witness(W: WeightMatrix, p, t_max: float = 40.0,
 
     log_psi = np.zeros_like(ts)
     exponents = {}
+    # block n is [n, n + 1) of the sorted radii, the last one [n_max, oo)
+    starts = np.searchsorted(ts, np.arange(n_max + 1), side="left").tolist() + [ts.size]
     for n in range(n_max + 1):
-        blk = (ts >= n) & (ts < n + 1) if n < n_max else (ts >= n)
-        if not np.any(blk):
+        blk = slice(starts[n], starts[n + 1])
+        if blk.start == blk.stop:
             continue
         row = W.weight_at(float(n + 1))
         wvals = np.asarray(row.evaluate(ts[blk]))
@@ -291,13 +342,14 @@ def nontriviality_witness(W: WeightMatrix, p, t_max: float = 40.0,
             log_psi[blk] = -(wvals ** (a_n * b_n)) / p
     psi = SampledFunction.from_log_values(ts, log_psi, d, label="psi_witness")
 
-    rows = []
-    ok = True
-    for ell in test_indices:
-        res = weighted_norm(psi, W.weight_at(ell), p)
-        rows.append((ell, res))
-        ok = ok and not res.divergent
-    return psi, MembershipReport(tuple(rows), ok, exponents or None)
+    # the tested rows as one block, and their norms as one
+    norms = []
+    if len(test_indices):
+        _check_exponent(p)
+        norms = _Norms([psi], p)(W._rows(test_indices, ts))
+    rows = tuple(zip(test_indices, norms))
+    ok = not any(res.divergent for res in norms)
+    return psi, MembershipReport(rows, ok, exponents or None)
 
 
 # ---------------------------------------------------------------------------
@@ -458,19 +510,46 @@ class ExperimentReport:
 
 
 def _battery(S: WeightMatrix, p, grid, d):
-    fns = []
-    for ell in (0.5, 1.0, 2.0):
-        fns.append(theta_function(S.weight_at(ell), p, grid, d))
+    ts = grid.points()
+    fns = [_theta(ts, row, p, d) for row in S._rows((0.5, 1.0, 2.0), ts)]
     try:
         psi, _ = nontriviality_witness(S, p, t_max=min(grid.t_max, 40.0), d=d)
         fns.append(psi)
     except (ValidationFailed, WitnessConstructionFailed):
         pass
-    ts = grid.points()
     fns.append(SampledFunction(ts, np.exp(-ts ** 2), d, "gaussian"))
     plateau = np.where(ts <= 1.0, 1.0, np.maximum(0.0, 2.0 - ts))
     fns.append(SampledFunction(ts, plateau, d, "plateau"))
     return fns
+
+
+def _battery_norms(fns, p):
+    """w -> (i -> the norm of fns[i] against w).  The functions are grouped
+    by their radii and dimension; w is read on a group's radii when the
+    first of its members is asked for, as a loop over the members reads
+    it, and gives the norms of the whole group."""
+    groups, where = [], []
+    for f in fns:
+        for g, members in enumerate(groups):
+            if members[0].d == f.d and np.array_equal(members[0].ts, f.ts):
+                break
+        else:
+            g, members = len(groups), []
+            groups.append(members)
+        where.append((g, len(members)))
+        members.append(f)
+    norms = [_Norms(members, p) for members in groups]
+
+    def against(w):
+        got = {}
+
+        def norm(i):
+            g, j = where[i]
+            if g not in got:
+                got[g] = norms[g](np.asarray(w.evaluate(norms[g].ts)))
+            return got[g][j]
+        return norm
+    return against
 
 
 def inclusion_experiment(S: WeightMatrix, T: WeightMatrix, p,
@@ -504,15 +583,16 @@ def inclusion_experiment(S: WeightMatrix, T: WeightMatrix, p,
 
     if rel.holds and rel.index_map:
         battery = _battery(S, p, grid, d)
+        norms = _battery_norms(battery, p)
         for key, entry in rel.index_map.items():
             if kind == "beurling":
                 ell, n, C = float(key), entry["n"], entry["C"]
             else:
                 n, ell, C = float(key), entry["ell"], entry["C"]
             factor = math.exp(min(C if p == math.inf else C / p, 700))
-            for fn in battery:
-                lhs = weighted_norm(fn, T.weight_at(ell), p)
-                rhs = weighted_norm(fn, S.weight_at(n), p)
+            lhs_of, rhs_of = norms(T.weight_at(ell)), norms(S.weight_at(n))
+            for i, fn in enumerate(battery):
+                lhs, rhs = lhs_of(i), rhs_of(i)
                 if rhs.divergent:
                     ok = True   # the bound is vacuous for this member
                     lv, rv = None, None
@@ -535,13 +615,11 @@ def inclusion_experiment(S: WeightMatrix, T: WeightMatrix, p,
                 all_ok = all_ok and ok
     elif rel.fails:
         th = theta_function(S.weight_at(1.0), p, grid, d)
-        any_finite = False
-        for n in (0.5, 1.0, 2.0, 4.0):
-            res = weighted_norm(th, T.weight_at(n), p)
+        t_indices = (0.5, 1.0, 2.0, 4.0)
+        for n, res in zip(t_indices, _Norms([th], p)(T._rows(t_indices, th.ts))):
             converse_rows.append({"function": th.label, "t_index": n,
                                   "kind": res.kind, "value": res.value})
-            any_finite = any_finite or not res.divergent
-        all_ok = not any_finite
+        all_ok = all(row["kind"] == "divergent" for row in converse_rows)
 
     return ExperimentReport(rel, hypotheses, degraded,
                             tuple(forward_rows), tuple(converse_rows), all_ok)

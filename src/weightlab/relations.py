@@ -19,14 +19,16 @@ Matrix relations (sigma^n from S, tau^ell from T):
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_GRID, Dilated, Exp, GridSpec, Scaled, WeightFunction
+from .core import DEFAULT_GRID, Dilated, Exp, GridSpec, Scaled, WeightFunction, dilate
 from .errors import (BridgeViolation, EmptyInput, HorizonTooSmall, IndexSearchExhausted,
-                     NonFinite, NotMonotone, ValidationFailed, WeightlabError)
+                     NonFinite, NotMonotone, UnknownCondition, ValidationFailed,
+                     WeightlabError)
 from .verdict import Verdict, conjunction, fails, holds, inconclusive, report_dict, to_json
 
 __all__ = [
@@ -382,7 +384,7 @@ def _relation(sigma, tau, rel, tg, s, t) -> Verdict:
 def _dilations(sigma, tg, s):
     """The rows sigma(C tg) of sigma's dilatation matrix, the row C = 1 being
     s = sigma(tg); a row that cannot be read keeps sigma's own error."""
-    rows = _Rows(lambda cs, args: sigma.evaluate(np.multiply.outer(cs, args)), tg)
+    rows = _Rows(functools.partial(dilate, sigma), tg)
     rows.rows[1.0] = s
     return rows
 
@@ -743,7 +745,10 @@ def matrix_condition(W: WeightMatrix, cond: str,
                      ell_grid=DEFAULT_ELL_GRID,
                      grid: GridSpec = DEFAULT_GRID) -> Verdict:
     if cond not in MATRIX_CONDITIONS:
-        raise ValueError(f"unknown matrix condition {cond!r}")
+        raise UnknownCondition(f"unknown matrix condition {cond!r}; "
+                               f"choose from {MATRIX_CONDITIONS}")
+    if not W.indices(ell_grid):
+        raise EmptyInput("no matrix indices to check")
     tg = grid.points()
 
     if cond in ("bounded_roum", "bounded_beur", "unbounded"):

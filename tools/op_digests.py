@@ -5,6 +5,9 @@
         --src /path/to/parent/src > parent.txt
     diff parent.txt change.txt
 
+``--seed`` also takes a comma-separated list (``--seed 11,12,13``); each
+line then starts with its seed, and one seed prints as above.
+
 The ops are those ``wlbench/run.py`` runs for the workload and seed
 (``wlbench.workloads.generate``), made once each, in order, in this
 process through ``wlbench.libops.call``.  Each output line reads
@@ -67,17 +70,25 @@ def digests(workload: str, seed: int):
         yield op["id"], op["call"], hashlib.sha256(text.encode()).hexdigest()
 
 
+def seed_list(text: str) -> list:
+    """The seeds of a comma-separated list, such as "11,12,13"."""
+    return [int(v) for v in text.split(",")]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload", required=True,
                     choices=("cli-cold", "lib-numeric", "lib-families"))
-    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--seed", required=True, type=seed_list,
+                    help="a seed, or a comma-separated list of seeds")
     ap.add_argument("--src", default=str(ROOT / "src"),
                     help="directory holding the weightlab package to digest")
     args = ap.parse_args(argv)
     sys.path[:0] = [args.src, str(ROOT)]
-    for op_id, call, digest in digests(args.workload, args.seed):
-        print(op_id, call, digest)
+    for seed in args.seed:
+        prefix = [seed] if len(args.seed) > 1 else []
+        for op_id, call, digest in digests(args.workload, seed):
+            print(*prefix, op_id, call, digest)
     return 0
 
 
