@@ -110,7 +110,3 @@ class WitnessConstructionFailed(WeightlabError):
 
 class NoViolationFound(WeightlabError):
     """The matrix is bounded, so no unboundedness witness exists."""
-
-
-class OverflowUnrecoverable(WeightlabError):
-    """Even log-domain arithmetic overflowed."""
