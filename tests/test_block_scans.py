@@ -420,13 +420,28 @@ def test_the_slow_variation_cases_reach_errors_and_the_double_range():
 # --------------------------------------------------------------------------
 
 def _norm_loop(f, w, p):
+    if p != math.inf and not 1 <= p < math.inf:
+        raise ValidationFailed("p must be in [1, oo]")
     ts = f.t_array()
     wt = np.asarray(w.evaluate(ts))
     logf = f.log_value_array()
     if p == math.inf:
-        return lpspace._sup_norm(ts, logf + wt, p)
-    if not 1 <= p < math.inf:
-        raise ValidationFailed("p must be in [1, oo]")
+        log_terms = logf + wt
+        fin = np.isfinite(log_terms)
+        if not np.any(fin):
+            return NormResult(p, "finite", 0.0, 0.0)
+        peak = float(np.max(log_terms[fin]))
+        if peak > 700.0:
+            return NormResult(p, "divergent", evidence=f"log supremum {peak:g}")
+        T = ts[fin][-1]
+        half = fin & (ts >= T / 2)
+        if np.count_nonzero(half) >= 3:
+            tail = log_terms[half]
+            if tail[-1] >= float(np.max(tail[:3])) + 0.5 and tail[-1] >= tail[-3]:
+                return NormResult(p, "divergent",
+                                  evidence=f"sup still climbing at the grid edge "
+                                           f"(log level {tail[-1]:.3g})")
+        return NormResult(p, "finite", math.exp(peak), 0.0)
     cd = sphere_factor(f.d)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_int = p * logf + wt + math.log(cd) + (f.d - 1) * np.log(
