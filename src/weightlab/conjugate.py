@@ -7,9 +7,12 @@ For a weight w let phi(u) = w(e^u).  The conjugate is
 with the supremum restricted to y >= 0 when w is normalized (phi vanishes
 there anyway).  A weight with a profile (a piecewise-linear phi: profiles,
 sequence weights, and either of them scaled, dilated or normalized) gets
-an exact closed-form conjugate through convex duality; analytic
-families are handled by a grid supremum, taken for all requested x at
-once and refined by zooming in on each argmax.
+an exact closed-form conjugate through convex duality.  Any other
+weight gets a numeric supremum: the first argmax of x*y - phi(y) over a
+fixed y-grid, refined by zooming in on it.  A pruned search finds that
+argmax exactly: it bounds the grid in groups of samples and computes
+only the samples of the groups whose bound can reach the maximum, so it
+returns what a scan of the whole grid would, bit for bit.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PiecewiseLogLinear, WeightFunction, _hull, pl_eval
+from .core import _BLOCK, PiecewiseLogLinear, WeightFunction, _hull, pl_eval
 from .errors import (EmptyInput, NotMatrixAdmissible, Om3Violated,
                      ValidationFailed, WeightlabError, YHorizonTooSmall)
 from .verdict import inconclusive, report_dict, to_json
@@ -43,9 +46,9 @@ __all__ = [
 _Y_SAMPLES = 2001
 _ZOOM_POINTS = 33
 _ZOOM_ROUNDS = 6
-# x values per block, so the x-by-y sample matrix stays at 1 MB (a 201-point
-# request in one block raised a process's peak RSS by 4 MB)
-_X_BLOCK = 64
+# the exact pruned search bounds the y-grid in groups of this many
+# consecutive samples (2001 = 69 * 29)
+_Y_GROUP = 29
 
 
 @dataclass
@@ -55,7 +58,10 @@ class ConjugateProfile:
     exact=True: closed-form conjugate of a piecewise-linear phi; the hull
     corners (hull_us, hull_vs) satisfy phi*(x) = max_k (x*hull_us[k] -
     hull_vs[k]), valid for x up to the final profile slope.
-    exact=False: per-query refined supremum against the stored weight.
+    exact=False: per-query supremum against the stored weight, over the
+    y-grid [_y_lo, _y_hi]: the grid's first argmax, found by the pruned
+    search of _first_argmax, then refined by zooming.  value refuses an x
+    that is negative or NaN.
     """
 
     x_max: float
@@ -72,7 +78,7 @@ class ConjugateProfile:
 
     def value(self, x):
         arr = np.atleast_1d(np.asarray(x, dtype=float))
-        if np.any(arr < 0):
+        if not np.all(arr >= 0):             # a NaN x fails this test too
             raise ValidationFailed("conjugate domain is [0, oo)")
         cap = min(self.x_max, self.slope_cap)
         if np.any(arr > cap * (1 + 1e-12) + 1e-300):
@@ -82,9 +88,7 @@ class ConjugateProfile:
             out = np.max(arr[:, None] * self._hull_us[None, :]
                          - self._hull_vs[None, :], axis=1)
         else:
-            out = np.empty_like(arr)
-            for i in range(0, len(arr), _X_BLOCK):
-                out[i:i + _X_BLOCK] = self._numeric_values(arr[i:i + _X_BLOCK])
+            out = self._numeric_values(arr)
         if np.isscalar(x) or np.asarray(x).ndim == 0:
             return float(out[0])
         return out
@@ -92,16 +96,29 @@ class ConjugateProfile:
     __call__ = value
 
     def _numeric_values(self, xs):
-        """sup_y (x*y - phi(y)) for every x in xs, on [_y_lo, _y_hi]."""
+        """sup_y (x*y - phi(y)) for every x in xs, on [_y_lo, _y_hi]: the
+        first argmax of x*y - phi(y) over the y-grid, refined by zooming."""
+        out = np.empty_like(xs)
+        if xs.size == 0:
+            return out
         ys = np.linspace(self._y_lo, self._y_hi, _Y_SAMPLES)
-        g = xs[:, None] * ys[None, :] - self._phi(ys)[None, :]
-        k = np.argmax(g, axis=1)
-        hit = (k >= len(ys) - 2) & (xs > 0)
-        if np.any(hit):
-            raise YHorizonTooSmall(
-                f"supremum argmax hit the y-horizon {self._y_hi:g} at x={xs[hit][0]:g}")
+        phis = self._phi(ys)
+        # rows in chunks, so that each temporary stays within core._BLOCK
+        step = _BLOCK * _Y_GROUP // _Y_SAMPLES
+        for i in range(0, len(xs), step):
+            c = xs[i:i + step]
+            k, best = _first_argmax(c, ys, phis)
+            hit = (k >= len(ys) - 2) & (c > 0)
+            if np.any(hit):
+                raise YHorizonTooSmall(
+                    f"supremum argmax hit the y-horizon {self._y_hi:g} at x={c[hit][0]:g}")
+            out[i:i + step] = self._zoom(c, ys, k, best)
+        return out
+
+    def _zoom(self, xs, ys, k, best):
+        """Refine the grid supremum: each round resamples the two grid
+        cells around its argmax."""
         rows = np.arange(len(xs))
-        best = g[rows, k]
         lo = ys[np.maximum(k - 1, 0)]
         hi = ys[np.minimum(k + 1, len(ys) - 1)]
         t = np.linspace(0.0, 1.0, _ZOOM_POINTS)
@@ -126,6 +143,46 @@ class ConjugateProfile:
                         "breakpoints": self.breakpoints, "values": self.values})
 
 
+def _first_argmax(xs, ys, phis):
+    """(k, g[k]) for the first maximum k of each row of g = x*ys - phis,
+    x >= 0, without computing all of g.
+
+    fl(fl(x * max y) - min phi) over a group of _Y_GROUP consecutive
+    samples bounds every computed entry fl(fl(x * y) - phi) of the group,
+    as rounding is monotone.  The entries of each row's best-bounded group
+    give a floor; a group whose bound falls short of it holds no maximum,
+    so only the columns from the first group that reaches the floor to the
+    last one are computed, each row's window padded to the widest of them.
+    Where x*y overflows against phi = inf, an entry is NaN, which argmax
+    takes for the maximum: then the floor is NaN or inf, and the window
+    holds the whole row or every group whose bound is inf.
+    """
+    y_top = ys.reshape(-1, _Y_GROUP).max(axis=1)
+    phi_low = phis.reshape(-1, _Y_GROUP).min(axis=1)
+    bound = xs[:, None] * y_top - phi_low
+    top = np.argmax(bound, axis=1)
+    floor = np.max(xs[:, None] * ys.reshape(-1, _Y_GROUP)[top]
+                   - phis.reshape(-1, _Y_GROUP)[top], axis=1)
+    # a row that reaches no group (a NaN floor) keeps every column
+    reach = bound >= floor[:, None]
+    first = np.argmax(reach, axis=1)
+    last = len(y_top) - np.argmax(reach[:, ::-1], axis=1)
+    width = int(np.max(last - first)) * _Y_GROUP
+    start = np.minimum(first * _Y_GROUP, len(ys) - width)
+    y_win = np.lib.stride_tricks.sliding_window_view(ys, width)
+    phi_win = np.lib.stride_tricks.sliding_window_view(phis, width)
+    k = np.empty(len(xs), dtype=np.intp)
+    best = np.empty(len(xs))
+    step = max(1, _BLOCK // width)
+    for i in range(0, len(xs), step):
+        s = start[i:i + step]
+        g = xs[i:i + step, None] * y_win[s] - phi_win[s]
+        j = np.argmax(g, axis=1)
+        k[i:i + step] = s + j
+        best[i:i + step] = g[np.arange(len(j)), j]
+    return k, best
+
+
 def _om3_status(w):
     from . import conditions
     try:
@@ -136,19 +193,25 @@ def _om3_status(w):
 
 def young_conjugate(w: WeightFunction, x_max: float) -> ConjugateProfile:
     """Conjugate of u -> w(e^u) on [0, x_max]."""
+    _check_x_max(x_max)
+    if w.profile is None and _om3_status(w).fails:
+        raise Om3Violated("log t is not dominated by the weight; the conjugate "
+                          "is infinite for every positive x")
+    return _conjugate(w, x_max)
+
+
+def _check_x_max(x_max):
     if x_max < 0:
         raise ValidationFailed("x_max must be nonnegative")
     if not math.isfinite(x_max):
         raise ValidationFailed("x_max must be finite")
 
+
+def _conjugate(w: WeightFunction, x_max: float) -> ConjugateProfile:
+    """The conjugate once x_max is checked and om3 is known not to fail:
+    exact for a weight with a profile, the numeric supremum otherwise."""
     if w.profile is not None:
         return _exact_conjugate(w.profile, x_max)
-
-    v = _om3_status(w)
-    if v.fails:
-        raise Om3Violated("log t is not dominated by the weight; the conjugate "
-                          "is infinite for every positive x")
-
     y_lo = 0.0 if w.normalized else -60.0
     y_hi = 3.0 * math.log(max(x_max, 2.0)) + 50.0
     prof = ConjugateProfile(x_max=x_max, exact=False,
@@ -272,11 +335,12 @@ def associated_weight_matrix(w: WeightFunction, ell: float, j_max: int):
         raise ValidationFailed("j_max must be nonnegative")
     if not w.nondecreasing:
         raise NotMatrixAdmissible("weight must be nondecreasing")
-    om3 = _om3_status(w)
-    if om3.fails:
+    if _om3_status(w).fails:
         raise NotMatrixAdmissible("log t = o(w) fails; conjugate values blow up")
 
-    prof = young_conjugate(w, x_max=ell * j_max if j_max > 0 else 0.0)
+    x_max = ell * j_max if j_max > 0 else 0.0
+    _check_x_max(x_max)
+    prof = _conjugate(w, x_max)
     js = np.arange(j_max + 1, dtype=float)
     logW = np.atleast_1d(prof.value(ell * js)) / ell
     second = np.diff(logW, 2)

@@ -94,6 +94,30 @@ def test_om3_precheck_horizon_problem_is_inconclusive(monkeypatch):
     assert prof.value(2.0) == pytest.approx(4.0 * (math.log(4.0) - 1.0), rel=1e-9)
 
 
+@pytest.mark.parametrize("w", [Power(0.5), Normalized(LogPower(2.0)),
+                               PiecewiseLogLinear([(0.0, 0.0), (1.0, 1.0), (3.0, 4.0)])],
+                         ids=["power", "nlp2", "profile"])
+def test_associated_matrix_checks_om3_once(monkeypatch, w):
+    calls = []
+    check = conditions.check_condition
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:])
+        return check(*args, **kwargs)
+    monkeypatch.setattr(conditions, "check_condition", counted)
+    conjugate.associated_weight_matrix(w, ell=0.5, j_max=2)
+    assert calls == [("om3",)]
+
+
+@pytest.mark.parametrize("w", [Power(0.5), PiecewiseLogLinear([(0.0, 0.0), (1.0, 1.0), (3.0, 4.0)])],
+                         ids=["numeric", "exact"])
+@pytest.mark.parametrize("x", [math.nan, [1.0, math.nan]], ids=["scalar", "array"])
+def test_conjugate_refuses_a_nan_x(w, x):
+    prof = conjugate.young_conjugate(w, x_max=1.0)
+    with pytest.raises(ValidationFailed, match=r"^conjugate domain is \[0, oo\)$"):
+        prof.value(x)
+
+
 def test_profile_conjugate_exact_and_capped():
     w = PiecewiseLogLinear([(0.0, 0.0), (1.0, 1.0), (2.0, 1.0), (3.0, 4.0)])
     prof = conjugate.young_conjugate(w, x_max=2.0)
