@@ -135,11 +135,6 @@ def test_pruned_supremum_is_the_dense_one_on_few_x(name, xs):
     _same(conjugate.young_conjugate(_WEIGHTS[name], 3.0), xs)
 
 
-def test_empty_x_gives_an_empty_array():
-    out = conjugate.young_conjugate(Power(0.5), 3.0).value(np.array([]))
-    assert isinstance(out, np.ndarray) and out.shape == (0,)
-
-
 def test_rows_past_the_double_range_keep_the_dense_result():
     # x*y overflows for x near 1e306, where the scan's entries are inf - inf
     # = NaN; the pruned search must not read a bound from them
