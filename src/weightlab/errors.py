@@ -54,10 +54,6 @@ class QuadratureFailure(WeightlabError):
     """Adaptive quadrature could not reach the requested tolerance."""
 
 
-class GridTooNarrow(WeightlabError):
-    """Sampled data does not cover the range an operation needs."""
-
-
 class IndexSearchExhausted(WeightlabError):
     """Quantifier search over matrix indices ran out of candidates."""
 
@@ -106,7 +102,3 @@ class WitnessConstructionFailed(WeightlabError):
     def __init__(self, binding_n, message=""):
         self.binding_n = binding_n
         super().__init__(message or f"witness construction failed at block n={binding_n}")
-
-
-class NoViolationFound(WeightlabError):
-    """The matrix is bounded, so no unboundedness witness exists."""

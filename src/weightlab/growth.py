@@ -1,4 +1,4 @@
-"""Growth index, the kappa integral transform, and slow-variation diagnostics.
+"""Growth index and the kappa integral transform.
 
 All improper integrals are computed after the substitution t = e^v, which
 turns  int_1^oo w(y t) / t^2 dt  into  int_0^oo phi(log y + v) e^{-v} dv.
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dilated, Log, LogPower, Power, Scaled, WeightFunction, dilations
+from .core import WeightFunction, dilations
 from .errors import HorizonTooSmall, NotMonotone, QuadratureFailure, ValidationFailed
 from .verdict import Verdict, fails, holds, inconclusive, report_dict
 
@@ -32,7 +32,6 @@ __all__ = [
     "kappa",
     "kappa_equivalence_check",
     "growth_index",
-    "slowly_varying_check",
     "DEFAULT_GAMMA_GRID",
     "DEFAULT_K_GRID",
 ]
@@ -472,48 +471,3 @@ def growth_index(w: WeightFunction, gamma_grid=None, K_grid=None,
     if not refuted:
         est.notes = (est.notes + " no refutation found at horizon").strip()
     return est
-
-
-def _sv_limit(w: WeightFunction, u: float):
-    """Exact limit of |w(tu)/w(t) - 1| for families where it is closed-form."""
-    if isinstance(w, Power):
-        return abs(u ** w.alpha - 1.0)
-    if isinstance(w, (Log, LogPower)):
-        return 0.0
-    if isinstance(w, (Scaled, Dilated)):
-        return _sv_limit(w.base, u)
-    return None
-
-
-def slowly_varying_check(w: WeightFunction, u_set, T: float = 1e6, tol: float = 0.05) -> Verdict:
-    """Check whether w(tu)/w(t) settles at 1 for every u in u_set."""
-    rows = []
-    worst = 0.0
-    all_exact = True
-    for u in u_set:
-        exact = _sv_limit(w, float(u))
-        if exact is not None and exact > tol:
-            return fails({"u": float(u), "limit_deviation": exact},
-                         notes="closed-form ratio limit differs from 1")
-        tg = np.geomspace(T / 100, T, 200)
-        wt = np.asarray(w.evaluate(tg))
-        wu = np.asarray(w.evaluate(float(u) * tg))
-        ok = wt > 0
-        dev = np.abs(wu[ok] / wt[ok] - 1.0)
-        last = tg[ok] >= T / 10
-        sup_last = float(np.max(dev[last]))
-        sup_prev = float(np.max(dev[~last])) if np.any(~last) else sup_last
-        trend_ok = sup_last <= sup_prev * 1.05 + 1e-9
-        rows.append({"u": float(u), "sup_last": sup_last, "sup_prev": sup_prev,
-                     "trend_ok": trend_ok, "exact_limit": exact})
-        worst = max(worst, sup_last)
-        if exact is None:
-            all_exact = False
-        if sup_last > tol or not trend_ok:
-            if exact == 0.0:
-                continue  # closed form says it converges; horizon just too small
-            return inconclusive(margin=sup_last,
-                                horizon={"T": T},
-                                notes=f"deviation at u={u} above tolerance at horizon")
-    return holds({"tolerance": tol, "rows": rows, "closed_form": all_exact},
-                 margin=worst, horizon={"T": T})

@@ -19,10 +19,9 @@ import numpy as np
 
 from . import relations
 from .core import _BLOCK, GridSpec, WeightFunction
-from .errors import (GridTooNarrow, NoViolationFound, ValidationFailed,
-                     WitnessConstructionFailed)
+from .errors import ValidationFailed, WitnessConstructionFailed
 from .relations import WeightMatrix
-from .verdict import Verdict, fails, holds, inconclusive, report_dict, to_json
+from .verdict import holds, inconclusive, report_dict, to_json
 
 __all__ = [
     "SampledFunction",
@@ -30,10 +29,7 @@ __all__ = [
     "sphere_factor",
     "weighted_norm",
     "theta_function",
-    "theta_membership",
     "nontriviality_witness",
-    "staircase_witness",
-    "translation_bound_check",
     "inclusion_experiment",
     "ExperimentReport",
 ]
@@ -90,21 +86,6 @@ class SampledFunction:
 
     def scaled(self, c: float):
         return SampledFunction(self.ts, c * self.values, self.d, self.label)
-
-    def translated(self, x0: float):
-        """f(t - x0) resampled on the same radii; zero outside the data."""
-        ts = self.t_array()
-        vals = self.value_array()
-        out = np.interp(ts - x0, ts, vals, left=0.0, right=0.0)
-        # refuse silently truncating genuinely positive mass off the grid;
-        # values below ~machine precision of the peak do not count as mass
-        support = ts[vals > np.max(vals) * 1e-15]
-        if support.size and support[-1] + x0 > ts[-1] + 1e-12:
-            raise GridTooNarrow(
-                f"translated support reaches {support[-1] + x0:g}, grid ends "
-                f"at {ts[-1]:g}")
-        return SampledFunction(self.ts, out, self.d,
-                               f"{self.label}+{x0:g}" if self.label else "")
 
 
 @dataclass(frozen=True)
@@ -261,23 +242,6 @@ def _theta(ts, wt, p, d):
                                            label=f"theta_p{p}")
 
 
-def theta_membership(W: WeightMatrix, p, ell: float, ellp: float,
-                     grid: GridSpec = DEFAULT_NORM_GRID, d: int = 1) -> Verdict:
-    """Does theta^p of row ell lie in the weighted L^p space of row ell'?"""
-    th = theta_function(W.weight_at(ell), p, grid, d)
-    res = weighted_norm(th, W.weight_at(ellp), p)
-    if res.divergent:
-        return fails({"ell": ell, "ell_prime": ellp, "evidence": res.evidence},
-                     notes="weighted norm diverges")
-    # exact prediction: for ell' <= ell and p = oo the sup is at most 1
-    if p == math.inf and ellp <= ell and W.kind in ("exponential", "dilatation"):
-        if res.value > 1.0 + 1e-9:
-            raise ValidationFailed(
-                f"sup bound 1 violated for ell'={ellp} <= ell={ell}: {res.value}")
-    return holds({"norm": res.value, "error_estimate": res.error_estimate,
-                  "ell": ell, "ell_prime": ellp})
-
-
 # ---------------------------------------------------------------------------
 # nontriviality witness
 # ---------------------------------------------------------------------------
@@ -350,147 +314,6 @@ def nontriviality_witness(W: WeightMatrix, p, t_max: float = 40.0,
     rows = tuple(zip(test_indices, norms))
     ok = not any(res.divergent for res in norms)
     return psi, MembershipReport(rows, ok, exponents or None)
-
-
-# ---------------------------------------------------------------------------
-# staircase witness
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class StaircaseReport:
-    centers: tuple
-    half_widths: tuple
-    lp_mass: float
-    weighted_divergent: dict     # ell -> bool, via exact partial sums
-    partial_sums: dict
-
-    to_dict = report_dict
-
-
-def staircase_witness(W: WeightMatrix, p, n_blocks: int = 8, d: int = 1,
-                      search_max: float = 1e14,
-                      test_indices=(0.25, 1.0, 4.0)):
-    """A unit-mass L^p function outside every weighted class.
-
-    Blocks sit at radii x_n where row 1/n already exceeds n^2; block n
-    carries exact L^p mass 2^{-n}, so the plain norm sums to about 1 while
-    each weighted integrand picks up at least e^{n^2} 2^{-n} per block.
-    Raises NoViolationFound when the rows stay too small (bounded system).
-    """
-    if p == math.inf or not 1 <= p < math.inf:
-        raise ValidationFailed("staircase witness is an L^p construction, p < oo")
-    cd = sphere_factor(d)
-
-    centers = []
-    x_prev = 0.0
-    for n in range(1, n_blocks + 1):
-        row = W.weight_at(1.0 / n)
-        target = n * n
-        xs = np.geomspace(max(x_prev + 2.0, 1.0), search_max, 4000)
-        vals = np.asarray(row.evaluate(xs))
-        above = vals > target
-        if not np.any(above):
-            raise NoViolationFound(
-                f"row 1/{n} never exceeds {target} up to {search_max:g}; "
-                "the system looks bounded at this horizon")
-        x_n = float(xs[np.argmax(above)])
-        centers.append(x_n)
-        x_prev = x_n
-
-    half = []
-    for i, x in enumerate(centers):
-        gap_l = x - (centers[i - 1] if i else 0.0)
-        gap_r = (centers[i + 1] - x) if i + 1 < len(centers) else math.inf
-        half.append(min(1.0, 0.45 * gap_l, 0.45 * gap_r))
-
-    # exact block arithmetic
-    Js = [cd * ((x + h) ** d - (x - h) ** d) / d for x, h in zip(centers, half)]
-    lp_mass = sum(2.0 ** -(n + 1) for n in range(len(centers)))
-
-    divergent = {}
-    partial = {}
-    for ell in test_indices:
-        row = W.weight_at(ell)
-        log_terms = []
-        for n, (x, J) in enumerate(zip(centers, Js), start=1):
-            # block value of |g|^p e^{w} integrated exactly over the block,
-            # bounded below using the weight at the inner edge
-            wmin = float(row.evaluate(x - half[n - 1]))
-            log_terms.append(-n * math.log(2.0) + wmin)
-        sums = np.logaddexp.accumulate(np.array(log_terms))
-        partial[ell] = [float(s) for s in sums]
-        divergent[ell] = bool(len(log_terms) >= 3
-                              and log_terms[-1] > log_terms[-3]
-                              and sums[-1] > 50)
-
-    # sampled representation for plotting / norm checks
-    ts, vals = [0.0], [0.0]
-    for n, (x, h, J) in enumerate(zip(centers, half, Js), start=1):
-        height = (2.0 ** n * J) ** (-1.0 / p)
-        eps = min(h * 1e-6, 1e-6)
-        ts += [x - h - eps, x - h, x + h, x + h + eps]
-        vals += [0.0, height, height, 0.0]
-    g = SampledFunction(ts, vals, d, label="staircase")
-
-    return g, StaircaseReport(tuple(centers), tuple(half), lp_mass,
-                              divergent, partial)
-
-
-# ---------------------------------------------------------------------------
-# translation bound
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TranslationReport:
-    rows: tuple
-    all_ok: bool
-    hypothesis: Verdict
-
-    to_dict = report_dict
-
-
-def translation_bound_check(S: WeightMatrix, T: WeightMatrix,
-                            f: SampledFunction, x0_set, p,
-                            ells=(0.5, 1.0, 2.0),
-                            grid: GridSpec = GridSpec(1e-2, 1e6, 400)):
-    """Check ||f(. - x0)||_{p,tau^ell} <= e^L e^{sigma^n(x0)} ||f||_{p,sigma^n}.
-
-    The partner index n and constant L come from the mixed doubling search
-    between the two matrices; translated samples are extended by zero
-    beyond the stored radii.
-    """
-    if not (S.nondecreasing and T.nondecreasing):
-        raise ValidationFailed("translation bound requires nondecreasing matrices")
-    tg = grid.points()
-    index_map, binding = relations.mixed_doubling_search(S, T, ells, tg)
-    if index_map is None:
-        hyp = inconclusive(notes=f"mixed doubling undecided at ell={binding}")
-        return TranslationReport((), False, hyp)
-    hyp = holds({"index_map": {str(k): v for k, v in index_map.items()}})
-
-    rows = []
-    all_ok = True
-    for ell in ells:
-        n, L = index_map[ell]["n"], index_map[ell]["L"]
-        sig_n = S.weight_at(n)
-        tau_ell = T.weight_at(ell)
-        base = weighted_norm(f, sig_n, p)
-        for x0 in x0_set:
-            shifted = f.translated(float(x0))
-            lhs_res = weighted_norm(shifted, tau_ell, p)
-            sig_x0 = float(sig_n.evaluate(float(x0)))
-            if p == math.inf:
-                rhs = math.exp(min(L + sig_x0, 700)) * (base.value or 0.0)
-                lhs = lhs_res.value or 0.0
-            else:
-                rhs = math.exp(min((L + sig_x0) / p, 700)) * (base.value or 0.0)
-                lhs = lhs_res.value or 0.0
-            ok = (not lhs_res.divergent and not base.divergent
-                  and lhs <= rhs * (1 + 1e-6) + 1e-300)
-            rows.append({"ell": ell, "n": n, "L": L, "x0": float(x0),
-                         "lhs": lhs, "rhs": rhs, "ok": ok})
-            all_ok = all_ok and ok
-    return TranslationReport(tuple(rows), all_ok, hyp)
 
 
 # ---------------------------------------------------------------------------

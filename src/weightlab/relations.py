@@ -25,24 +25,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_GRID, Dilated, Exp, GridSpec, Scaled, WeightFunction, dilate
+from .core import DEFAULT_GRID, Dilated, GridSpec, Scaled, WeightFunction, dilate
 from .errors import (BridgeViolation, EmptyInput, HorizonTooSmall, IndexSearchExhausted,
-                     NonFinite, NotMonotone, UnknownCondition, ValidationFailed,
-                     WeightlabError)
-from .verdict import Verdict, conjunction, fails, holds, inconclusive, report_dict, to_json
+                     NonFinite, NotMonotone, ValidationFailed, WeightlabError)
+from .verdict import Verdict, conjunction, fails, holds, inconclusive, report_dict
 
 __all__ = [
     "WeightMatrix",
     "RelationVerdict",
-    "LadderReport",
     "DEFAULT_ELL_GRID",
     "RELATIONS",
     "MATRIX_RELATIONS",
     "compare",
     "bridge_check",
     "matrix_relation",
-    "truncated_matrix_relation",
-    "matrix_condition",
 ]
 
 DEFAULT_ELL_GRID = tuple(2.0 ** k for k in range(-6, 7))
@@ -637,178 +633,6 @@ def _reconcile(direct: Verdict, red: Verdict | None, red_name, rel) -> Verdict:
         f"reduction: {direct.status.value} vs {red.status.value}")
 
 
-# ---------------------------------------------------------------------------
-# truncated-parameter ladder
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LadderReport:
-    links: tuple
-
-    def to_dict(self):
-        return to_json({"links": [{"name": n, "verdict": v} for n, v in self.links]})
-
-
-def truncated_matrix_relation(S: WeightMatrix, T: WeightMatrix,
-                              Lam: float, LamP: float, rel: str,
-                              grid: GridSpec = DEFAULT_GRID):
-    """Index-restricted comparison with truncation parameters Lam (for S)
-    and LamP (for T), for matrices of the scaling kind w^ell = ell w.
-
-    The ladder: the single affine bound tau <= (Lam/LamP) sigma + C gives
-    the restricted for-all-small and for-all-large index relations with
-    explicit partner indices n = (Lam/LamP) ell resp. ell = n LamP/Lam,
-    and those in turn give tau <= (K/K') sigma + D for every K > Lam,
-    K' < LamP — which is exactly the truncated triangle relation.
-    """
-    if rel not in ("beurling_trunc", "roumieu_trunc", "triangle_trunc"):
-        raise ValueError(f"unknown truncated relation {rel!r}")
-    if S.kind != "exponential" or T.kind != "exponential":
-        raise ValidationFailed("truncation ladder is defined for scaling-type matrices")
-    if Lam <= 0 or LamP <= 0:
-        raise ValidationFailed("truncation parameters must be positive")
-
-    tg = grid.points()
-    sig = np.asarray(S.base.evaluate(tg))
-    tau = np.asarray(T.base.evaluate(tg))
-    ratio = Lam / LamP
-
-    links = []
-    v63 = _bounded_gap(tg, tau - ratio * sig)
-    links.append(("affine_bound", v63))
-    C63 = v63.certificate["C"] if v63.holds else None
-
-    def _scaled_link(name, ells, ns):
-        parts = {}
-        for ell, n in zip(ells, ns):
-            d = ell * tau - n * sig
-            bound = ell * C63 if C63 is not None else None
-            v = _bounded_gap(tg, d)
-            if v.holds and bound is not None:
-                peak = float(np.max(d))
-                if peak > bound + 1e-9 * (1 + abs(bound)):
-                    raise ValidationFailed(
-                        f"ladder constant for {name} exceeded the predicted "
-                        f"bound {bound:g}")
-            parts[f"ell={ell:g},n={n:g}"] = v
-        return conjunction(parts)
-
-    ells_small = [f * LamP for f in (0.25, 0.5, 0.9)]
-    v61 = _scaled_link("small_indices", ells_small, [ratio * l for l in ells_small])
-    links.append(("small_indices", v61))
-
-    ns_large = [f * Lam for f in (1.1, 2.0, 4.0)]
-    v62 = _scaled_link("large_indices", [n * LamP / Lam for n in ns_large], ns_large)
-    links.append(("large_indices", v62))
-
-    parts64 = {}
-    for K, Kp in ((1.01 * Lam, 0.99 * LamP), (2 * Lam, 0.5 * LamP)):
-        parts64[f"K={K:g},K'={Kp:g}"] = _bounded_gap(tg, tau - (K / Kp) * sig)
-    v64 = conjunction(parts64)
-    links.append(("slack_ratios", v64))
-
-    # the slack-ratio family is the truncated triangle relation in index
-    # form; verify the equivalence on sampled index pairs
-    parts_tri = {}
-    for ell in (0.5 * LamP, 0.9 * LamP):
-        for n in (1.1 * Lam, 2 * Lam):
-            parts_tri[f"ell={ell:g},n={n:g}"] = _bounded_gap(tg, ell * tau - n * sig)
-    v_tri = conjunction(parts_tri)
-    links.append(("truncated_triangle", v_tri))
-    if not v64.inconclusive and not v_tri.inconclusive \
-            and v64.status is not v_tri.status:
-        raise ValidationFailed("slack-ratio family disagrees with the "
-                               "truncated triangle relation")
-
-    # ladder consistency: the affine bound implies every later link
-    if v63.holds:
-        for name, v in links[1:]:
-            if v.fails:
-                raise ValidationFailed(
-                    f"affine bound holds but ladder link {name} fails")
-
-    chosen = {"beurling_trunc": v61, "roumieu_trunc": v62,
-              "triangle_trunc": v_tri}[rel]
-    return RelationVerdict(chosen, rel), LadderReport(tuple(links))
-
-
-# ---------------------------------------------------------------------------
-# matrix-level structural conditions
-# ---------------------------------------------------------------------------
-
-MATRIX_CONDITIONS = ("mixed_om1_beur", "mixed_om1_roum", "weakom1", "weakom1var",
-                     "strongdifferentgrowth", "weakdifferentgrowth",
-                     "bounded_roum", "bounded_beur", "unbounded")
-
-
-def matrix_condition(W: WeightMatrix, cond: str,
-                     ell_grid=DEFAULT_ELL_GRID,
-                     grid: GridSpec = DEFAULT_GRID) -> Verdict:
-    if cond not in MATRIX_CONDITIONS:
-        raise UnknownCondition(f"unknown matrix condition {cond!r}; "
-                               f"choose from {MATRIX_CONDITIONS}")
-    if not W.indices(ell_grid):
-        raise EmptyInput("no matrix indices to check")
-    tg = grid.points()
-
-    if cond in ("bounded_roum", "bounded_beur", "unbounded"):
-        return _boundedness(W, cond, ell_grid, tg, grid)
-
-    if cond in ("mixed_om1_beur", "mixed_om1_roum"):
-        if not W.nondecreasing:
-            raise NotMonotone("mixed doubling conditions require a "
-                              "nondecreasing matrix")
-        return _mixed_om1(W, cond, ell_grid, tg)
-
-    if cond in ("weakom1", "weakom1var"):
-        return _weak_om1(W, cond, ell_grid, tg)
-
-    if cond == "strongdifferentgrowth":
-        return _strong_different_growth(W, ell_grid, tg, grid)
-
-    if cond == "weakdifferentgrowth":
-        return _weak_different_growth(W, ell_grid, tg)
-
-    raise AssertionError(cond)  # pragma: no cover
-
-
-def _boundedness(W, cond, ell_grid, tg, grid):
-    from . import conditions
-    sups = {}
-    verdicts = {}
-    for ell in sorted(W.indices(ell_grid)):
-        w = W.weight_at(ell)
-        try:
-            v = conditions.check_condition(w, "unbounded_limit", grid)
-        except HorizonTooSmall:
-            v = inconclusive(notes="grid too short for the trend")
-        verdicts[ell] = v
-        sups[ell] = float(np.max(np.asarray(w.evaluate(tg))))
-    if cond == "bounded_roum":
-        # exists one bounded row: smallest index is the best candidate
-        for ell, v in verdicts.items():
-            if v.fails:
-                return holds({"ell0": ell, "sup": v.witness.get("sup", sups[ell])})
-        if all(v.holds for v in verdicts.values()):
-            return fails({"all_rows_unbounded": True,
-                          "decade_maxima_example": verdicts[min(verdicts)].certificate})
-        return inconclusive(notes="some rows undecided")
-    if cond == "bounded_beur":
-        if all(v.fails for v in verdicts.values()):
-            return holds({"sups": {str(k): sups[k] for k in sups}})
-        for ell, v in verdicts.items():
-            if v.holds:
-                return fails({"ell": ell, "certificate": v.certificate})
-        return inconclusive(notes="some rows undecided")
-    # unbounded: every row tends to infinity
-    if all(v.holds for v in verdicts.values()):
-        return holds({"rows": len(verdicts)})
-    for ell, v in verdicts.items():
-        if v.fails:
-            return fails({"ell": ell, "witness": v.witness})
-    return inconclusive(notes="some rows undecided")
-
-
 def mixed_doubling_search(S, T, outer, tg, ell_grid=DEFAULT_ELL_GRID):
     """For each ell in `outer` the first n with tau^ell(2t) <= sigma^n(t) + L.
 
@@ -821,121 +645,3 @@ def mixed_doubling_search(S, T, outer, tg, ell_grid=DEFAULT_ELL_GRID):
     if found is None:
         return None, binding
     return {ell: {"n": n, "L": L} for ell, (n, L) in found.items()}, None
-
-
-def _mixed_om1(W, cond, ell_grid, tg):
-    """Self-applied radial doubling: partner index with w^ell(2t) <= w^n(t) + L."""
-    outer = sorted(W.indices(ell_grid))
-    if cond == "mixed_om1_beur":
-        index_map, binding = mixed_doubling_search(W, W, outer, tg, ell_grid)
-        if index_map is None:
-            return inconclusive(notes=f"no partner index for ell={binding}")
-    else:
-        ext = sorted(W.indices(ell_grid, extended=True))
-        found, binding, _ = _partner_search(outer, lambda n: ext, _Rows(W._rows, tg),
-                                            _Rows(W._rows, 2 * tg), _minus_from, tg)
-        if found is None:
-            return inconclusive(notes=f"no partner index for n={binding}")
-        index_map = {n: {"ell": ell, "L": L} for n, (ell, L) in found.items()}
-    return holds({"index_map": {str(k): v for k, v in index_map.items()}})
-
-
-def _weak_om1(W, cond, ell_grid, tg):
-    """Partner index with w^{ell1}(t+1) <= w^ell(t) + C."""
-    # scaling-type systems built on e^t: ell1 = ell/e works with C = e,
-    # dilation-type systems: ell1 = ell/2 always works for nondecreasing bases
-    special = None
-    if W.kind == "dilatation":
-        special = ("halve", math.e)
-    elif W.kind == "exponential" and isinstance(W.base, Exp):
-        special = ("over_e", math.e)
-
-    outer = sorted(W.indices(ell_grid))
-    ext = sorted(W.indices(ell_grid, extended=True))
-    at_t, at_t1 = _Rows(W._rows, tg), _Rows(W._rows, tg + 1.0)
-    if cond == "weakom1":
-        # given = ell on the right-hand side; search the smaller ell1
-        def cands(given):
-            below = [c for c in ext if c <= given]
-            if special is None:
-                return below
-            return [given / 2 if special[0] == "halve" else given / math.e] + below
-        found, binding, _ = _partner_search(outer, cands, at_t, at_t1,
-                                            _minus_from, tg)
-        partner, missing = "ell1", "no smaller partner for ell"
-    else:
-        # given = ell1 on the left; search the larger ell
-        found, binding, _ = _partner_search(
-            outer, lambda given: [c for c in ext if c >= given], at_t1, at_t,
-            np.subtract, tg)
-        partner, missing = "ell", "no larger partner for ell1"
-    if found is None:
-        return inconclusive(notes=f"{missing}={binding}")
-    cert = {"index_map": {str(k): {partner: c, "C": C}
-                          for k, (c, C) in found.items()}}
-    if special is not None and cond == "weakom1":
-        cert["closed_form_partner"] = special[0]
-    return holds(cert)
-
-
-def _strong_different_growth(W, ell_grid, tg, grid):
-    """exists a > 1: every index ell has a smaller ell' with
-    w^ell - w^{ell'} >= a log(1 + t) + b."""
-    from . import conditions
-
-    reduction = None
-    if W.kind == "exponential":
-        # (ell - ell') w >= a log(1+t) + b for some smaller index is exactly
-        # log-domination by the base weight
-        reduction = conditions.check_condition(W.base, "om3", grid)
-
-    log1t = np.log1p(tg)
-    rows = _Rows(W._rows, tg)
-    ext = sorted(W.indices(ell_grid, extended=True))
-    for a in (1.5, 2.0):
-        # need the gap bounded above: b = -sup gap
-        found, _, _ = _partner_search(
-            sorted(W.indices(ell_grid)), lambda ell: [c for c in ext if c < ell],
-            rows, rows, lambda lhs, rhs: a * log1t - (lhs - rhs), tg)
-        if found is not None:
-            direct = holds({"a": a, "index_map": {
-                str(k): {"ell_prime": c, "b": -C} for k, (c, C) in found.items()}})
-            if reduction is not None and reduction.fails:
-                raise ValidationFailed(
-                    "direct growth-separation search succeeded although the "
-                    "base weight does not dominate log t")
-            return direct
-    if reduction is not None and reduction.fails:
-        return fails({"base_log_domination": reduction.witness
-                      or {"closed_form": True}},
-                     notes="scaling rows differ by multiples of the base, "
-                           "which does not dominate log t")
-    if reduction is not None and reduction.holds:
-        raise ValidationFailed(
-            "base weight dominates log t but the direct separation search "
-            "found no certificate")
-    return inconclusive(notes="no separation certificate on the index grid")
-
-
-def _weak_different_growth(W, ell_grid, tg):
-    """Some pair of indices whose rows drift apart without bound."""
-    ells = sorted(W.indices(ell_grid))
-    lo, hi = ells[0], ells[-1]
-    d = np.asarray(W.weight_at(hi).evaluate(tg)) - np.asarray(W.weight_at(lo).evaluate(tg))
-    v = _bounded_gap(tg, d, what="row_gap")
-    if v.fails:  # diverging gap is exactly what the condition asks for
-        return holds({"ell0": lo, "ell0_prime": hi,
-                      "witness_gap": v.witness}, notes="gap grows without bound")
-    if v.holds:
-        ells_all = sorted(W.indices(ell_grid, extended=True))
-        lo2, hi2 = ells_all[0], ells_all[-1]
-        d2 = (np.asarray(W.weight_at(hi2).evaluate(tg))
-              - np.asarray(W.weight_at(lo2).evaluate(tg)))
-        v2 = _bounded_gap(tg, d2, what="row_gap")
-        if v2.fails:
-            return holds({"ell0": lo2, "ell0_prime": hi2,
-                          "witness_gap": v2.witness})
-        if v2.holds:
-            return fails({"widest_pair": [lo2, hi2], "sup_gap": float(np.max(d2))},
-                         notes="even the widest index pair stays at bounded distance")
-    return inconclusive(notes="row gap trend undecided")

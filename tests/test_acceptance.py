@@ -170,19 +170,6 @@ def test_08_relation_suite():
 
 
 def test_09_lp_suite():
-    M = relations.WeightMatrix.exponential(Power(1.0))
-    for ell in (0.5, 1.0, 2.0):
-        v = lpspace.theta_membership(M, math.inf, ell, ell)
-        assert v.certificate["norm"] == pytest.approx(1.0, abs=1e-12)
-        assert lpspace.theta_membership(M, math.inf, ell,
-                                        0.5 * ell).certificate["norm"] <= 1.0
-
-    _, rep = lpspace.staircase_witness(M, 1.0)
-    n = len(rep.centers)
-    assert rep.lp_mass == pytest.approx(
-        sum(2.0 ** -k for k in range(1, n + 1)), abs=1e-10)
-    assert all(rep.weighted_divergent.values())
-
     rng = np.random.default_rng(11)
     for _ in range(10):
         b = rng.uniform(0.25, 0.95)

@@ -13,9 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 from weightlab import (Dilated, Exp, GridSpec, Log, LogPower, Normalized, PiecewiseLogLinear,
                        Power, Scaled, WeightFunction, conditions, core, counterexample, growth,
-                       load_weight, lpspace, relations)
-from weightlab.errors import (EmptyInput, GammaTooLarge, NotMonotone, UnknownCondition,
-                              ValidationFailed, WitnessConstructionFailed)
+                       load_weight, lpspace)
+from weightlab.errors import (GammaTooLarge, NotMonotone, ValidationFailed,
+                              WitnessConstructionFailed)
 from weightlab.lpspace import NormResult, SampledFunction, sphere_factor
 from weightlab.relations import DEFAULT_GRID, WeightMatrix
 from weightlab.verdict import holds, inconclusive, to_json
@@ -708,19 +708,3 @@ def test_the_inclusion_cases_reach_the_battery_and_the_converse():
             if _outcome(lambda: _inclusion_loop(_MATRICES[s], _MATRICES[t], 2.0, kind))[0] == "ok"]
     assert any(r.forward_rows for r in reps) and any(r.converse_rows for r in reps)
     assert any(row["lhs"] is None for r in reps for row in r.forward_rows)
-
-
-# --------------------------------------------------------------------------
-# matrix conditions: typed errors
-# --------------------------------------------------------------------------
-
-@pytest.mark.parametrize("cond", relations.MATRIX_CONDITIONS)
-def test_an_empty_index_grid_is_a_typed_error_for_every_matrix_condition(cond):
-    for W in (WeightMatrix.exponential(Power(0.5)), WeightMatrix.dilatation(Log())):
-        with pytest.raises(EmptyInput):
-            relations.matrix_condition(W, cond, ell_grid=())
-
-
-def test_an_unknown_matrix_condition_is_a_typed_error():
-    with pytest.raises(UnknownCondition, match="om999"):
-        relations.matrix_condition(WeightMatrix.exponential(Power(0.5)), "om999")

@@ -284,12 +284,6 @@ def test_growth_index_exp_overflows_honestly():
         growth.growth_index(Exp())
 
 
-def test_slowly_varying():
-    u_set = (2.0, 4.0, 10.0)
-    assert growth.slowly_varying_check(Log(), u_set).holds
-    assert growth.slowly_varying_check(Power(0.5), u_set).fails
-
-
 @pytest.mark.parametrize("y", [math.inf, math.nan])
 def test_kappa_refuses_non_finite_y(y):
     with pytest.raises(ValidationFailed):

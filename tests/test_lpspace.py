@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weightlab import GridSpec, Log, Power, lpspace, relations
-from weightlab.errors import GridTooNarrow, NoViolationFound
 
 
 @pytest.fixture(scope="module")
@@ -54,57 +53,11 @@ def test_divergent_norm_detected():
     assert res.divergent
 
 
-def test_theta_norm_unit(exp_matrix):
-    for ell in (0.5, 1.0, 2.0):
-        v = lpspace.theta_membership(exp_matrix, math.inf, ell, ell)
-        assert v.holds
-        assert v.certificate["norm"] == pytest.approx(1.0, abs=1e-12)
-        below = lpspace.theta_membership(exp_matrix, math.inf, ell, 0.5 * ell)
-        assert below.holds and below.certificate["norm"] <= 1.0 + 1e-12
-        above = lpspace.theta_membership(exp_matrix, math.inf, ell, 2.0 * ell)
-        assert above.fails
-
-
 def test_nontriviality_witness(exp_matrix):
     psi, rep = lpspace.nontriviality_witness(exp_matrix, math.inf)
     assert rep.all_finite
     psi2, rep2 = lpspace.nontriviality_witness(exp_matrix, 2.0)
     assert rep2.all_finite
-
-
-def test_staircase_mass_and_divergence(exp_matrix):
-    g, rep = lpspace.staircase_witness(exp_matrix, 1.0)
-    n = len(rep.centers)
-    assert rep.lp_mass == pytest.approx(sum(2.0 ** -k for k in range(1, n + 1)),
-                                        abs=1e-10)
-    assert all(rep.weighted_divergent.values())
-
-
-def test_staircase_refuses_slow_rows():
-    # log rows grow too slowly to clear the block thresholds within the
-    # search horizon, which must surface as an explicit failure
-    slow = relations.WeightMatrix.exponential(Log())
-    with pytest.raises(NoViolationFound):
-        lpspace.staircase_witness(slow, 1.0)
-
-
-def test_translation_preserves_mass():
-    t = np.linspace(0.0, 20.0, 2001)
-    vals = np.exp(-((t - 3.0) ** 2))
-    f = lpspace.SampledFunction(tuple(t), tuple(vals))
-    g = f.translated(5.0)
-    assert np.max(g.value_array()) == pytest.approx(np.max(vals), rel=1e-6)
-    with pytest.raises(GridTooNarrow):
-        f.translated(19.0)
-
-
-def test_translation_bound(exp_matrix):
-    t = np.linspace(0.0, 30.0, 3001)
-    f = lpspace.SampledFunction(tuple(t), tuple(np.exp(-((t - 2.0) ** 2))))
-    S = exp_matrix
-    T = relations.WeightMatrix.exponential(Power(1.0))
-    rep = lpspace.translation_bound_check(S, T, f, (1.0, 2.0), 2.0)
-    assert rep is not None
 
 
 def test_inclusion_experiment_forward():
@@ -123,6 +76,19 @@ def test_inclusion_experiment_converse():
     assert er.relation.verdict.fails
     assert er.converse_rows and er.all_ok
     assert all(r["kind"] == "divergent" for r in er.converse_rows)
+
+
+def test_inclusion_experiment_decides_mixed_doubling_on_both_sides():
+    # w(t) = t^(1/2), doubled: w(2t) is the dilatation row n = 2 itself, and
+    # w(2t) = sqrt(2) w(t) lies below the exponential row n = 2, 2 w(t)
+    S = relations.WeightMatrix.dilatation(Power(0.5))
+    T = relations.WeightMatrix.exponential(Power(0.5))
+    er = lpspace.inclusion_experiment(S, T, 2.0)
+    for side in ("mixed_doubling_S", "mixed_doubling_T"):
+        v = er.hypotheses[side]
+        assert v.holds
+        assert v.certificate["index_map"] == {1.0: {"n": 2.0, "L": 1.0}}
+    assert not er.degraded
 
 
 @settings(max_examples=15, deadline=None)

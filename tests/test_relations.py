@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weightlab import Exp, GridSpec, Log, LogPower, Power, Scaled, core, lpspace, relations
+from weightlab import GridSpec, Log, LogPower, Power, Scaled, core, lpspace, relations
 from weightlab.errors import BridgeViolation, NotMonotone, ValidationFailed
 from weightlab.verdict import fails, holds, inconclusive
 
@@ -145,59 +145,6 @@ def test_exponential_type_matches_scalar_order(a, b):
     matrix = relations.matrix_relation(S, T, "beurling", (0.5, 1.0, 2.0)).verdict
     if not (scalar.inconclusive or matrix.inconclusive):
         assert matrix.holds == scalar.holds
-
-
-# --------------------------------------------------------------------------
-# truncated index ranges
-# --------------------------------------------------------------------------
-
-def test_truncated_ladder_holds_on_affine_bound():
-    S = relations.WeightMatrix.exponential(Power(0.5))
-    T = relations.WeightMatrix.exponential(Power(0.5))
-    v, ladder = relations.truncated_matrix_relation(S, T, 2.0, 1.0,
-                                                    "beurling_trunc")
-    assert v.verdict.holds
-    names = [n for n, _ in ladder.links]
-    assert "affine_bound" in names and "truncated_triangle" in names
-
-
-def test_truncated_ladder_rejects_bad_rel():
-    S = relations.WeightMatrix.exponential(Power(0.5))
-    with pytest.raises(ValueError):
-        relations.truncated_matrix_relation(S, S, 2.0, 1.0, "beurling")
-
-
-# --------------------------------------------------------------------------
-# matrix-level growth conditions
-# --------------------------------------------------------------------------
-
-def test_matrix_conditions_exponential_type():
-    W = relations.WeightMatrix.exponential(Exp())
-    g = GridSpec(1e-2, 300.0, 300)
-    assert relations.matrix_condition(W, "weakom1", grid=g).holds
-    assert relations.matrix_condition(W, "strongdifferentgrowth", grid=g).holds
-    assert relations.matrix_condition(W, "unbounded", grid=g).holds
-    assert relations.matrix_condition(W, "bounded_roum", grid=g).fails
-
-
-def test_matrix_conditions_dilatation_type():
-    D = relations.WeightMatrix.dilatation(Power(0.5))
-    assert relations.matrix_condition(D, "weakom1").holds
-    assert relations.matrix_condition(D, "mixed_om1_beur").holds
-    assert relations.matrix_condition(D, "unbounded").holds
-
-
-def test_strong_growth_needs_log_separation():
-    # rows ell*log(1+t) differ by a multiple of the log, never by a + a*log
-    # ... separation holds; but the log base itself fails the radial-growth gate
-    S = relations.WeightMatrix.exponential(Log())
-    assert relations.matrix_condition(S, "strongdifferentgrowth").fails
-
-
-def test_unknown_matrix_condition():
-    W = relations.WeightMatrix.exponential(Power(0.5))
-    with pytest.raises(ValueError):
-        relations.matrix_condition(W, "om999")
 
 
 @pytest.mark.parametrize("ell", [math.inf, math.nan])
