@@ -20,8 +20,7 @@ def _scopes(tree):
     while todo:
         scope, node = todo.pop()
         for child in ast.iter_child_nodes(node):
-            inner = child if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                                ast.Lambda)) else scope
+            inner = child if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
             yield inner, child
             todo.append((inner, child))
 
