@@ -91,6 +91,39 @@ def test_inclusion_experiment_decides_mixed_doubling_on_both_sides():
     assert not er.degraded
 
 
+_EXP, _DIL = relations.WeightMatrix.exponential, relations.WeightMatrix.dilatation
+
+
+# (S, T, each side's partner n and constant L for ell = 1, None where the
+# side has none): exponential row 1 of t^a doubled is 2^a t^a, whose
+# partner is the least grid row >= 2^a, and the grid ends at 2^12; row 1
+# of log(1 + t) doubled stays within log 2 of itself; and any dilatation
+# row of log(1 + t), the least one 2^-12 too, is within log(2 * 2^12) < 16
+# of log(1 + 2t)
+@pytest.mark.parametrize("S,T,partner_S,partner_T", [
+    (_EXP(Power(1.0)), _EXP(Power(0.5)), (2.0, 1.0), (2.0, 1.0)),
+    (_EXP(Power(2.0)), _EXP(Power(1.0)), (4.0, 1.0), (2.0, 1.0)),
+    (_EXP(Power(0.5)), _EXP(Log()), (2.0, 1.0), (1.0, 1.0)),
+    (_DIL(Power(1.0)), _DIL(Power(0.5)), (2.0, 1.0), (2.0, 1.0)),
+    (_DIL(Log()), _DIL(Log()), (2.0 ** -12, 16.0), (2.0 ** -12, 16.0)),
+    (_EXP(Power(0.5)), _EXP(Power(13.0)), (2.0, 1.0), None),
+    (_EXP(Power(13.0)), _EXP(Power(0.5)), None, (2.0, 1.0)),
+    (_EXP(Power(12.5)), _EXP(Power(12.5)), None, None),
+], ids=["exp-t", "exp-t^2", "exp-log", "dil-t", "dil-log", "T-undoubled", "S-undoubled",
+        "both-undoubled"])
+def test_inclusion_experiment_degrades_exactly_where_a_side_has_no_doubling_partner(
+        S, T, partner_S, partner_T):
+    er = lpspace.inclusion_experiment(S, T, 2.0)
+    for side, partner in (("mixed_doubling_S", partner_S), ("mixed_doubling_T", partner_T)):
+        v = er.hypotheses[side]
+        if partner is None:
+            assert v.inconclusive and v.notes == "undecided at ell=1.0"
+        else:
+            n, L = partner
+            assert v.holds and v.certificate["index_map"] == {1.0: {"n": n, "L": L}}
+    assert er.degraded == (partner_S is None or partner_T is None)
+
+
 @settings(max_examples=15, deadline=None)
 @given(st.floats(min_value=1.0, max_value=4.0))
 def test_norm_monotone_in_weight(c):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from weightlab import GridSpec, Log, LogPower, Power, Scaled, core, lpspace, relations
 from weightlab.errors import BridgeViolation, NotMonotone, ValidationFailed
+from weightlab.relations import DEFAULT_ELL_GRID
 from weightlab.verdict import fails, holds, inconclusive
 
 
@@ -153,6 +154,70 @@ def test_weight_at_refuses_non_finite_index(ell):
               relations.WeightMatrix.dilatation(Power(0.5))):
         with pytest.raises(ValidationFailed):
             W.weight_at(ell)
+
+
+# --------------------------------------------------------------------------
+# mixed doubling: tau^ell(2t) <= sigma^n(t) + L
+# --------------------------------------------------------------------------
+
+_DOUBLING_TG = GridSpec(1e-2, 1e6, 400).points()
+_FIRST_N = 2.0 ** -12      # the least index of the extended partner grid
+_LAST_N = 2.0 ** 12        # the largest
+
+
+def _pow2_at_least(x):
+    """The least power of two >= x, but at least 1: the least constant of
+    the grid the search certifies L on."""
+    return max(1.0, 2.0 ** math.ceil(math.log2(x))) if x > 0 else 1.0
+
+
+def _first_partner(threshold):
+    """The least index of the extended grid >= threshold."""
+    return max(_FIRST_N, 2.0 ** math.ceil(math.log2(threshold)))
+
+
+_EXP, _DIL = relations.WeightMatrix.exponential, relations.WeightMatrix.dilatation
+
+# (S, T, least admissible n for row ell of T, the gap's supremum at that n);
+# every partner here is the least grid index past a closed-form threshold
+_DOUBLING_CASES = {
+    # (2 ell t)^a = sigma^(2 ell)(t) exactly
+    **{f"dilatation-t^{a}": (_DIL(Power(a)), _DIL(Power(a)),
+                             lambda ell: 2 * ell, lambda ell, n: 0.0)
+       for a in (0.25, 0.5, 1.0, 2.0)},
+    # ell (2t)^a = 2^a ell t^a
+    **{f"exponential-t^{a}": (_EXP(Power(a)), _EXP(Power(a)),
+                              lambda ell, a=a: 2.0 ** a * ell, lambda ell, n: 0.0)
+       for a in (0.25, 0.5, 1.0, 1.5, 2.0, 3.0)},
+    # ell log(1 + 2t) - ell log(1 + t) rises to ell log 2
+    "exponential-log": (_EXP(Log()), _EXP(Log()),
+                        lambda ell: ell, lambda ell, n: ell * math.log(2.0)),
+    # log(1 + 2 ell t) - log(1 + n t) rises to log(2 ell / n) for any n
+    "dilatation-log": (_DIL(Log()), _DIL(Log()),
+                       lambda ell: _FIRST_N, lambda ell, n: math.log(2 * ell / n)),
+    # ell sqrt(2t) <= sqrt(n t) iff n >= 2 ell^2
+    "dilatation-below-exponential": (_DIL(Power(0.5)), _EXP(Power(0.5)),
+                                     lambda ell: 2 * ell ** 2, lambda ell, n: 0.0),
+    # sqrt(2 ell t) <= n sqrt(t) iff n >= sqrt(2 ell)
+    "exponential-below-dilatation": (_EXP(Power(0.5)), _DIL(Power(0.5)),
+                                     lambda ell: math.sqrt(2 * ell), lambda ell, n: 0.0),
+}
+
+
+@pytest.mark.parametrize("case", _DOUBLING_CASES)
+def test_mixed_doubling_partners_match_the_closed_form(case):
+    S, T, threshold, gap = _DOUBLING_CASES[case]
+    found, binding = relations.mixed_doubling_search(S, T, DEFAULT_ELL_GRID, _DOUBLING_TG)
+    expected = {}
+    for ell in DEFAULT_ELL_GRID:
+        n = _first_partner(threshold(ell))
+        if n > _LAST_N:
+            # no row of S is large enough: the search stops at this ell
+            assert (found, binding) == (None, ell)
+            return
+        expected[ell] = {"n": n, "L": _pow2_at_least(gap(ell, n))}
+    assert binding is None
+    assert found == expected
 
 
 def _explicit(base, ells):
