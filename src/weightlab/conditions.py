@@ -220,20 +220,14 @@ def _check_om6(w, grid):
     last, prev = _split_top(tg)
     # H = 2, 4, ..., 2^40 in chunks of 1, 2, 4, ... rows, so that the scan
     # stops at the first H that holds, and a row past it is never read
-    Hs = 2.0 ** np.arange(1, 41)
-    i, size = 0, 1
-    while i < len(Hs):
-        rows, err = dilations(w, Hs[i:i + size], tg)
+    for Hs, rows in dilations(w, tg).doubling((2.0 ** np.arange(1, 41)).tolist()):
         gaps = 2 * wt - rows
-        for H, gap, peak in zip(Hs[i:].tolist(), gaps, gaps.max(axis=1).tolist()):
+        for H, gap, peak in zip(Hs, gaps, gaps.max(axis=1).tolist()):
             if peak <= H:
                 sup_last = float(np.max(gap[last]))
                 sup_prev = float(np.max(gap[prev]))
                 if sup_last <= max(sup_prev * 1.05 + 1e-9, 0.0):
                     return holds({"H": H}, margin=H - peak, horizon=grid.describe())
-        if err is not None:
-            raise err
-        i, size = i + size, 2 * size
     return inconclusive(horizon=grid.describe(),
                         notes="no H up to 2^40 certified at this horizon")
 
@@ -273,9 +267,7 @@ def _check_alpha0(w, grid):
     ok = wt > 0
     if not np.any(ok):
         return inconclusive(notes="weight vanishes on the whole test range")
-    rows, err = dilations(w, lam, tg)
-    if err is not None:
-        raise err
+    rows = dilations(w, tg).all(lam.tolist())
     with np.errstate(divide="ignore", invalid="ignore"):
         cs = np.where(ok, rows / (lam[:, None] * np.where(ok, wt, 1.0)), 0.0)
     # folded row by row, in order, as the scan over lambda folds them

@@ -36,8 +36,6 @@ __all__ = [
     "Scaled",
     "Dilated",
     "Normalized",
-    "evaluate",
-    "phi",
     "associated_weight_function",
     "load_weight",
     "dump_weight",
@@ -499,18 +497,6 @@ class Normalized(WeightFunction):
 
 
 # ---------------------------------------------------------------------------
-# module-level operation aliases
-# ---------------------------------------------------------------------------
-
-def evaluate(w: WeightFunction, t):
-    return w.evaluate(t)
-
-
-def phi(w: WeightFunction, u):
-    return w.phi(u)
-
-
-# ---------------------------------------------------------------------------
 # block reads: the rows of a scan with one evaluation
 # ---------------------------------------------------------------------------
 
@@ -520,34 +506,83 @@ def phi(w: WeightFunction, u):
 _BLOCK = 15_000
 
 
-def dilate(w: WeightFunction, scales, args):
-    """The rows w(c * args), c in scales, as one (len(scales), len(args))
-    array read with one evaluation of w; row i is bit for bit
-    w.evaluate(scales[i] * args)."""
-    return w.evaluate(np.multiply.outer(scales, args))
+class Rows:
+    """The rows of a scan on one array of arguments, each read at most
+    once, in blocks by `read(keys, args)`: the rows of the keys stacked
+    (`WeightMatrix._rows`, or the dilations of a weight).  A block read is
+    kept whole, so asking for the same keys again copies nothing.  A block
+    that cannot be read is read again row by row, in order, up to the
+    first row that cannot be read, whose error is kept: that row is not
+    read again, nor is a block that holds it."""
 
+    def __init__(self, read, args):
+        self.read, self.args = read, args
+        self.rows, self.blocks, self.errors = {}, {}, {}
 
-def read_rows(read, args):
-    """(rows, error): read(args) on the rows of the 2-d array args as one
-    block, and None.  A block that cannot be read is read again row by
-    row, in order, up to the first row that cannot be read: the rows
-    before it come back with that row's own error, as a loop over the rows
-    meets it."""
-    try:
-        return read(args), None
-    except WeightlabError:
-        rows = np.empty(args.shape)
-        for i, row in enumerate(args):
+    def block(self, keys):
+        """(rows, error): the rows of `keys` stacked, and None; or, if one
+        cannot be read, the rows before the first such row and its error."""
+        key = tuple(keys)
+        if not key:
+            raise EmptyInput("no matrix indices to read")
+        if key in self.blocks:
+            return self.blocks[key], None
+        if not self.errors.keys().isdisjoint(key):
+            return self._prefix(key)
+        missing = [k for k in dict.fromkeys(key) if k not in self.rows]
+        if missing:
             try:
-                rows[i] = read(row)
-            except WeightlabError as exc:
-                return rows[:i], exc
-        return rows, None
+                block = self.read(missing, self.args)
+            except WeightlabError:
+                return self._prefix(key)
+            self.blocks[tuple(missing)] = block
+            self.rows.update(zip(missing, block))
+            if len(missing) == len(key):
+                return block, None
+        # np.array gathers rows several times faster than np.stack
+        return np.array([self.rows[k] for k in key]), None
+
+    def _prefix(self, key):
+        """(rows, error) of `key`, its rows read one at a time."""
+        got = []
+        for k in key:
+            if k not in self.rows and k not in self.errors:
+                try:
+                    self.rows[k] = self.read([k], self.args)[0]
+                except WeightlabError as exc:
+                    self.errors[k] = exc
+            if k in self.errors:
+                return np.reshape(got, (len(got), np.shape(self.args)[-1])), self.errors[k]
+            got.append(self.rows[k])
+        return np.array(got), None
+
+    def all(self, keys):
+        """The rows of `keys` stacked; raises the error of the first that
+        cannot be read."""
+        rows, err = self.block(keys)
+        if err is not None:
+            raise err
+        return rows
+
+    def doubling(self, keys, size=1):
+        """(chunk, rows) for the keys in chunks of `size`, 2 `size`, 4
+        `size`, ... keys.  Of a chunk with a row that cannot be read, the
+        keys and rows before that row are yielded, then its error is
+        raised, so only a row the caller goes on to reach raises."""
+        i = 0
+        while i < len(keys):
+            rows, err = self.block(keys[i:i + size])
+            if len(rows):
+                yield keys[i:i + len(rows)], rows
+            if err is not None:
+                raise err
+            i, size = i + size, 2 * size
 
 
-def dilations(w: WeightFunction, scales, args):
-    """(rows, error): the rows of `dilate`, read through `read_rows`."""
-    return read_rows(w.evaluate, np.multiply.outer(scales, args))
+def dilations(w: WeightFunction, args):
+    """The reader of the rows w(c * args) for the scales c; row c is bit for
+    bit w.evaluate(c * args)."""
+    return Rows(lambda scales, a: w.evaluate(np.multiply.outer(scales, a)), args)
 
 
 # ---------------------------------------------------------------------------

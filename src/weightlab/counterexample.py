@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PiecewiseLogLinear, WeightFunction, read_rows
+from .core import PiecewiseLogLinear, Rows, WeightFunction
 from .errors import (GammaTooLarge, JHorizonTooSmall, MismatchedCorners,
                      OverflowAtJ, ValidationFailed)
 from .verdict import Verdict, fails, holds, inconclusive, report_dict, to_json
@@ -347,9 +347,8 @@ def slow_variation_certificate(p: CounterexampleProfile, gamma_set):
         reach = ~(np.isfinite(his) & (his + gamma <= 1e300))
         n = int(reach.argmax()) if reach.any() else his.size
         s = np.linspace(p.x[j0 - 1:j0 - 1 + n], his[:n], 60, axis=1)
-        vals, err = read_rows(p.weight.phi, np.stack([s + gamma, s], axis=1).reshape(-1, 60))
-        if err is not None:
-            raise err
+        args = np.stack([s + gamma, s], axis=1).reshape(-1, 60)
+        vals = Rows(lambda i, a: p.weight.phi(a[i]), args).all(range(len(args)))
         ratio = vals[0::2] / vals[1::2]
         sups = [{"j": j, "sup_minus_1": sup - 1.0}
                 for j, sup in enumerate(ratio.max(axis=1).tolist(), start=j0)]

@@ -385,9 +385,8 @@ def _index_rows(w, gammas, K_grid, tg, T, wt):
     if not (sel_last.any() and sel_prev.any()):
         del scales[1:]  # the scan stops at its first row: no ratio to take the maximum of
     if scales:
-        rows, err = dilations(w, scales, tg)
-        if err is not None:
-            raise err
+        # a scale that two (gamma, K) share, as 2^2 = 4^1, is read once
+        rows = dilations(w, tg).all(scales)
         est_last = np.nanmax(rows[:, sel_last] / wt[sel_last], axis=1).tolist()
         est_prev = np.nanmax(rows[:, sel_prev] / wt[sel_prev], axis=1).tolist()
     if pending is not None:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import relations
-from .core import _BLOCK, GridSpec, WeightFunction
+from .core import _BLOCK, GridSpec, Rows, WeightFunction
 from .errors import ValidationFailed, WitnessConstructionFailed
 from .relations import WeightMatrix
 from .verdict import holds, inconclusive, report_dict, to_json
@@ -73,12 +73,6 @@ class SampledFunction:
     def from_log_values(cls, ts, log_values, d: int = 1, label: str = ""):
         vals = np.exp(np.minimum(np.asarray(log_values, dtype=float), 0.0))
         return cls(ts, vals, d, label)
-
-    def t_array(self):
-        return self.ts
-
-    def value_array(self):
-        return self.values
 
     def log_value_array(self):
         with np.errstate(divide="ignore"):
@@ -310,7 +304,7 @@ def nontriviality_witness(W: WeightMatrix, p, t_max: float = 40.0,
     norms = []
     if len(test_indices):
         _check_exponent(p)
-        norms = _Norms([psi], p)(W._rows(test_indices, ts))
+        norms = _Norms([psi], p)(Rows(W._rows, ts).all(test_indices))
     rows = tuple(zip(test_indices, norms))
     ok = not any(res.divergent for res in norms)
     return psi, MembershipReport(rows, ok, exponents or None)
@@ -334,7 +328,7 @@ class ExperimentReport:
 
 def _battery(S: WeightMatrix, p, grid, d):
     ts = grid.points()
-    fns = [_theta(ts, row, p, d) for row in S._rows((0.5, 1.0, 2.0), ts)]
+    fns = [_theta(ts, row, p, d) for row in Rows(S._rows, ts).all((0.5, 1.0, 2.0))]
     try:
         psi, _ = nontriviality_witness(S, p, t_max=min(grid.t_max, 40.0), d=d)
         fns.append(psi)
@@ -439,7 +433,7 @@ def inclusion_experiment(S: WeightMatrix, T: WeightMatrix, p,
     elif rel.fails:
         th = theta_function(S.weight_at(1.0), p, grid, d)
         t_indices = (0.5, 1.0, 2.0, 4.0)
-        for n, res in zip(t_indices, _Norms([th], p)(T._rows(t_indices, th.ts))):
+        for n, res in zip(t_indices, _Norms([th], p)(Rows(T._rows, th.ts).all(t_indices))):
             converse_rows.append({"function": th.label, "t_index": n,
                                   "kind": res.kind, "value": res.value})
         all_ok = all(row["kind"] == "divergent" for row in converse_rows)

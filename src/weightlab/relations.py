@@ -19,15 +19,14 @@ Matrix relations (sigma^n from S, tau^ell from T):
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_GRID, Dilated, GridSpec, Scaled, WeightFunction, dilate
-from .errors import (BridgeViolation, EmptyInput, HorizonTooSmall, IndexSearchExhausted,
-                     NonFinite, NotMonotone, ValidationFailed, WeightlabError)
+from .core import DEFAULT_GRID, Dilated, GridSpec, Rows, Scaled, WeightFunction, dilations
+from .errors import (BridgeViolation, HorizonTooSmall, IndexSearchExhausted, NonFinite,
+                     NotMonotone, ValidationFailed)
 from .verdict import Verdict, conjunction, fails, holds, inconclusive, report_dict
 
 __all__ = [
@@ -108,31 +107,25 @@ class WeightMatrix:
     def _rows(self, ells, args):
         """The rows w^ell(args) for the indices `ells`, as one
         (len(ells), len(args)) array read with one evaluation of the base.
-        Each row is bit for bit weight_at(ell).evaluate(args), and a block
-        that cannot be read raises the error of its first row that cannot
-        be read alone."""
-        if self.kind == "explicit":
-            return np.stack([self.weight_at(l).evaluate(args) for l in ells])
-        for ell in ells:
-            _check_index(ell)
-        try:
-            with np.errstate(over="ignore"):
-                if self.kind == "dilatation":
-                    return self.base.evaluate(np.multiply.outer(ells, args))
-                block = np.asarray(ells, dtype=float)[:, None] * self.base.evaluate(args)
-            if block.size and block.max() == math.inf:
-                raise NonFinite("non-finite weight value encountered")
-            return block
-        except WeightlabError:
-            with np.errstate(all="ignore"):
-                for ell in ells:
-                    self.weight_at(ell).evaluate(args)
-            raise
+        Each row is bit for bit weight_at(ell).evaluate(args), and one row
+        is read as that, so it raises that weight's own error; a block that
+        cannot be read is read again row by row through `core.Rows`."""
+        with np.errstate(over="ignore"):
+            if self.kind == "explicit" or len(ells) == 1:
+                return np.stack([self.weight_at(l).evaluate(args) for l in ells])
+            for ell in ells:
+                _check_index(ell)
+            if self.kind == "dilatation":
+                return self.base.evaluate(np.multiply.outer(ells, args))
+            block = np.asarray(ells, dtype=float)[:, None] * self.base.evaluate(args)
+        if block.size and block.max() == math.inf:
+            raise NonFinite("non-finite weight value encountered")
+        return block
 
     def verify_pointwise_order(self, ell_grid=DEFAULT_ELL_GRID, grid=DEFAULT_GRID):
         tg = grid.points()
         # the pairs below a row that cannot be read are checked first
-        rows, err = _Rows(self._rows, tg).block(sorted(self.indices(ell_grid)))
+        rows, err = Rows(self._rows, tg).block(sorted(self.indices(ell_grid)))
         _check_order(tg, rows)
         if err is not None:
             raise err
@@ -157,55 +150,6 @@ def _check_order(tg, rows):
     if pairs.any():
         k = int(np.argmax(bad[np.argmax(pairs)]))
         raise ValidationFailed(f"matrix order violated at t={tg[k]:g} between indices")
-
-
-class _Rows:
-    """The rows of a matrix on one argument grid, each read at most once,
-    in blocks by `read(ells, args)` (`WeightMatrix._rows`); a block read is
-    kept whole, so asking for the same indices again copies nothing.  A
-    block that cannot be read is read again row by row, in order, up to
-    the first row that cannot be read, whose error is kept: that row is
-    not read again, nor is a block that holds it."""
-
-    def __init__(self, read, args):
-        self.read, self.args = read, args
-        self.rows, self.blocks, self.errors = {}, {}, {}
-
-    def block(self, ells):
-        """(rows, error): the rows of `ells` stacked, and None; or, if one
-        cannot be read, the rows before the first such row and its error."""
-        key = tuple(ells)
-        if not key:
-            raise EmptyInput("no matrix indices to read")
-        if key in self.blocks:
-            return self.blocks[key], None
-        if not self.errors.keys().isdisjoint(key):
-            return self._prefix(key)
-        missing = list(dict.fromkeys(l for l in key if l not in self.rows))
-        if missing:
-            try:
-                block = self.read(missing, self.args)
-            except WeightlabError:
-                return self._prefix(key)
-            self.blocks[tuple(missing)] = block
-            self.rows.update(zip(missing, block))
-            if len(missing) == len(key):
-                return block, None
-        return np.stack([self.rows[l] for l in key]), None
-
-    def _prefix(self, key):
-        """(rows, error) of `key`, its rows read one at a time."""
-        got = []
-        for l in key:
-            if l not in self.rows and l not in self.errors:
-                try:
-                    self.rows[l] = self.read([l], self.args)[0]
-                except WeightlabError as exc:
-                    self.errors[l] = exc
-            if l in self.errors:
-                return np.reshape(got, (len(got), np.size(self.args))), self.errors[l]
-            got.append(self.rows[l])
-        return np.stack(got), None
 
 
 @dataclass(frozen=True)
@@ -380,7 +324,7 @@ def _relation(sigma, tau, rel, tg, s, t) -> Verdict:
 def _dilations(sigma, tg, s):
     """The rows sigma(C tg) of sigma's dilatation matrix, the row C = 1 being
     s = sigma(tg); a row that cannot be read keeps sigma's own error."""
-    rows = _Rows(functools.partial(dilate, sigma), tg)
+    rows = dilations(sigma, tg)
     rows.rows[1.0] = s
     return rows
 
@@ -389,8 +333,9 @@ def _dilation_dom(sigma, tg, s, t):
     """tau(t) <= sigma(C1 t) + C2 for some C1, C2; s = sigma(tg), t = tau(tg).
     The factors C1 = 1, 2, 4, ..., 2^12 are tested in chunks, as a partner
     search tests its candidates, and the first that holds is kept."""
-    for chunk, gaps in _gap_chunks(tg, _decade_edges(tg), t, _C1_GRID,
-                                   _dilations(sigma, tg, s), np.subtract, 1):
+    edges = _decade_edges(tg)
+    for chunk, block in _dilations(sigma, tg, s).doubling(_C1_GRID):
+        gaps = _Gaps(tg, t - block, edges)
         hits = np.flatnonzero(gaps.held)
         if hits.size:
             v = gaps.verdict(hits[0])
@@ -468,22 +413,6 @@ def _any_holds(v1: Verdict, v2: Verdict) -> Verdict:
 # matrix-level relations
 # ---------------------------------------------------------------------------
 
-def _gap_chunks(tg, edges, row, cands, rows, gap, size):
-    """The bounded-gap rule on gap(row, rows(c)) for the candidates c, in
-    chunks of `size` candidates that double from chunk to chunk: yields
-    each chunk with its _Gaps.  Of a chunk with a row that cannot be read,
-    the candidates before that row are yielded, then its error is raised,
-    so only a row the caller goes on to reach raises."""
-    i = 0
-    while i < len(cands):
-        block, err = rows.block(cands[i:i + size])
-        if len(block):
-            yield cands[i:i + len(block)], _Gaps(tg, gap(row, block), edges)
-        if err is not None:
-            raise err
-        i, size = i + size, 2 * size
-
-
 def _partner_search(outer, cands, outer_rows, cand_rows, gap, tg):
     """For every o in `outer`, the first c in `cands(o)` whose
     gap(outer_rows(o), cand_rows(c)) is certified bounded on tg.
@@ -501,7 +430,8 @@ def _partner_search(outer, cands, outer_rows, cand_rows, gap, tg):
     rows, err = outer_rows.block(outer)
     for o, row in zip(outer, rows):
         last = None
-        for chunk, gaps in _gap_chunks(tg, edges, row, list(cands(o)), cand_rows, gap, 1):
+        for chunk, block in cand_rows.doubling(list(cands(o))):
+            gaps = _Gaps(tg, gap(row, block), edges)
             hits = np.flatnonzero(gaps.held)
             if hits.size:
                 found[o] = (chunk[hits[0]], gaps.C(hits[0]))
@@ -524,7 +454,8 @@ def _every_pair(outer, cands, outer_rows, cand_rows, gap, tg):
     found = {}
     rows, err = outer_rows.block(outer)
     for o, row in zip(outer, rows):
-        for chunk, gaps in _gap_chunks(tg, edges, row, cands, cand_rows, gap, len(cands)):
+        for chunk, block in cand_rows.doubling(cands, len(cands)):
+            gaps = _Gaps(tg, gap(row, block), edges)
             misses = np.flatnonzero(~gaps.held)
             if misses.size:
                 return None, (o, chunk[misses[0]]), gaps.verdict(misses[0])
@@ -540,7 +471,7 @@ def _minus_from(a, b):
 
 def _matrix_search(S, T, rel, ell_grid, tg):
     """The partner search behind `rel`, on rows T minus rows S."""
-    tau, sig = _Rows(T._rows, tg), _Rows(S._rows, tg)
+    tau, sig = Rows(T._rows, tg), Rows(S._rows, tg)
     s_idx, t_idx = sorted(S.indices(ell_grid)), sorted(T.indices(ell_grid))
     if rel == "beurling":
         s_ext = sorted(S.indices(ell_grid, extended=True))
@@ -548,9 +479,7 @@ def _matrix_search(S, T, rel, ell_grid, tg):
     if rel == "roumieu":
         t_ext = sorted(T.indices(ell_grid, extended=True))
         # pairs read T's row first: if both rows fail, T's error wins
-        err = tau.block(t_ext[:1])[1]
-        if err is not None:
-            raise err
+        tau.all(t_ext[:1])
         return _partner_search(s_idx, lambda n: t_ext, sig, tau, _minus_from, tg)
     return _every_pair(t_idx, s_idx, tau, sig, np.subtract, tg)
 
@@ -633,15 +562,15 @@ def _reconcile(direct: Verdict, red: Verdict | None, red_name, rel) -> Verdict:
         f"reduction: {direct.status.value} vs {red.status.value}")
 
 
-def mixed_doubling_search(S, T, outer, tg, ell_grid=DEFAULT_ELL_GRID):
+def mixed_doubling_search(S, T, outer, tg):
     """For each ell in `outer` the first n with tau^ell(2t) <= sigma^n(t) + L.
 
     Returns ({ell: {"n": n, "L": L}}, None), or (None, ell) for the first
     ell without a partner.
     """
-    s_ext = sorted(S.indices(ell_grid, extended=True))
-    found, binding, _ = _partner_search(outer, lambda ell: s_ext, _Rows(T._rows, 2 * tg),
-                                        _Rows(S._rows, tg), np.subtract, tg)
+    s_ext = sorted(S.indices(DEFAULT_ELL_GRID, extended=True))
+    found, binding, _ = _partner_search(outer, lambda ell: s_ext, Rows(T._rows, 2 * tg),
+                                        Rows(S._rows, tg), np.subtract, tg)
     if found is None:
         return None, binding
     return {ell: {"n": n, "L": L} for ell, (n, L) in found.items()}, None

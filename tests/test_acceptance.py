@@ -13,8 +13,8 @@ import time
 import numpy as np
 import pytest
 
-from weightlab import (Gevrey, GridSpec, Log, Power, cli, conditions,
-                       conjugate, counterexample, growth, lpspace, relations)
+from weightlab import (Gevrey, Log, Power, cli, conditions, conjugate, counterexample,
+                       growth, lpspace, relations)
 from weightlab.errors import JHorizonTooSmall
 
 

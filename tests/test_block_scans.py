@@ -314,6 +314,21 @@ def test_om6_reads_no_row_past_the_first_H_that_holds(monkeypatch):
     assert read == [n, n, 2 * n, 4 * n, 8 * n, 16 * n]
 
 
+def test_the_growth_index_reads_each_distinct_scale_once(monkeypatch):
+    read = []
+    evaluate = WeightFunction.evaluate
+
+    def counted(w, t):
+        read.append(np.shape(t))
+        return evaluate(w, t)
+
+    monkeypatch.setattr(WeightFunction, "evaluate", counted)
+    growth.growth_index(_Opaque(Power(0.5)), refine=False)
+    # the default grids make 56 pairs (gamma, K), but only 36 distinct
+    # scales K^gamma: 2^2 = 4^1, 4^1.5 = 8^1, ...
+    assert read == [(300,), (36, 300)]
+
+
 def test_the_unboundedness_trend_reads_all_decades_at_once(monkeypatch):
     read = []
     evaluate = WeightFunction.evaluate
@@ -422,7 +437,7 @@ def test_the_slow_variation_cases_reach_errors_and_the_double_range():
 def _norm_loop(f, w, p):
     if p != math.inf and not 1 <= p < math.inf:
         raise ValidationFailed("p must be in [1, oo]")
-    ts = f.t_array()
+    ts = f.ts
     wt = np.asarray(w.evaluate(ts))
     logf = f.log_value_array()
     if p == math.inf:

@@ -1,7 +1,8 @@
-"""Every module of the package imports only names it uses, and every name
-its `__all__` lists can be read from it: a name nothing reads is dead
-weight, and an `__all__` entry that does not resolve breaks
-`from weightlab.<module> import *` and the docs that list it."""
+"""Every module of the package, of the tests and of the tools imports only
+names it uses, and every name a package module's `__all__` lists can be
+read from it: a name nothing reads is dead weight, and an `__all__` entry
+that does not resolve breaks `from weightlab.<module> import *` and the
+docs that list it."""
 
 import ast
 import importlib
@@ -11,6 +12,8 @@ import weightlab
 
 _SRC = Path(weightlab.__file__).resolve().parent
 _MODULES = sorted(_SRC.glob("*.py"))
+_ROOT = Path(__file__).resolve().parent.parent
+_CHECKED = _MODULES + sorted(_ROOT.glob("tests/*.py")) + sorted(_ROOT.glob("tools/*.py"))
 
 
 def _scopes(tree):
@@ -52,12 +55,12 @@ def _unused_imports(path):
         for alias in node.names:
             name = alias.asname or alias.name.split(".")[0]
             if name not in read:
-                unused.append(f"{path.stem}: {name}")
+                unused.append(f"{path.parent.name}/{path.name}: {name}")
     return unused
 
 
 def test_every_imported_name_is_used():
-    unused = [u for path in _MODULES for u in _unused_imports(path)]
+    unused = [u for path in _CHECKED for u in _unused_imports(path)]
     assert not unused, f"imported but never used: {unused}"
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weightlab import GridSpec, Log, Power, lpspace, relations
+from weightlab import Log, Power, lpspace, relations
 
 
 @pytest.fixture(scope="module")
@@ -40,9 +40,8 @@ def test_norm_scaling_homogeneity(gaussian):
 
 def test_sup_norm_is_weighted_peak(gaussian):
     res = lpspace.weighted_norm(gaussian, Log(), math.inf)
-    t = gaussian.t_array()
-    expect = float(np.max(gaussian.value_array()
-                          * (1.0 + t)))  # e^{log(1+t)} = 1 + t
+    expect = float(np.max(gaussian.values
+                          * (1.0 + gaussian.ts)))  # e^{log(1+t)} = 1 + t
     assert res.value == pytest.approx(expect, rel=1e-9)
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weightlab import (Dilated, Exp, Log, LogPower, Normalized, PiecewiseLogLinear,
-                       Power, Scaled, WeightFunction, load_weight, relations)
+                       Power, Scaled, WeightFunction, core, load_weight, relations)
 from weightlab.errors import (HorizonTooSmall, IndexSearchExhausted, NonFinite,
                               ValidationFailed, WeightlabError)
 from weightlab.relations import DEFAULT_ELL_GRID, DEFAULT_GRID, WeightMatrix
@@ -253,12 +253,13 @@ def test_block_rows_are_the_rows_bit_for_bit(key, args):
 
 
 def _first_row_error(W, ells, args):
-    for ell in ells:
+    """(i, error): the first row that cannot be read alone, and its error."""
+    for i, ell in enumerate(ells):
         try:
             with np.errstate(over="ignore"):
                 W.weight_at(ell).evaluate(args)
         except WeightlabError as exc:
-            return exc
+            return i, exc
     raise AssertionError("every row can be read")
 
 
@@ -273,11 +274,13 @@ def _first_row_error(W, ells, args):
 ], ids=["exp_overflow", "exp_base_overflow", "dil_exp", "dil_sequence", "explicit"])
 def test_a_block_that_cannot_be_read_raises_its_first_rows_error(W):
     ells = sorted(W.indices(DEFAULT_ELL_GRID, extended=True))
-    expected = _first_row_error(W, ells, _TG)
-    with pytest.raises(WeightlabError) as info:
-        W._rows(ells, _TG)
-    assert type(info.value) is type(expected)
-    assert str(info.value) == str(expected)
+    i, expected = _first_row_error(W, ells, _TG)
+    rows, err = core.Rows(W._rows, _TG).block(ells)
+    assert type(err) is type(expected)
+    assert str(err) == str(expected)
+    assert rows.shape == (i, len(_TG))
+    for ell, row in zip(ells, rows):
+        assert row.tobytes() == W.weight_at(ell).evaluate(_TG).tobytes(), ell
 
 
 class _Capped(WeightFunction):
