@@ -19,6 +19,7 @@ Matrix relations (sigma^n from S, tau^ell from T):
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -188,6 +189,15 @@ def _decade_edges(tg):
     return starts[starts < ends]
 
 
+@functools.lru_cache(maxsize=32)
+def _grid_edges(grid: GridSpec):
+    """`_decade_edges` of grid.points(), found once per grid per process
+    and read-only, as the points are."""
+    edges = _decade_edges(grid.points())
+    edges.flags.writeable = False
+    return edges
+
+
 def _decade_sups(tg, d, edges=None):
     """Per-decade suprema of d on the sorted grid tg, early decades first."""
     if edges is None:
@@ -201,7 +211,8 @@ class _Gaps:
     decades: d is growing when b and c each rise by more than 5 % (at
     least 1e-9), and the row holds, with C the smallest power of two at
     least max(sup d, 1), when d is not growing and C <= 2^40.  `held`
-    marks the rows that hold; a row's verdict is built when asked for."""
+    marks the rows that hold; a row's C and verdict are found when asked
+    for."""
 
     def __init__(self, tg, D, edges=None, what="gap"):
         if edges is None:
@@ -214,11 +225,12 @@ class _Gaps:
         with np.errstate(invalid="ignore"):
             self.growing = (hi > lo + np.fmax(1e-9, 0.05 * np.abs(lo))).all(axis=1)
         self.peak = D.max(axis=1)
-        self.C_at = np.searchsorted(_C_GRID, np.maximum(self.peak, 1.0))
-        self.held = (self.C_at < len(_C_GRID)) & ~self.growing
+        # a NaN peak compares false, as its C lookup runs off the grid
+        self.held = (self.peak <= _C_GRID[-1]) & ~self.growing
 
     def C(self, i):
-        return float(_C_GRID[self.C_at[i]])
+        """C of row i, or the list of C of the rows of a slice i."""
+        return _C_GRID[np.searchsorted(_C_GRID, np.maximum(self.peak[i], 1.0))].tolist()
 
     def verdict(self, i):
         peak, sups, what = float(self.peak[i]), self.sups[i].tolist(), self.what
@@ -234,23 +246,23 @@ class _Gaps:
         return inconclusive(margin=peak, notes=f"{what} trend undecided at horizon")
 
 
-def _bounded_gap(tg, d, what="gap"):
+def _bounded_gap(tg, d, what="gap", edges=None):
     """Verdict on sup d < oo from the decade trend of d."""
-    return _Gaps(tg, d[None], what=what).verdict(0)
+    return _Gaps(tg, d[None], edges, what).verdict(0)
 
 
-def _affine_dom(tg, s, t):
+def _affine_dom(tg, s, t, edges):
     """tau <= C sigma + C: bounded ratio tau/(sigma+1)."""
     with np.errstate(invalid="ignore"):
         r = t / (s + 1.0)
-    return _bounded_gap(tg, r, what="ratio")
+    return _bounded_gap(tg, r, "ratio", edges)
 
 
-def _ratio_vanishes(tg, s, t):
+def _ratio_vanishes(tg, s, t, edges):
     """tau/sigma -> 0, tested on decade suprema of the damped ratio."""
     with np.errstate(invalid="ignore"):
         r = t / (s + 1.0)
-    sups = _decade_sups(tg, r)
+    sups = _decade_sups(tg, r, edges)
     if len(sups) < 3:
         raise HorizonTooSmall("ratio trend needs >= 3 decades")
     peak, last = float(max(sups)), float(sups[-1])
@@ -280,11 +292,12 @@ def compare(sigma: WeightFunction, tau: WeightFunction, rel: str,
     tg = grid.points()
     s = np.asarray(sigma.evaluate(tg))
     t = np.asarray(tau.evaluate(tg))
-    return RelationVerdict(_relation(sigma, tau, rel, tg, s, t), rel)
+    return RelationVerdict(_relation(sigma, tau, rel, tg, s, t, _grid_edges(grid)), rel)
 
 
-def _relation(sigma, tau, rel, tg, s, t) -> Verdict:
-    """The verdict on sigma rel tau, with s = sigma(tg) and t = tau(tg)."""
+def _relation(sigma, tau, rel, tg, s, t, edges) -> Verdict:
+    """The verdict on sigma rel tau, with s = sigma(tg), t = tau(tg) and
+    edges = _decade_edges(tg)."""
     if rel == "le":
         tol = 1e-12 * (1.0 + float(np.max(np.abs(s))))
         bad = t > s + tol
@@ -294,26 +307,26 @@ def _relation(sigma, tau, rel, tg, s, t) -> Verdict:
         return holds({"pointwise": True}, margin=float(np.min(s - t)))
 
     if rel == "preceq":
-        return _affine_dom(tg, s, t)
+        return _affine_dom(tg, s, t, edges)
 
     if rel in ("sim", "sim_c"):
         one_way = {"sim": "preceq", "sim_c": "preceq_c"}[rel]
-        return conjunction({"forward": _relation(sigma, tau, one_way, tg, s, t),
-                            "backward": _relation(tau, sigma, one_way, tg, t, s)})
+        return conjunction({"forward": _relation(sigma, tau, one_way, tg, s, t, edges),
+                            "backward": _relation(tau, sigma, one_way, tg, t, s, edges)})
 
     if rel == "triangle":
         # the eps-quantified bound is equivalent to tau/sigma -> 0, which is
         # scale-free and immune to eps-dependent crossover points beyond the
         # grid horizon
-        return _ratio_vanishes(tg, s, t)
+        return _ratio_vanishes(tg, s, t, edges)
 
     if rel == "preceq_c":
-        return _dilation_dom(sigma, tg, s, t)
+        return _dilation_dom(sigma, tg, s, t, edges)
 
     if rel == "triangle_c":
         block, err = _dilations(sigma, tg, s).block(_EPS_GRID)
         # a grid of too few decades raises here, before any row's error
-        gaps = _Gaps(tg, t - block, _decade_edges(tg))
+        gaps = _Gaps(tg, t - block, edges)
         if err is not None:
             raise err
         return conjunction({f"eps={eps}": gaps.verdict(i) for i, eps in enumerate(_EPS_GRID)})
@@ -329,11 +342,10 @@ def _dilations(sigma, tg, s):
     return rows
 
 
-def _dilation_dom(sigma, tg, s, t):
+def _dilation_dom(sigma, tg, s, t, edges):
     """tau(t) <= sigma(C1 t) + C2 for some C1, C2; s = sigma(tg), t = tau(tg).
     The factors C1 = 1, 2, 4, ..., 2^12 are tested in chunks, as a partner
     search tests its candidates, and the first that holds is kept."""
-    edges = _decade_edges(tg)
     for chunk, block in _dilations(sigma, tg, s).doubling(_C1_GRID):
         gaps = _Gaps(tg, t - block, edges)
         hits = np.flatnonzero(gaps.held)
@@ -413,9 +425,10 @@ def _any_holds(v1: Verdict, v2: Verdict) -> Verdict:
 # matrix-level relations
 # ---------------------------------------------------------------------------
 
-def _partner_search(outer, cands, outer_rows, cand_rows, gap, tg):
+def _partner_search(outer, cands, outer_rows, cand_rows, gap, tg, edges):
     """For every o in `outer`, the first c in `cands(o)` whose
-    gap(outer_rows(o), cand_rows(c)) is certified bounded on tg.
+    gap(outer_rows(o), cand_rows(c)) is certified bounded on tg, whose
+    decades start at `edges`.
 
     The outer rows are read as one block.  The candidates of an outer
     index are tested in chunks of 1, 2, 4, ..., one block of gaps per
@@ -425,7 +438,6 @@ def _partner_search(outer, cands, outer_rows, cand_rows, gap, tg):
     without a partner, v being the verdict on its last candidate (None if
     it had none).
     """
-    edges = _decade_edges(tg)
     found = {}
     rows, err = outer_rows.block(outer)
     for o, row in zip(outer, rows):
@@ -444,13 +456,12 @@ def _partner_search(outer, cands, outer_rows, cand_rows, gap, tg):
     return found, None, None
 
 
-def _every_pair(outer, cands, outer_rows, cand_rows, gap, tg):
+def _every_pair(outer, cands, outer_rows, cand_rows, gap, tg, edges):
     """Whether gap(outer_rows(o), cand_rows(c)) is certified bounded on tg
     for every o in `outer` and c in the list `cands`, read and tested as
     in `_partner_search` but with each o's candidates as one block.
     Returns ({(o, c): (c, C)}, None, None), or (None, (o, c), v) for the
     first pair in that order that does not hold, v being its verdict."""
-    edges = _decade_edges(tg)
     found = {}
     rows, err = outer_rows.block(outer)
     for o, row in zip(outer, rows):
@@ -459,7 +470,7 @@ def _every_pair(outer, cands, outer_rows, cand_rows, gap, tg):
             misses = np.flatnonzero(~gaps.held)
             if misses.size:
                 return None, (o, chunk[misses[0]]), gaps.verdict(misses[0])
-            found.update(((o, c), (c, gaps.C(j))) for j, c in enumerate(chunk))
+            found.update(((o, c), (c, C)) for c, C in zip(chunk, gaps.C(slice(None))))
     if err is not None:
         raise err
     return found, None, None
@@ -469,19 +480,20 @@ def _minus_from(a, b):
     return b - a
 
 
-def _matrix_search(S, T, rel, ell_grid, tg):
-    """The partner search behind `rel`, on rows T minus rows S."""
+def _matrix_search(S, T, rel, ell_grid, grid):
+    """The partner search behind `rel`, on rows T minus rows S over grid."""
+    tg, edges = grid.points(), _grid_edges(grid)
     tau, sig = Rows(T._rows, tg), Rows(S._rows, tg)
     s_idx, t_idx = sorted(S.indices(ell_grid)), sorted(T.indices(ell_grid))
     if rel == "beurling":
         s_ext = sorted(S.indices(ell_grid, extended=True))
-        return _partner_search(t_idx, lambda ell: s_ext, tau, sig, np.subtract, tg)
+        return _partner_search(t_idx, lambda ell: s_ext, tau, sig, np.subtract, tg, edges)
     if rel == "roumieu":
         t_ext = sorted(T.indices(ell_grid, extended=True))
         # pairs read T's row first: if both rows fail, T's error wins
         tau.all(t_ext[:1])
-        return _partner_search(s_idx, lambda n: t_ext, sig, tau, _minus_from, tg)
-    return _every_pair(t_idx, s_idx, tau, sig, np.subtract, tg)
+        return _partner_search(s_idx, lambda n: t_ext, sig, tau, _minus_from, tg, edges)
+    return _every_pair(t_idx, s_idx, tau, sig, np.subtract, tg, edges)
 
 
 def _reduction(S, T, rel, grid):
@@ -503,10 +515,10 @@ def matrix_relation(S: WeightMatrix, T: WeightMatrix, rel: str,
     T.verify_pointwise_order(ell_grid, grid)
     # pair certificates are checked far beyond the reporting grid: a large
     # partner index can push the crossover point out by many decades
-    tg = GridSpec(grid.t_min, grid.t_max * 1e6, 2 * grid.n_points).points()
+    search = GridSpec(grid.t_min, grid.t_max * 1e6, 2 * grid.n_points)
 
     red, red_name = _reduction(S, T, rel, grid)
-    found, binding, v = _matrix_search(S, T, rel, ell_grid, tg)
+    found, binding, v = _matrix_search(S, T, rel, ell_grid, search)
 
     if rel == "triangle":
         if binding is not None:
@@ -570,7 +582,7 @@ def mixed_doubling_search(S, T, outer, tg):
     """
     s_ext = sorted(S.indices(DEFAULT_ELL_GRID, extended=True))
     found, binding, _ = _partner_search(outer, lambda ell: s_ext, Rows(T._rows, 2 * tg),
-                                        Rows(S._rows, tg), np.subtract, tg)
+                                        Rows(S._rows, tg), np.subtract, tg, _decade_edges(tg))
     if found is None:
         return None, binding
     return {ell: {"n": n, "L": L} for ell, (n, L) in found.items()}, None

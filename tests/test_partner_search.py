@@ -14,7 +14,7 @@ from weightlab import (Dilated, Exp, Log, LogPower, Normalized, PiecewiseLogLine
 from weightlab.errors import (HorizonTooSmall, IndexSearchExhausted, NonFinite,
                               ValidationFailed, WeightlabError)
 from weightlab.relations import DEFAULT_ELL_GRID, DEFAULT_GRID, WeightMatrix
-from weightlab.verdict import fails, holds, inconclusive
+from weightlab.verdict import conjunction, fails, holds, inconclusive
 
 
 # --------------------------------------------------------------------------
@@ -71,6 +71,51 @@ def test_decade_sups_carry_nan():
     sups = relations._decade_sups(tg, d)
     assert _same(sups, _mask_decade_sups(tg, d))
     assert sum(math.isnan(s) for s in sups) == 1
+
+
+# the grids the trend tests run on: the scalar relations', matrix_relation's
+# search grid, inclusion_experiment's, a linear grid from 0 and a grid of
+# exactly three decades
+_EDGE_GRIDS = [DEFAULT_GRID, relations.GridSpec(1e-2, 1e12, 1200),
+               relations.GridSpec(1e-2, 1e6, 400),
+               relations.GridSpec(0.0, 1e4, 300, "linear"), relations.GridSpec(1.0, 1e3, 91)]
+
+
+@pytest.mark.parametrize("grid", _EDGE_GRIDS, ids=repr)
+def test_each_grid_finds_its_decade_starts_once(grid):
+    edges = relations._grid_edges(grid)
+    assert np.array_equal(edges, relations._decade_edges(grid.points()))
+    assert not edges.flags.writeable
+    assert relations._grid_edges(grid) is edges
+    # an equal grid is the same grid
+    assert relations._grid_edges(relations.GridSpec(grid.t_min, grid.t_max, grid.n_points,
+                                                    grid.spacing)) is edges
+
+
+def _relation_finding_edges_per_rule(sigma, tau, rel, tg, s, t):
+    """`relations._relation` with the decade starts found from tg by each
+    rule, one direction of sim and sim_c at a time."""
+    if rel in ("sim", "sim_c"):
+        one_way = {"sim": "preceq", "sim_c": "preceq_c"}[rel]
+        return conjunction({
+            "forward": _relation_finding_edges_per_rule(sigma, tau, one_way, tg, s, t),
+            "backward": _relation_finding_edges_per_rule(tau, sigma, one_way, tg, t, s)})
+    return relations._relation(sigma, tau, rel, tg, s, t, relations._decade_edges(tg))
+
+
+_CHAIN = {"log": Log(), "log2": LogPower(2.0), "t14": Power(0.25), "t12": Power(0.5),
+          "t1": Power(1.0)}
+
+
+@pytest.mark.parametrize("rel", relations.RELATIONS)
+def test_compare_on_the_cached_decade_starts_is_compare_finding_them_per_rule(rel):
+    tg = DEFAULT_GRID.points()
+    for sigma in _CHAIN.values():
+        for tau in _CHAIN.values():
+            s, t = sigma.evaluate(tg), tau.evaluate(tg)
+            expected = relations.RelationVerdict(
+                _relation_finding_edges_per_rule(sigma, tau, rel, tg, s, t), rel)
+            assert relations.compare(sigma, tau, rel).to_dict() == expected.to_dict()
 
 
 # --------------------------------------------------------------------------
@@ -373,6 +418,10 @@ _VALUE = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True))
 
 
+_EDGE_PEAKS = (2.0 ** 40, float(np.nextafter(2.0 ** 40, math.inf)), math.nan, math.inf,
+               -math.inf)
+
+
 @st.composite
 def _gap_row(draw, lengths):
     """A row of gaps, constant on each decade (so its decade suprema are
@@ -393,7 +442,8 @@ def _gap_row(draw, lengths):
              "rise5": lambda: x + max(1e-9, 0.05 * abs(x)),
              "rise20": lambda: 1.2 * max(x, 1e-300),
              "pow2": lambda: 2.0 ** draw(st.integers(-2, 42))}[rule]()
-        return float(np.nextafter(y, draw(st.sampled_from([-math.inf, y, math.inf]))))
+        with np.errstate(over="ignore"):  # a step past the largest float is inf
+            return float(np.nextafter(y, draw(st.sampled_from([-math.inf, y, math.inf]))))
 
     # the leading points and the decades before the last two are free
     levels = [draw(_VALUE) for _ in range(len(lengths) - 2)]
@@ -409,8 +459,15 @@ def test_the_block_rule_is_the_one_row_rule_row_by_row(grid, data):
     edges = relations._decade_edges(tg)
     # the leading points before the first decade, then one length per decade
     lengths = np.diff(np.concatenate([[0], edges, [len(tg)]]))
-    k = data.draw(st.integers(1, 5))
-    D = np.stack([data.draw(_gap_row(lengths)) for _ in range(k)])
+    rows = [data.draw(_gap_row(lengths)) for _ in range(data.draw(st.integers(1, 5)))]
+    # peaks on and just past the last C, and peaks that are not numbers:
+    # each as a constant row, and at a drawn point of a drawn row below it
+    for peak in _EDGE_PEAKS:
+        row = np.minimum(data.draw(_gap_row(lengths)), peak)
+        row[data.draw(st.integers(0, len(tg) - 1))] = peak
+        rows += [np.full(len(tg), peak), row]
+    D = np.stack(rows)
+    k = len(D)
     what = data.draw(st.sampled_from(["gap", "ratio"]))
     gaps = relations._Gaps(tg, D, edges, what)
     for i in range(k):
