@@ -322,96 +322,83 @@ _EXPONENT = _arg_type(lambda text: math.inf if text == "oo" else float(text),
 _DELTA = _arg_type(_delta_spec, "default or power:<exponent>")
 
 
-def _build_parser(defaults=None):
-    """The argument parser; `defaults` replace the subcommands' own."""
+def _add_arguments(p, command):
+    """Add the arguments of `command` to its subparser p: its own, then the
+    flags every subcommand takes, --horizon where the command reads it and
+    --emit/--plot-dir where it has curves."""
+    horizon = command in ("analyze", "classify", "index", "kappa", "compare", "report")
+    if command in ("analyze", "classify", "conjugate", "matrix", "index", "kappa", "report"):
+        p.add_argument("--weight", required=True)
+    if command == "analyze":
+        p.add_argument("--conditions", default=None,
+                       help="comma-separated condition ids (default: all)")
+    elif command == "conjugate":
+        p.add_argument("--xmax", type=_FLOAT, default="1e4")
+    elif command == "matrix":
+        p.add_argument("--ell", type=_NUMBERS, default="0.5,1,2")
+        p.add_argument("--jmax", type=int, default="100")
+    elif command == "index":
+        p.add_argument("--gammas", type=_NUMBERS, default=None,
+                       help="comma-separated gamma grid to test (default: built-in)")
+    elif command == "kappa":
+        p.add_argument("--y", type=_NUMBERS, default="1,4,100")
+    elif command == "compare":
+        p.add_argument("--sigma", required=True)
+        p.add_argument("--tau", required=True)
+        p.add_argument("--rel", type=_relation_names("RELATIONS"), default="preceq")
+    elif command == "matrix-compare":
+        p.add_argument("--s-type", choices=_MATRIX_KINDS, default="exp")
+        p.add_argument("--s-weight", required=True)
+        p.add_argument("--t-type", choices=_MATRIX_KINDS, default="exp")
+        p.add_argument("--t-weight", required=True)
+        p.add_argument("--rel", type=_relation_names("MATRIX_RELATIONS"), default="beurling")
+    elif command == "lp-experiment":
+        p.add_argument("--s", required=True)
+        p.add_argument("--t", required=True)
+        p.add_argument("--s-type", choices=_MATRIX_KINDS, default="exp")
+        p.add_argument("--t-type", choices=_MATRIX_KINDS, default="exp")
+        p.add_argument("--p", type=_EXPONENT, default="2")
+        p.add_argument("--type", default="beurling", choices=["beurling", "roumieu"])
+    elif command == "counterexample":
+        p.add_argument("--J", type=int, default="60")
+        p.add_argument("--t1", type=_FLOAT, default="0.5")
+        p.add_argument("--delta", type=_DELTA, default="default")
+        p.add_argument("--certify", type=_names(("all",) + _CERTIFICATES), default="all")
+        # the largest ladder rung a J=60 profile can witness; larger rungs need
+        # proportionally more blocks than doubles can represent
+        p.add_argument("--A-max", dest="A_max", type=_FLOAT, default="64")
+    p.add_argument("--out", default=None, help="output file (default stdout)")
+    p.add_argument("--config", default=None, help="JSON file with defaults")
+    p.add_argument("--expect", choices=["holds"], default=None)
+    p.add_argument("--strict", action="store_true")
+    if horizon:
+        p.add_argument("--horizon", type=_FLOAT, default=None)
+    if command in ("conjugate", "counterexample"):
+        p.add_argument("--emit", type=_names(("json", "csv")), default="json",
+                       help="json and/or csv")
+        p.add_argument("--plot-dir", default=".")
+
+
+def _build_parser(argv, defaults=None):
+    """The argument parser for the command line argv; `defaults` replace
+    the subcommand's own.
+
+    The first token of argv that does not start with "-" names the
+    subcommand, and only that one gets its arguments.  When it is not
+    argv's first token (help, a missing or unknown subcommand, or an option
+    before it), every subcommand name is registered as well, so that the
+    help and the errors list them all.
+    """
     ap = _Parser(prog="weightlab", description="weight-function calculus toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p, horizon=False, plots=False):
-        """The flags every subcommand takes, plus --horizon where the
-        command reads it and --emit/--plot-dir where it has curves."""
-        p.add_argument("--out", default=None, help="output file (default stdout)")
-        p.add_argument("--config", default=None, help="JSON file with defaults")
-        p.add_argument("--expect", choices=["holds"], default=None)
-        p.add_argument("--strict", action="store_true")
-        if horizon:
-            p.add_argument("--horizon", type=_FLOAT, default=None)
-        if plots:
-            p.add_argument("--emit", type=_names(("json", "csv")), default="json",
-                           help="json and/or csv")
-            p.add_argument("--plot-dir", default=".")
-        if defaults:
-            p.set_defaults(**defaults)
-
-    p = sub.add_parser("analyze")
-    p.add_argument("--weight", required=True)
-    p.add_argument("--conditions", default=None,
-                   help="comma-separated condition ids (default: all)")
-    common(p, horizon=True)
-
-    p = sub.add_parser("classify")
-    p.add_argument("--weight", required=True)
-    common(p, horizon=True)
-
-    p = sub.add_parser("conjugate")
-    p.add_argument("--weight", required=True)
-    p.add_argument("--xmax", type=_FLOAT, default="1e4")
-    common(p, plots=True)
-
-    p = sub.add_parser("matrix")
-    p.add_argument("--weight", required=True)
-    p.add_argument("--ell", type=_NUMBERS, default="0.5,1,2")
-    p.add_argument("--jmax", type=int, default="100")
-    common(p)
-
-    p = sub.add_parser("index")
-    p.add_argument("--weight", required=True)
-    p.add_argument("--gammas", type=_NUMBERS, default=None,
-                   help="comma-separated gamma grid to test (default: built-in)")
-    common(p, horizon=True)
-
-    p = sub.add_parser("kappa")
-    p.add_argument("--weight", required=True)
-    p.add_argument("--y", type=_NUMBERS, default="1,4,100")
-    common(p, horizon=True)
-
-    p = sub.add_parser("compare")
-    p.add_argument("--sigma", required=True)
-    p.add_argument("--tau", required=True)
-    p.add_argument("--rel", type=_relation_names("RELATIONS"), default="preceq")
-    common(p, horizon=True)
-
-    p = sub.add_parser("matrix-compare")
-    p.add_argument("--s-type", choices=_MATRIX_KINDS, default="exp")
-    p.add_argument("--s-weight", required=True)
-    p.add_argument("--t-type", choices=_MATRIX_KINDS, default="exp")
-    p.add_argument("--t-weight", required=True)
-    p.add_argument("--rel", type=_relation_names("MATRIX_RELATIONS"), default="beurling")
-    common(p)
-
-    p = sub.add_parser("lp-experiment")
-    p.add_argument("--s", required=True)
-    p.add_argument("--t", required=True)
-    p.add_argument("--s-type", choices=_MATRIX_KINDS, default="exp")
-    p.add_argument("--t-type", choices=_MATRIX_KINDS, default="exp")
-    p.add_argument("--p", type=_EXPONENT, default="2")
-    p.add_argument("--type", default="beurling", choices=["beurling", "roumieu"])
-    common(p)
-
-    p = sub.add_parser("counterexample")
-    p.add_argument("--J", type=int, default="60")
-    p.add_argument("--t1", type=_FLOAT, default="0.5")
-    p.add_argument("--delta", type=_DELTA, default="default")
-    p.add_argument("--certify", type=_names(("all",) + _CERTIFICATES), default="all")
-    # the largest ladder rung a J=60 profile can witness; larger rungs need
-    # proportionally more blocks than doubles can represent
-    p.add_argument("--A-max", dest="A_max", type=_FLOAT, default="64")
-    common(p, plots=True)
-
-    p = sub.add_parser("report")
-    p.add_argument("--weight", required=True)
-    common(p, horizon=True)
-
+    command = next((a for a in argv if not a.startswith("-")), None)
+    names = [command] if command in _COMMANDS and argv[0] == command else _COMMANDS
+    for name in names:
+        p = sub.add_parser(name)
+        if name == command:
+            _add_arguments(p, name)
+            if defaults:
+                p.set_defaults(**defaults)
     return ap
 
 
@@ -422,7 +409,8 @@ def _parse(argv):
     it is, a boolean sets a switch such as --strict, and any other value
     is read as its JSON text.
     """
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser(argv).parse_args(argv)
     if not args.config:
         return args
     with open(args.config) as fh:
@@ -433,7 +421,7 @@ def _parse(argv):
     defaults = {key.replace("-", "_"): value if isinstance(value, (str, bool))
                 else json.dumps(value) for key, value in cfg.items()}
     defaults = {key: value for key, value in defaults.items() if key in flags}
-    return _build_parser(defaults).parse_args(argv)
+    return _build_parser(argv, defaults).parse_args(argv)
 
 
 def run(argv=None) -> int:

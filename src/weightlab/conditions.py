@@ -25,12 +25,10 @@ else that cannot be certified gets an honest ``inconclusive``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import growth
 from .core import (DEFAULT_GRID, Associated, Dilated, Exp, GridSpec, Log, LogPower,
                    Normalized, Power, Scaled, WeightFunction, _BLOCK, dilations)
 from .errors import (ChainViolation, HorizonTooSmall, NonFinite, NotMonotone,
@@ -233,6 +231,7 @@ def _check_om6(w, grid):
 
 
 def _check_om_nq(w, grid):
+    from . import growth
     T = grid.t_max
     r1 = growth.kappa(w, 1.0, T)
     if r1.divergent:
@@ -248,6 +247,7 @@ def _check_om_nq(w, grid):
 
 
 def _check_om_snq(w, grid):
+    from . import growth
     y = np.geomspace(max(grid.t_min, 1.0), min(grid.t_max, 1e5), 30)
     res = growth.kappa(w, y, grid.t_max, until_divergent=True)
     if res[-1].divergent:
@@ -414,10 +414,12 @@ def check_condition(w: WeightFunction, cond: str, grid: GridSpec = DEFAULT_GRID)
         return inconclusive(horizon=grid.describe(), notes=f"{type(exc).__name__}: {exc}")
 
 
-@dataclass
 class ClassReport:
-    conditions: dict
-    classes: dict
+    __slots__ = ("conditions", "classes")
+
+    def __init__(self, conditions: dict, classes: dict):
+        self.conditions = conditions
+        self.classes = classes
 
     to_dict = report_dict
 
@@ -471,6 +473,7 @@ def classify(w: WeightFunction, grid: GridSpec = DEFAULT_GRID) -> ClassReport:
     # kappa transform, which is concave; that rescues membership up to
     # equivalence
     if not bb.holds:
+        from . import growth
         try:
             ke = growth.kappa_equivalence_check(w, T=grid.t_max)
         except WeightlabError as exc:  # evaluation trouble should not sink the report
@@ -484,12 +487,14 @@ def classify(w: WeightFunction, grid: GridSpec = DEFAULT_GRID) -> ClassReport:
     return ClassReport(conditions=conds, classes=classes)
 
 
-@dataclass
 class ConsistencyReport:
     """Verdicts and the implications checked between them (a broken one raises)."""
 
-    items: dict
-    edges: list
+    __slots__ = ("items", "edges")
+
+    def __init__(self, items: dict, edges: list):
+        self.items = items
+        self.edges = edges
 
     to_dict = report_dict
 
@@ -501,6 +506,7 @@ def check_implication_chain(w: WeightFunction, grid: GridSpec = DEFAULT_GRID,
     if not w.nondecreasing:
         raise NotMonotone("implication chain requires a nondecreasing weight")
 
+    from . import growth
     est = growth.growth_index(w, gamma_grid=(1.25, 2.0), T=index_horizon, refine=False)
     if est.lower_bound > 1.0:
         growth_gt1 = holds({"lower_bound": est.lower_bound})

@@ -18,7 +18,6 @@ returns what a scan of the whole grid would, bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,7 +50,6 @@ _ZOOM_ROUNDS = 6
 _Y_GROUP = 29
 
 
-@dataclass
 class ConjugateProfile:
     """phi* on [0, x_max].
 
@@ -64,17 +62,25 @@ class ConjugateProfile:
     that is negative or NaN.
     """
 
-    x_max: float
-    exact: bool
-    breakpoints: np.ndarray
-    values: np.ndarray
-    envelope_used: bool = False
-    slope_cap: float = math.inf          # exact path: sup of finiteness domain
-    _hull_us: np.ndarray | None = None
-    _hull_vs: np.ndarray | None = None
-    _weight: WeightFunction | None = None
-    _y_lo: float = 0.0
-    _y_hi: float = 0.0
+    __slots__ = ("x_max", "exact", "breakpoints", "values", "envelope_used", "slope_cap",
+                 "_hull_us", "_hull_vs", "_weight", "_y_lo", "_y_hi")
+
+    def __init__(self, x_max: float, exact: bool, breakpoints: np.ndarray,
+                 values: np.ndarray, envelope_used: bool = False,
+                 slope_cap: float = math.inf, _hull_us: np.ndarray | None = None,
+                 _hull_vs: np.ndarray | None = None, _weight: WeightFunction | None = None,
+                 _y_lo: float = 0.0, _y_hi: float = 0.0):
+        self.x_max = x_max
+        self.exact = exact
+        self.breakpoints = breakpoints
+        self.values = values
+        self.envelope_used = envelope_used
+        self.slope_cap = slope_cap         # exact path: sup of finiteness domain
+        self._hull_us = _hull_us
+        self._hull_vs = _hull_vs
+        self._weight = _weight
+        self._y_lo = _y_lo
+        self._y_hi = _y_hi
 
     def value(self, x):
         arr = np.atleast_1d(np.asarray(x, dtype=float))
@@ -264,13 +270,16 @@ def _exact_conjugate(w: PiecewiseLogLinear, x_max: float) -> ConjugateProfile:
 # biconjugate
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class GapReport:
-    max_gap: float
-    argmax_u: float
-    zero_gap: bool
-    convexity_consistent: bool
-    notes: str = ""
+    __slots__ = ("max_gap", "argmax_u", "zero_gap", "convexity_consistent", "notes")
+
+    def __init__(self, max_gap: float, argmax_u: float, zero_gap: bool,
+                 convexity_consistent: bool, notes: str = ""):
+        self.max_gap = max_gap
+        self.argmax_u = argmax_u
+        self.zero_gap = zero_gap
+        self.convexity_consistent = convexity_consistent
+        self.notes = notes
 
     to_dict = report_dict
 

@@ -13,7 +13,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,24 +42,54 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class _Value:
+    """A value built once: equal to an object of its own type with equal
+    slots, hashed by them, and read-only (`__init__` sets the slots with
+    object.__setattr__)."""
+
+    __slots__ = ()
+
+    def _key(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class GridSpec(_Value):
     """Evaluation grid on [t_min, t_max]."""
 
-    t_min: float
-    t_max: float
-    n_points: int = 400
-    spacing: str = "logarithmic"
+    __slots__ = ("t_min", "t_max", "n_points", "spacing")
 
-    def __post_init__(self):
-        if not (self.t_min < self.t_max):
+    def __init__(self, t_min: float, t_max: float, n_points: int = 400,
+                 spacing: str = "logarithmic"):
+        if not (t_min < t_max):
             raise ValidationFailed("t_min must be < t_max")
-        if self.n_points < 2:
+        if not (math.isfinite(t_min) and math.isfinite(t_max)):
+            raise ValidationFailed("t_min and t_max must be finite")
+        if n_points < 2:
             raise ValidationFailed("n_points must be >= 2")
-        if self.spacing not in ("linear", "logarithmic"):
-            raise ValidationFailed(f"unknown spacing {self.spacing!r}")
-        if self.spacing == "logarithmic" and self.t_min <= 0:
+        if spacing not in ("linear", "logarithmic"):
+            raise ValidationFailed(f"unknown spacing {spacing!r}")
+        if spacing == "logarithmic" and t_min <= 0:
             raise ValidationFailed("logarithmic spacing needs t_min > 0")
+        for name, value in zip(self.__slots__, (t_min, t_max, n_points, spacing)):
+            object.__setattr__(self, name, value)
 
     @functools.lru_cache(maxsize=32)
     def points(self) -> np.ndarray:
@@ -170,15 +199,15 @@ class WeightFunction:
         return f"{type(self).__name__}({self.to_json_dict()})"
 
 
-@dataclass(frozen=True, repr=False)
-class Power(WeightFunction):
+class Power(WeightFunction, _Value):
     """w(t) = t**alpha."""
 
-    alpha: float
+    __slots__ = ("alpha",)
 
-    def __post_init__(self):
-        if self.alpha <= 0:
+    def __init__(self, alpha: float):
+        if alpha <= 0:
             raise ValidationFailed("alpha must be > 0")
+        object.__setattr__(self, "alpha", alpha)
 
     def _eval(self, t):
         with np.errstate(over="ignore"):
@@ -199,9 +228,10 @@ class Gevrey(Power):
         super().__init__(alpha=1.0 / s)
 
 
-@dataclass(frozen=True, repr=False)
-class Log(WeightFunction):
+class Log(WeightFunction, _Value):
     """w(t) = log(1 + t)."""
+
+    __slots__ = ()
 
     def _eval(self, t):
         return np.log1p(t)
@@ -211,15 +241,15 @@ class Log(WeightFunction):
         return np.logaddexp(0.0, u)
 
 
-@dataclass(frozen=True, repr=False)
-class LogPower(WeightFunction):
+class LogPower(WeightFunction, _Value):
     """w(t) = log(1 + t)**beta, beta >= 1."""
 
-    beta: float
+    __slots__ = ("beta",)
 
-    def __post_init__(self):
-        if self.beta < 1:
+    def __init__(self, beta: float):
+        if beta < 1:
             raise ValidationFailed("beta must be >= 1")
+        object.__setattr__(self, "beta", beta)
 
     def _eval(self, t):
         return np.log1p(t) ** self.beta
@@ -228,9 +258,10 @@ class LogPower(WeightFunction):
         return np.logaddexp(0.0, u) ** self.beta
 
 
-@dataclass(frozen=True, repr=False)
-class Exp(WeightFunction):
+class Exp(WeightFunction, _Value):
     """w(t) = e^t - 1."""
+
+    __slots__ = ()
 
     def _eval(self, t):
         with np.errstate(over="ignore"):
@@ -316,17 +347,17 @@ class PiecewiseLogLinear(WeightFunction):
         return {"profile": [[float(u), float(v)] for u, v in zip(self.us, self.vs)]}
 
 
-@dataclass(frozen=True)
-class WeightSequence:
+class WeightSequence(_Value):
     """Positive sequence M_0..M_P stored as log M_p."""
 
-    logM: tuple
+    __slots__ = ("logM",)
 
-    def __post_init__(self):
-        if len(self.logM) < 2:
+    def __init__(self, logM: tuple):
+        if len(logM) < 2:
             raise EmptyInput("sequence needs at least two entries")
-        if not all(np.isfinite(self.logM)):
+        if not all(np.isfinite(logM)):
             raise ValidationFailed("sequence entries must be positive and finite")
+        object.__setattr__(self, "logM", logM)
 
     @classmethod
     def from_values(cls, M):
@@ -582,7 +613,13 @@ class Rows:
 def dilations(w: WeightFunction, args):
     """The reader of the rows w(c * args) for the scales c; row c is bit for
     bit w.evaluate(c * args)."""
-    return Rows(lambda scales, a: w.evaluate(np.multiply.outer(scales, a)), args)
+    def read(scales, a):
+        # a product past the double range is inf, without a warning;
+        # evaluate raises NonFinite where w(inf) is infinite
+        with np.errstate(over="ignore"):
+            dilated = np.multiply.outer(scales, a)
+        return w.evaluate(dilated)
+    return Rows(read, args)
 
 
 # ---------------------------------------------------------------------------

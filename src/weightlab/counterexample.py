@@ -20,7 +20,6 @@ slopes k_j / phi(x_j) -> 0 keep the profile slowly varying.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,7 +49,6 @@ _RTOL = 1e-12
 # parameter sequences
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class AdmissibleDelta:
     """Positive block parameters with controlled decay.
 
@@ -59,11 +57,10 @@ class AdmissibleDelta:
     (the finite-horizon stand-in for j*delta_j -> infinity).
     """
 
-    values: tuple
-    provenance: str = "user"
+    __slots__ = ("values", "provenance")
 
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+    def __init__(self, values: tuple, provenance: str = "user"):
+        v = np.asarray(values, dtype=float)
         if v.size < 1 or np.any(~np.isfinite(v)) or np.any(v <= 0):
             raise ValidationFailed("delta values must be positive finite reals")
         for j in range(1, v.size):           # j is 1-based block index of v[j-1]
@@ -81,6 +78,8 @@ class AdmissibleDelta:
             if np.any(inc <= 0):
                 raise ValidationFailed(
                     "j * delta_j must increase strictly over the final third")
+        self.values = values
+        self.provenance = provenance
 
     def __len__(self):
         return len(self.values)
@@ -110,21 +109,27 @@ def power_delta(delta: AdmissibleDelta, alpha: float) -> AdmissibleDelta:
 # construction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class CounterexampleProfile:
-    J: int
-    t1: float
-    delta: AdmissibleDelta
-    t: np.ndarray          # t_1..t_J
-    x: np.ndarray          # x_1..x_{J+1}  (one lookahead for gap checks)
-    xbar: np.ndarray       # xbar_1..xbar_J
-    y: np.ndarray          # y_1..y_J
-    phi_x: np.ndarray      # phi(x_1)..phi(x_J)
-    phi_y: np.ndarray      # phi(y_j) = phi(xbar_j)
-    k: np.ndarray          # rise slopes k_1..k_J
-    ell: np.ndarray        # connector slopes ell_1..ell_{J-1}
-    log_x: np.ndarray
-    weight: WeightFunction
+    __slots__ = ("J", "t1", "delta", "t", "x", "xbar", "y", "phi_x", "phi_y", "k", "ell",
+                 "log_x", "weight")
+
+    def __init__(self, J: int, t1: float, delta: AdmissibleDelta, t: np.ndarray,
+                 x: np.ndarray, xbar: np.ndarray, y: np.ndarray, phi_x: np.ndarray,
+                 phi_y: np.ndarray, k: np.ndarray, ell: np.ndarray, log_x: np.ndarray,
+                 weight: WeightFunction):
+        self.J = J
+        self.t1 = t1
+        self.delta = delta
+        self.t = t              # t_1..t_J
+        self.x = x              # x_1..x_{J+1}  (one lookahead for gap checks)
+        self.xbar = xbar        # xbar_1..xbar_J
+        self.y = y              # y_1..y_J
+        self.phi_x = phi_x      # phi(x_1)..phi(x_J)
+        self.phi_y = phi_y      # phi(y_j) = phi(xbar_j)
+        self.k = k              # rise slopes k_1..k_J
+        self.ell = ell          # connector slopes ell_1..ell_{J-1}
+        self.log_x = log_x
+        self.weight = weight
 
     def block(self, j: int) -> dict:
         i = j - 1
@@ -188,9 +193,11 @@ def construct(delta: AdmissibleDelta, t1: float, J: int) -> CounterexampleProfil
 # verification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class CertificateBundle:
-    items: tuple
+    __slots__ = ("items",)
+
+    def __init__(self, items: tuple):
+        self.items = items
 
     @property
     def all_ok(self):
@@ -292,14 +299,18 @@ def nonconvexity_certificate(p: CounterexampleProfile, A_max: float):
     return results
 
 
-@dataclass(frozen=True)
 class SlowVariationReport:
-    gamma: float
-    j0: int
-    case_bounds: tuple
-    block_sup_ratios: tuple
-    certified_K_e: bool
-    threshold_j: int | None
+    __slots__ = ("gamma", "j0", "case_bounds", "block_sup_ratios", "certified_K_e",
+                 "threshold_j")
+
+    def __init__(self, gamma: float, j0: int, case_bounds: tuple, block_sup_ratios: tuple,
+                 certified_K_e: bool, threshold_j: int | None):
+        self.gamma = gamma
+        self.j0 = j0
+        self.case_bounds = case_bounds
+        self.block_sup_ratios = block_sup_ratios
+        self.certified_K_e = certified_K_e
+        self.threshold_j = threshold_j
 
     to_dict = report_dict
 

@@ -18,7 +18,6 @@ together.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,13 +89,16 @@ _ROUNDOFF = 50.0 * np.finfo(float).eps
 _MAX_PANELS = 4000
 
 
-@dataclass
 class KappaResult:
-    kind: str  # "finite" | "divergent"
-    value: float | None
-    tail_low: float | None
-    tail_high: float | None
-    evidence: dict
+    __slots__ = ("kind", "value", "tail_low", "tail_high", "evidence")
+
+    def __init__(self, kind: str, value: float | None, tail_low: float | None,
+                 tail_high: float | None, evidence: dict):
+        self.kind = kind  # "finite" | "divergent"
+        self.value = value
+        self.tail_low = tail_low
+        self.tail_high = tail_high
+        self.evidence = evidence
 
     @property
     def divergent(self):
@@ -346,14 +348,17 @@ def kappa_equivalence_check(w: WeightFunction, y_grid=None, T: float = 1e6) -> V
                         notes="no constant up to 2^40 certifies two-sided equivalence")
 
 
-@dataclass
 class IndexEstimate:
-    lower_bound: float
-    upper_bound: float
-    table: list
-    horizon: float
-    refined: bool = False
-    notes: str = ""
+    __slots__ = ("lower_bound", "upper_bound", "table", "horizon", "refined", "notes")
+
+    def __init__(self, lower_bound: float, upper_bound: float, table: list,
+                 horizon: float, refined: bool = False, notes: str = ""):
+        self.lower_bound = lower_bound
+        self.upper_bound = upper_bound
+        self.table = table
+        self.horizon = horizon
+        self.refined = refined
+        self.notes = notes
 
     @property
     def infinite(self):

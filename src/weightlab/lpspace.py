@@ -13,7 +13,6 @@ that huge exponents never overflow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,32 +41,31 @@ def sphere_factor(d: int) -> float:
     return d * math.pi ** (d / 2) / math.gamma(1 + d / 2)
 
 
-@dataclass(frozen=True, eq=False)
 class SampledFunction:
     """Nonnegative radial profile sampled at strictly increasing radii.
 
     The radii and values may be given as any sequence; they are stored as
     read-only float arrays."""
 
-    ts: np.ndarray
-    values: np.ndarray
-    d: int = 1
-    label: str = ""
+    __slots__ = ("ts", "values", "d", "label")
 
-    def __post_init__(self):
-        ts = np.array(self.ts, dtype=float)
-        vals = np.array(self.values, dtype=float)
+    def __init__(self, ts, values, d: int = 1, label: str = ""):
+        ts = np.array(ts, dtype=float)
+        vals = np.array(values, dtype=float)
         if ts.size == 0 or ts.size != vals.size:
             raise ValidationFailed("need matching nonempty radius/value arrays")
         if np.any(np.diff(ts) <= 0):
             raise ValidationFailed("radii must be strictly increasing")
         if not np.all(np.isfinite(vals)) or np.any(vals < 0):
             raise ValidationFailed("sample values must be finite and >= 0")
-        if self.d < 1:
+        if d < 1:
             raise ValidationFailed("dimension must be >= 1")
-        for name, arr in (("ts", ts), ("values", vals)):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        ts.flags.writeable = False
+        vals.flags.writeable = False
+        self.ts = ts
+        self.values = vals
+        self.d = d
+        self.label = label
 
     @classmethod
     def from_log_values(cls, ts, log_values, d: int = 1, label: str = ""):
@@ -82,13 +80,16 @@ class SampledFunction:
         return SampledFunction(self.ts, c * self.values, self.d, self.label)
 
 
-@dataclass(frozen=True)
 class NormResult:
-    p: float
-    kind: str                      # "finite" | "divergent"
-    value: float | None = None
-    error_estimate: float | None = None
-    evidence: str = ""
+    __slots__ = ("p", "kind", "value", "error_estimate", "evidence")
+
+    def __init__(self, p: float, kind: str, value: float | None = None,
+                 error_estimate: float | None = None, evidence: str = ""):
+        self.p = p
+        self.kind = kind                   # "finite" | "divergent"
+        self.value = value
+        self.error_estimate = error_estimate
+        self.evidence = evidence
 
     @property
     def divergent(self):
@@ -240,11 +241,13 @@ def _theta(ts, wt, p, d):
 # nontriviality witness
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class MembershipReport:
-    rows: tuple                # ((ell, NormResult), ...)
-    all_finite: bool
-    exponents: dict | None = None
+    __slots__ = ("rows", "all_finite", "exponents")
+
+    def __init__(self, rows: tuple, all_finite: bool, exponents: dict | None = None):
+        self.rows = rows                   # ((ell, NormResult), ...)
+        self.all_finite = all_finite
+        self.exponents = exponents
 
     def to_dict(self):
         return to_json({"rows": [{"ell": l, "norm": r} for l, r in self.rows],
@@ -314,14 +317,18 @@ def nontriviality_witness(W: WeightMatrix, p, t_max: float = 40.0,
 # inclusion experiment
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class ExperimentReport:
-    relation: relations.RelationVerdict
-    hypotheses: dict
-    degraded: bool
-    forward_rows: tuple
-    converse_rows: tuple
-    all_ok: bool
+    __slots__ = ("relation", "hypotheses", "degraded", "forward_rows", "converse_rows",
+                 "all_ok")
+
+    def __init__(self, relation: relations.RelationVerdict, hypotheses: dict,
+                 degraded: bool, forward_rows: tuple, converse_rows: tuple, all_ok: bool):
+        self.relation = relation
+        self.hypotheses = hypotheses
+        self.degraded = degraded
+        self.forward_rows = forward_rows
+        self.converse_rows = converse_rows
+        self.all_ok = all_ok
 
     to_dict = report_dict
 
@@ -330,7 +337,8 @@ def _battery(S: WeightMatrix, p, grid, d):
     ts = grid.points()
     fns = [_theta(ts, row, p, d) for row in Rows(S._rows, ts).all((0.5, 1.0, 2.0))]
     try:
-        psi, _ = nontriviality_witness(S, p, t_max=min(grid.t_max, 40.0), d=d)
+        psi, _ = nontriviality_witness(S, p, t_max=min(grid.t_max, 40.0), d=d,
+                                       test_indices=())
         fns.append(psi)
     except (ValidationFailed, WitnessConstructionFailed):
         pass

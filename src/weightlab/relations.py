@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,14 +55,17 @@ MATRIX_RELATIONS = ("beurling", "roumieu", "triangle")
 # weight matrices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class WeightMatrix:
     """A family {w^ell : ell > 0}, pointwise nondecreasing in ell."""
 
-    kind: str                              # "exponential" | "dilatation" | "explicit"
-    base: WeightFunction | None = None
-    entries: tuple = ()                    # ((ell, WeightFunction), ...) for explicit
-    nondecreasing: bool = True
+    __slots__ = ("kind", "base", "entries", "nondecreasing")
+
+    def __init__(self, kind: str, base: WeightFunction | None = None,
+                 entries: tuple = (), nondecreasing: bool = True):
+        self.kind = kind                   # "exponential" | "dilatation" | "explicit"
+        self.base = base
+        self.entries = entries             # ((ell, WeightFunction), ...) for explicit
+        self.nondecreasing = nondecreasing
 
     @staticmethod
     def exponential(w: WeightFunction) -> "WeightMatrix":
@@ -153,11 +155,13 @@ def _check_order(tg, rows):
         raise ValidationFailed(f"matrix order violated at t={tg[k]:g} between indices")
 
 
-@dataclass(frozen=True)
 class RelationVerdict:
-    verdict: Verdict
-    rel: str
-    index_map: dict | None = None
+    __slots__ = ("verdict", "rel", "index_map")
+
+    def __init__(self, verdict: Verdict, rel: str, index_map: dict | None = None):
+        self.verdict = verdict
+        self.rel = rel
+        self.index_map = index_map
 
     @property
     def holds(self):

@@ -4,9 +4,7 @@ and the JSON form every report takes."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Optional
 
 import numpy as np
 
@@ -33,10 +31,10 @@ def to_json(obj):
 
 
 def report_dict(report) -> dict:
-    """A report dataclass's JSON form, its public fields by name: the
+    """A report's JSON form, its public slots by name, in order: the
     ``to_dict`` of every report whose JSON restates its fields."""
-    return {f.name: to_json(getattr(report, f.name))
-            for f in fields(report) if not f.name.startswith("_")}
+    return {name: to_json(getattr(report, name))
+            for name in type(report).__slots__ if not name.startswith("_")}
 
 
 class Status(str, Enum):
@@ -45,20 +43,22 @@ class Status(str, Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
 class Verdict:
-    status: Status
-    certificate: Optional[dict] = None
-    witness: Optional[dict] = None
-    margin: Optional[float] = None
-    horizon: Optional[dict] = None
-    notes: str = ""
+    __slots__ = ("status", "certificate", "witness", "margin", "horizon", "notes")
 
-    def __post_init__(self):
-        if self.status is Status.HOLDS and self.certificate is None:
+    def __init__(self, status: Status, certificate: dict | None = None,
+                 witness: dict | None = None, margin: float | None = None,
+                 horizon: dict | None = None, notes: str = ""):
+        if status is Status.HOLDS and certificate is None:
             raise ValueError("Holds verdict requires a certificate")
-        if self.status is Status.FAILS and self.witness is None:
+        if status is Status.FAILS and witness is None:
             raise ValueError("Fails verdict requires a witness")
+        self.status = status
+        self.certificate = certificate
+        self.witness = witness
+        self.margin = margin
+        self.horizon = horizon
+        self.notes = notes
 
     @property
     def holds(self) -> bool:

@@ -4,7 +4,6 @@ battery, each against a test-local copy of the loop that reads its rows
 one at a time.  A scan must give the same report, or raise the same
 error where the loop does."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -400,14 +399,22 @@ def _reports(call):
 
 _PROFILE_60 = counterexample.construct(counterexample.default_delta(60), 0.5, 60)
 _PROFILE_84 = counterexample.construct(counterexample.default_delta(84), 0.5, 84)
+
+
+def _replaced(profile, **fields):
+    """`profile` with the given fields replaced, built through the constructor."""
+    kept = {name: getattr(profile, name) for name in type(profile).__slots__}
+    return counterexample.CounterexampleProfile(**{**kept, **fields})
+
+
 # the same blocks over a weight whose phi raises from u = 7: at some block of
 # every gamma's scan, past the first
-_PROFILE_ON_A_SEQUENCE = dataclasses.replace(_PROFILE_60, weight=_TINY)
+_PROFILE_ON_A_SEQUENCE = _replaced(_PROFILE_60, weight=_TINY)
 # blocks that end past the double range from j = 40, and at oo from j = 50
 _FAR = _PROFILE_60.x.copy()
 _FAR[40:] = 2e300
 _FAR[50:] = np.inf
-_PROFILE_PAST_THE_RANGE = dataclasses.replace(_PROFILE_60, x=_FAR)
+_PROFILE_PAST_THE_RANGE = _replaced(_PROFILE_60, x=_FAR)
 _GAMMA_SETS = [(0.5, 1.0, 2.0, 5.0), (3.5, 0.0), (1.0, 61.0), (59.5, 60.0), (84.0,)]
 
 

@@ -323,6 +323,31 @@ def test_bad_command_line_is_a_one_line_error(argv, weight_file, capsys):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+def test_overflow_in_a_dilation_scan_is_a_one_line_error(tmp_path, capsys):
+    sigma, tau = tmp_path / "log2.json", tmp_path / "sqrt.json"
+    sigma.write_text(json.dumps({"family": "logpower", "params": {"beta": 2}}))
+    tau.write_text(json.dumps({"family": "power", "params": {"alpha": 0.5}}))
+    assert cli.run(["compare", "--sigma", str(sigma), "--tau", str(tau),
+                    "--rel", "preceq_c,triangle", "--horizon", "1.7e308"]) == 1
+    assert capsys.readouterr().err == "error: non-finite weight value encountered\n"
+
+
+# the exit code, stdout and stderr of the help of weightlab and of each
+# subcommand, and of bad command lines, as argparse of Python 3.11 lays
+# them out at 80 columns
+with open(os.path.join(os.path.dirname(__file__), "cli_texts.json")) as fh:
+    _TEXTS = json.load(fh)
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="argparse lays out its texts differently in other versions")
+@pytest.mark.parametrize("case", _TEXTS, ids=lambda case: " ".join(case["argv"]) or "none")
+def test_help_and_error_texts_are_unchanged(case, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert cli.run(case["argv"]) == case["code"]
+    assert capsys.readouterr() == (case["stdout"], case["stderr"])
+
+
 @pytest.mark.parametrize("text", ["inf", "oo"])
 def test_sup_norm_exponent_is_accepted(text):
     args = cli._parse(["lp-experiment", "--s", "a", "--t", "b", "--p", text])
@@ -354,6 +379,8 @@ except SystemExit as exc:
 """
 _UNNEEDED = ("weightlab.relations", "weightlab.lpspace", "weightlab.counterexample",
              "weightlab.conjugate", "numpy.polynomial")
+_NO_KAPPA = ("weightlab.growth", "weightlab.relations", "weightlab.lpspace",
+             "weightlab.counterexample", "numpy.polynomial")
 
 
 def _python(*args):
@@ -365,9 +392,14 @@ def _python(*args):
 @pytest.mark.parametrize("argv,loaded,unloaded", [
     (["classify"], {"weightlab.conditions"}, _UNNEEDED),
     (["analyze", "--conditions", "om1"], {"weightlab.conditions"}, _UNNEEDED),
+    (["analyze", "--conditions", "om4"], {"weightlab.conditions"},
+     _UNNEEDED + ("weightlab.growth",)),
+    # the weight, t^(1/2), has no profile, so both take the numeric paths
+    (["conjugate", "--xmax", "20"], {"weightlab.conjugate"}, _NO_KAPPA),
+    (["matrix", "--ell", "1", "--jmax", "10"], {"weightlab.conjugate"}, _NO_KAPPA),
     (["compare", "--rel", "preceq"], {"weightlab.relations"},
      ("weightlab.lpspace", "numpy.polynomial")),
-], ids=["classify", "analyze", "compare"])
+], ids=["classify", "analyze", "analyze-om4", "conjugate", "matrix", "compare"])
 def test_a_cold_call_loads_only_the_modules_it_runs(argv, loaded, unloaded, weight_file,
                                                     log_file, tmp_path):
     files = (["--sigma", weight_file, "--tau", log_file] if argv[0] == "compare"
@@ -379,6 +411,20 @@ def test_a_cold_call_loads_only_the_modules_it_runs(argv, loaded, unloaded, weig
     modules = set(done["modules"])
     assert loaded <= modules
     assert not {m for m in modules if m.startswith(unloaded)}
+    assert "dataclasses" not in modules
+
+
+def test_no_subcommand_loads_dataclasses(weight_file, log_file, tmp_path):
+    files = {"W": weight_file, "L": log_file}
+    runs = [[files.get(a, a) for a in argv] + ["--out", str(tmp_path / "r.json")]
+            for argv in SMALL_RUNS]
+    p = _python("-c", (
+        "import json, sys\n"
+        "from weightlab import cli\n"
+        f"codes = [cli.run(argv) for argv in {runs!r}]\n"
+        "print(json.dumps([codes, 'dataclasses' in sys.modules]))\n"))
+    assert p.stderr == ""
+    assert json.loads(p.stdout) == [[0] * len(SMALL_RUNS), False]
 
 
 def test_the_package_loads_its_modules_on_first_use():

@@ -103,6 +103,26 @@ def test_gridspec():
         GridSpec(5.0, 1.0)
 
 
+@pytest.mark.parametrize("t_min,t_max,spacing", [
+    (1e-2, math.inf, "logarithmic"), (-math.inf, 1.0, "linear"), (0.0, math.inf, "linear"),
+])
+def test_gridspec_refuses_an_end_outside_the_double_range(t_min, t_max, spacing):
+    with pytest.raises(ValidationFailed):
+        GridSpec(t_min, t_max, 600, spacing)
+
+
+def test_grids_and_weight_families_are_values():
+    assert GridSpec(1.0, 10.0) == GridSpec(1.0, 10.0, 400, "logarithmic")
+    assert hash(GridSpec(1.0, 10.0)) == hash(GridSpec(1.0, 10.0))
+    assert GridSpec(1.0, 10.0) != GridSpec(1.0, 10.0, 401)
+    assert Power(0.5) == Power(0.5) != Gevrey(2.0)
+    assert {Log(), Log(), Exp(), LogPower(2.0), LogPower(2.0)} == {Log(), Exp(), LogPower(2.0)}
+    with pytest.raises(AttributeError):
+        GridSpec(1.0, 10.0).t_max = 20.0
+    with pytest.raises(AttributeError):
+        Power(0.5).alpha = 1.0
+
+
 @pytest.mark.parametrize("spec,space", [
     ((1e-2, 1e6, 600), np.geomspace), ((1e-2, 1e12, 1200), np.geomspace),
     ((0.0, 2048.0, 512, "linear"), np.linspace), ((1.0, 3.0, 7, "linear"), np.linspace),

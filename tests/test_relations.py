@@ -127,6 +127,15 @@ def test_matrix_relation_reflexive():
     assert v.index_map  # concrete (ell, n, C) pairs recorded
 
 
+def test_a_grid_whose_search_grid_leaves_the_double_range_is_refused():
+    # the partner search grid would end at t_max * 1e6 = inf, where the
+    # decade scan never ends
+    S = relations.WeightMatrix.exponential(Power(0.5))
+    T = relations.WeightMatrix.exponential(Power(0.25))
+    with pytest.raises(ValidationFailed):
+        relations.matrix_relation(S, T, "beurling", grid=GridSpec(1e-2, 1e303, 600))
+
+
 def test_dilatation_matrix_reduces_to_shifted_scalar():
     S = relations.WeightMatrix.dilatation(Power(1.0))
     T = relations.WeightMatrix.dilatation(Power(0.5))
