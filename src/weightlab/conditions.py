@@ -30,7 +30,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (DEFAULT_GRID, Associated, Dilated, Exp, GridSpec, Log, LogPower,
-                   Normalized, Power, Scaled, WeightFunction, _BLOCK, dilations)
+                   Normalized, Power, Scaled, WeightFunction, _BLOCK, _C_GRID, decade_starts,
+                   dilations)
 from .errors import (ChainViolation, HorizonTooSmall, NonFinite, NotMonotone,
                      UnknownCondition, WeightlabError)
 from .verdict import Verdict, conjunction, fails, holds, inconclusive, report_dict
@@ -125,28 +126,24 @@ def _closed_form(w: WeightFunction, cond: str):
 # numeric machinery
 # ---------------------------------------------------------------------------
 
-def _require_decades(grid: GridSpec, n=2):
-    if grid.t_max / max(grid.t_min, 1e-300) < 10 ** n:
-        raise HorizonTooSmall(f"grid must span at least {n} decades")
+def _split_top(starts, skip=0):
+    """Slices (last, prev) of the last two decades of the partition
+    `starts`, in the grid's points from point `skip` on: a decade that
+    begins before that point is cut there, and a missing one is empty."""
+    prev, last = ([0, 0] + [max(int(k) - skip, 0) for k in starts[-2:]])[-2:]
+    return slice(last, None), slice(prev, last)
 
 
-def _split_top(tg):
-    """Boolean masks for the last decade and the one before it."""
-    T = tg[-1]
-    last = tg >= T / 10
-    prev = (tg >= T / 100) & ~last
-    return last, prev
-
-
-def _sup_ratio_verdict(tg, ratio, grid, small_o: bool):
-    """Shared trend test for O- and small-o-style ratio conditions."""
+def _sup_ratio_verdict(ratio, top, grid, small_o: bool):
+    """Shared trend test for O- and small-o-style ratio conditions, on the
+    slices `top` of the last two decades."""
     ok = np.isfinite(ratio)
-    last, prev = _split_top(tg)
-    if not (np.any(last & ok) and np.any(prev & ok)):
+    last, prev = (ratio[part][ok[part]] for part in top)
+    if not (last.size and prev.size):
         return inconclusive(notes="ratio undefined on the top decades",
                             horizon=grid.describe())
-    sup_last = float(np.max(ratio[last & ok]))
-    sup_prev = float(np.max(ratio[prev & ok]))
+    sup_last = float(np.max(last))
+    sup_prev = float(np.max(prev))
     if small_o:
         if sup_last <= 0.5 * sup_prev + 1e-15:
             return holds({"sup_last_decade": sup_last,
@@ -164,7 +161,8 @@ def _sup_ratio_verdict(tg, ratio, grid, small_o: bool):
 
 def _ratio_condition(w, cond, grid):
     tg = grid.points()
-    tg = tg[tg >= max(grid.t_min, 1e-12)]
+    skip = int(np.searchsorted(tg, max(grid.t_min, 1e-12)))
+    tg = tg[skip:]
     wt = np.asarray(w.evaluate(tg))
     with np.errstate(divide="ignore", invalid="ignore"):
         if cond == "om1":
@@ -177,7 +175,8 @@ def _ratio_condition(w, cond, grid):
             ratio[num <= 0] = 0.0
         else:  # pragma: no cover
             raise ValueError(cond)
-    return _sup_ratio_verdict(tg, ratio, grid, small_o=cond in ("om3", "om5"))
+    return _sup_ratio_verdict(ratio, _split_top(grid.decade_starts(), skip), grid,
+                              small_o=cond in ("om3", "om5"))
 
 
 def _check_om4(w, grid):
@@ -215,10 +214,10 @@ def _check_om6(w, grid):
         raise NotMonotone("om6 check requires a nondecreasing weight")
     tg = grid.points()
     wt = np.asarray(w.evaluate(tg))
-    last, prev = _split_top(tg)
+    last, prev = _split_top(grid.decade_starts())
     # H = 2, 4, ..., 2^40 in chunks of 1, 2, 4, ... rows, so that the scan
     # stops at the first H that holds, and a row past it is never read
-    for Hs, rows in dilations(w, tg).doubling((2.0 ** np.arange(1, 41)).tolist()):
+    for Hs, rows in dilations(w, tg).doubling(_C_GRID[1:].tolist()):
         gaps = 2 * wt - rows
         for H, gap, peak in zip(Hs, gaps, gaps.max(axis=1).tolist()):
             if peak <= H:
@@ -255,13 +254,14 @@ def _check_om_snq(w, grid):
                             horizon=grid.describe())
     wy = np.asarray(w.evaluate(y))
     ratio = np.asarray([r.value for r in res]) / (wy + 1.0)
-    return _sup_ratio_verdict(y, ratio, grid, small_o=False)
+    return _sup_ratio_verdict(ratio, _split_top(decade_starts(y)), grid, small_o=False)
 
 
 def _check_alpha0(w, grid):
     t0 = max(grid.t_min * 10, 1.0)
     tg = grid.points()
-    tg = tg[(tg >= t0)]
+    skip = int(np.searchsorted(tg, t0))
+    tg = tg[skip:]
     lam = np.geomspace(1.0, 2.0 ** 10, 22)
     wt = np.asarray(w.evaluate(tg))
     ok = wt > 0
@@ -274,9 +274,9 @@ def _check_alpha0(w, grid):
     needed = np.zeros_like(tg)
     for c in cs:
         needed = np.maximum(needed, c)
-    last, prev = _split_top(tg)
-    sup_last = float(np.max(needed[last])) if np.any(last) else math.inf
-    sup_prev = float(np.max(needed[prev])) if np.any(prev) else sup_last
+    last, prev = (needed[part] for part in _split_top(grid.decade_starts(), skip))
+    sup_last = float(np.max(last)) if last.size else math.inf
+    sup_prev = float(np.max(prev)) if prev.size else sup_last
     if sup_last <= sup_prev * 1.05 + 1e-9:
         C = float(np.max(needed)) * 1.05
         return holds({"C": C, "t0": t0, "lambda_max": float(lam[-1])},
@@ -374,12 +374,10 @@ def _check_unbounded_limit(w, grid):
             return holds({"exact": True, "final_slope": float(prof.final_slope)})
         bound = float(np.max(prof.vs))
         return fails({"sup": bound}, notes="profile levels off; weight is bounded")
-    chunks = grid.decades()
-    if len(chunks) < 3:
-        raise HorizonTooSmall("need at least 3 decades for the unboundedness trend")
-    # one evaluation over the decades back to back, one maximum per decade
-    starts = np.cumsum([0] + [c.size for c in chunks[:-1]])
-    tops = np.maximum.reduceat(w.evaluate(np.concatenate(chunks)), starts).tolist()
+    starts = grid.require_decades(3)
+    # one evaluation over the decades, one maximum per decade
+    top = w.evaluate(grid.points()[starts[0]:])
+    tops = np.maximum.reduceat(top, starts - starts[0]).tolist()
     if all(b > a * (1 + 1e-3) + 1e-12 for a, b in zip(tops[:-1], tops[1:])):
         return holds({"decade_maxima": tops}, horizon=grid.describe())
     return inconclusive(horizon=grid.describe(),
@@ -394,7 +392,7 @@ def check_condition(w: WeightFunction, cond: str, grid: GridSpec = DEFAULT_GRID)
     if cond not in CONDITION_IDS:
         raise UnknownCondition(f"unknown condition {cond!r}; choose from {CONDITION_IDS}")
     if cond in _ASYMPTOTIC:
-        _require_decades(grid)
+        grid.require_decades(2)
 
     exact = _closed_form(w, cond)
     if exact is True:

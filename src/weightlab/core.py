@@ -35,7 +35,6 @@ __all__ = [
     "Scaled",
     "Dilated",
     "Normalized",
-    "associated_weight_function",
     "load_weight",
     "dump_weight",
     "pl_eval",
@@ -99,23 +98,51 @@ class GridSpec(_Value):
         pts.flags.writeable = False
         return pts
 
-    def decades(self):
-        """Split grid points into per-decade chunks (for trend tests)."""
-        pts = self.points()
-        lo, hi = np.log10(max(self.t_min, 1e-300)), np.log10(self.t_max)
-        edges = 10.0 ** np.arange(math.floor(lo), math.ceil(hi) + 1)
-        chunks = []
-        for a, b in zip(edges[:-1], edges[1:]):
-            sel = (pts >= a) & (pts < b * (1 + 1e-12))
-            if np.any(sel):
-                chunks.append(pts[sel])
-        return chunks
+    @functools.lru_cache(maxsize=32)
+    def decade_starts(self) -> np.ndarray:
+        """`decade_starts` of the grid's points: the one decade partition
+        every trend rule reads, found once per process and read-only."""
+        starts = decade_starts(self.points())
+        starts.flags.writeable = False
+        return starts
+
+    def require_decades(self, n: int) -> np.ndarray:
+        """The grid's decade starts; HorizonTooSmall if it holds fewer than
+        n decades."""
+        return require_decades(self.decade_starts(), n)
 
     describe = report_dict
 
 
 # the grid the condition checks and the scalar relations sample by default
 DEFAULT_GRID = GridSpec(1e-2, 1e6, 600)
+
+# the constants C = 1, 2, 4, ..., 2^40 the bounded-gap, om6 and kappa
+# equivalence searches try
+_C_GRID = 2.0 ** np.arange(41)
+
+
+def decade_starts(tg):
+    """Start offsets of the nonempty decades (hi/10, hi] of the sorted
+    points tg, early decades first; hi runs down from tg[-1] while hi > 10
+    tg[0] (while hi > 0 when tg[0] <= 0).  The points up to the first
+    decade lie in none."""
+    floor = max(tg[0], 0.0) * 10
+    his = [tg[-1]]
+    while his[-1] > floor:
+        his.append(his[-1] / 10)
+    cuts = np.searchsorted(tg, his, side="right")[::-1]
+    starts, ends = cuts[:-1], cuts[1:]
+    return starts[starts < ends]
+
+
+def require_decades(starts, n):
+    """`starts`, a decade partition from `decade_starts`; HorizonTooSmall if
+    it holds fewer than n decades."""
+    if len(starts) < n:
+        raise HorizonTooSmall(f"trend needs a grid of at least {n} decades (hi/10, hi] "
+                              f"counted down from its last point, not {len(starts)}")
+    return starts
 
 
 def _as_array(t):
@@ -359,13 +386,6 @@ class WeightSequence(_Value):
             raise ValidationFailed("sequence entries must be positive and finite")
         object.__setattr__(self, "logM", logM)
 
-    @classmethod
-    def from_values(cls, M):
-        M = np.asarray(M, dtype=float)
-        if np.any(M <= 0):
-            raise ValidationFailed("sequence entries must be > 0")
-        return cls(tuple(np.log(M)))
-
     @property
     def P(self):
         return len(self.logM) - 1
@@ -375,10 +395,6 @@ class WeightSequence(_Value):
         lm = np.asarray(self.logM)
         p = np.arange(1, len(lm))
         return (lm[1:] - lm[0]) / p
-
-    def is_log_convex(self, tol=1e-12):
-        lm = np.asarray(self.logM)
-        return bool(np.all(np.diff(lm, 2) >= -tol))
 
 
 def _hull(points):
@@ -401,17 +417,6 @@ def _hull(points):
                 break
         kept.append(p)
     return kept
-
-
-def associated_weight_function(M: WeightSequence, t):
-    """sup_p log(M_0 t^p / M_p), read off the corners of `Associated`.
-
-    Returns 0 at t = 0 (the p = 0 term, with the 0^0 := 1 convention).
-    Raises HorizonTooSmall where the supremum reaches the last stored index.
-    """
-    # increase_from = P declares no growth of the roots, so any positive
-    # sequence is accepted
-    return Associated(M, increase_from=M.P).evaluate(t)
 
 
 class Associated(PiecewiseLogLinear):

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .core import WeightFunction, dilations
+from .core import _C_GRID, WeightFunction, dilations
 from .errors import HorizonTooSmall, NotMonotone, QuadratureFailure, ValidationFailed
 from .verdict import Verdict, fails, holds, inconclusive, report_dict
 
@@ -37,8 +37,6 @@ __all__ = [
 
 DEFAULT_GAMMA_GRID = (0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 8.0)
 DEFAULT_K_GRID = tuple([math.e] + [2.0 ** k for k in range(1, 7)])
-
-_C_GRID = 2.0 ** np.arange(0, 41)
 
 # Each panel is integrated by the 15-point Gauss-Legendre rule on both of
 # its halves (columns 1 and 2 of _RULES), and by the 15-point Gauss-Lobatto

@@ -19,14 +19,14 @@ Matrix relations (sigma^n from S, tau^ell from T):
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
 
-from .core import DEFAULT_GRID, Dilated, GridSpec, Rows, Scaled, WeightFunction, dilations
-from .errors import (BridgeViolation, HorizonTooSmall, IndexSearchExhausted, NonFinite,
-                     NotMonotone, ValidationFailed)
+from .core import (DEFAULT_GRID, _C_GRID, Dilated, GridSpec, Rows, Scaled, WeightFunction,
+                   decade_starts, dilations, require_decades)
+from .errors import (BridgeViolation, IndexSearchExhausted, NonFinite, NotMonotone,
+                     ValidationFailed)
 from .verdict import Verdict, conjunction, fails, holds, inconclusive, report_dict
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
 
 DEFAULT_ELL_GRID = tuple(2.0 ** k for k in range(-6, 7))
 _EXTENDED_ELL_GRID = tuple(2.0 ** k for k in range(-12, 13))
-_C_GRID = 2.0 ** np.arange(41)
 _EPS_GRID = (1.0, 0.5, 0.1, 0.01)
 _C1_GRID = [2.0 ** k for k in range(13)]
 
@@ -182,30 +181,9 @@ class RelationVerdict:
 # bounded-gap machinery shared by all relation checks
 # ---------------------------------------------------------------------------
 
-def _decade_edges(tg):
-    """Start offsets of the nonempty decades (hi/10, hi] of the sorted grid
-    tg, early decades first; hi runs down from tg[-1] while hi > 10 tg[0]."""
-    his = [tg[-1]]
-    while his[-1] > tg[0] * 10:
-        his.append(his[-1] / 10)
-    cuts = np.searchsorted(tg, his, side="right")[::-1]
-    starts, ends = cuts[:-1], cuts[1:]
-    return starts[starts < ends]
-
-
-@functools.lru_cache(maxsize=32)
-def _grid_edges(grid: GridSpec):
-    """`_decade_edges` of grid.points(), found once per grid per process
-    and read-only, as the points are."""
-    edges = _decade_edges(grid.points())
-    edges.flags.writeable = False
-    return edges
-
-
-def _decade_sups(tg, d, edges=None):
-    """Per-decade suprema of d on the sorted grid tg, early decades first."""
-    if edges is None:
-        edges = _decade_edges(tg)
+def _decade_sups(d, edges):
+    """The suprema of d over the decades that start at `edges`, early
+    decades first."""
     return np.maximum.reduceat(d, edges).astype(float).tolist()
 
 
@@ -218,11 +196,8 @@ class _Gaps:
     marks the rows that hold; a row's C and verdict are found when asked
     for."""
 
-    def __init__(self, tg, D, edges=None, what="gap"):
-        if edges is None:
-            edges = _decade_edges(tg)
-        if len(edges) < 3:
-            raise HorizonTooSmall("relation checks need at least 3 decades")
+    def __init__(self, tg, D, edges, what="gap"):
+        require_decades(edges, 3)
         self.tg, self.D, self.what = tg, D, what
         self.sups = np.maximum.reduceat(D, edges[-3:], axis=1)
         lo, hi = self.sups[:, :2], self.sups[:, 1:]
@@ -250,7 +225,7 @@ class _Gaps:
         return inconclusive(margin=peak, notes=f"{what} trend undecided at horizon")
 
 
-def _bounded_gap(tg, d, what="gap", edges=None):
+def _bounded_gap(tg, d, edges, what="gap"):
     """Verdict on sup d < oo from the decade trend of d."""
     return _Gaps(tg, d[None], edges, what).verdict(0)
 
@@ -259,16 +234,14 @@ def _affine_dom(tg, s, t, edges):
     """tau <= C sigma + C: bounded ratio tau/(sigma+1)."""
     with np.errstate(invalid="ignore"):
         r = t / (s + 1.0)
-    return _bounded_gap(tg, r, "ratio", edges)
+    return _bounded_gap(tg, r, edges, "ratio")
 
 
 def _ratio_vanishes(tg, s, t, edges):
     """tau/sigma -> 0, tested on decade suprema of the damped ratio."""
     with np.errstate(invalid="ignore"):
         r = t / (s + 1.0)
-    sups = _decade_sups(tg, r, edges)
-    if len(sups) < 3:
-        raise HorizonTooSmall("ratio trend needs >= 3 decades")
+    sups = _decade_sups(r, require_decades(edges, 3))
     peak, last = float(max(sups)), float(sups[-1])
     if peak <= 1e-12:
         return holds({"ratio_sup": peak}, margin=-peak)
@@ -291,17 +264,16 @@ def _ratio_vanishes(tg, s, t, edges):
 
 def compare(sigma: WeightFunction, tau: WeightFunction, rel: str,
             grid: GridSpec = DEFAULT_GRID) -> RelationVerdict:
-    if grid.t_max / max(grid.t_min, 1e-300) < 1e3:
-        raise HorizonTooSmall("compare requires a grid spanning >= 3 decades")
+    edges = grid.require_decades(3)
     tg = grid.points()
     s = np.asarray(sigma.evaluate(tg))
     t = np.asarray(tau.evaluate(tg))
-    return RelationVerdict(_relation(sigma, tau, rel, tg, s, t, _grid_edges(grid)), rel)
+    return RelationVerdict(_relation(sigma, tau, rel, tg, s, t, edges), rel)
 
 
 def _relation(sigma, tau, rel, tg, s, t, edges) -> Verdict:
     """The verdict on sigma rel tau, with s = sigma(tg), t = tau(tg) and
-    edges = _decade_edges(tg)."""
+    edges = decade_starts(tg)."""
     if rel == "le":
         tol = 1e-12 * (1.0 + float(np.max(np.abs(s))))
         bad = t > s + tol
@@ -329,7 +301,6 @@ def _relation(sigma, tau, rel, tg, s, t, edges) -> Verdict:
 
     if rel == "triangle_c":
         block, err = _dilations(sigma, tg, s).block(_EPS_GRID)
-        # a grid of too few decades raises here, before any row's error
         gaps = _Gaps(tg, t - block, edges)
         if err is not None:
             raise err
@@ -486,7 +457,7 @@ def _minus_from(a, b):
 
 def _matrix_search(S, T, rel, ell_grid, grid):
     """The partner search behind `rel`, on rows T minus rows S over grid."""
-    tg, edges = grid.points(), _grid_edges(grid)
+    tg, edges = grid.points(), grid.decade_starts()
     tau, sig = Rows(T._rows, tg), Rows(S._rows, tg)
     s_idx, t_idx = sorted(S.indices(ell_grid)), sorted(T.indices(ell_grid))
     if rel == "beurling":
@@ -517,6 +488,9 @@ def matrix_relation(S: WeightMatrix, T: WeightMatrix, rel: str,
         raise ValueError(f"unknown matrix relation {rel!r}")
     S.verify_pointwise_order(ell_grid, grid)
     T.verify_pointwise_order(ell_grid, grid)
+    if not math.isfinite(grid.t_max * 1e6):
+        raise ValidationFailed(f"t_max = {grid.t_max:g} is too large: the partner search "
+                               "reads up to t_max * 1e6, past the double range")
     # pair certificates are checked far beyond the reporting grid: a large
     # partner index can push the crossover point out by many decades
     search = GridSpec(grid.t_min, grid.t_max * 1e6, 2 * grid.n_points)
@@ -586,7 +560,7 @@ def mixed_doubling_search(S, T, outer, tg):
     """
     s_ext = sorted(S.indices(DEFAULT_ELL_GRID, extended=True))
     found, binding, _ = _partner_search(outer, lambda ell: s_ext, Rows(T._rows, 2 * tg),
-                                        Rows(S._rows, tg), np.subtract, tg, _decade_edges(tg))
+                                        Rows(S._rows, tg), np.subtract, tg, decade_starts(tg))
     if found is None:
         return None, binding
     return {ell: {"n": n, "L": L} for ell, (n, L) in found.items()}, None

@@ -1,12 +1,25 @@
 import pytest
 
-from weightlab import GridSpec, Power, counterexample
+from weightlab import GridSpec, Power, WeightFunction, counterexample
 
 # keep hypothesis examples reproducible across runs
 from hypothesis import settings
 
 settings.register_profile("ci", deadline=None, derandomize=True)
 settings.load_profile("ci")
+
+
+class _Opaque(WeightFunction):
+    """The same function behind a type without a closed form or profile,
+    which puts every check on its numeric path."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.nondecreasing = inner.nondecreasing
+        self.normalized = inner.normalized
+
+    def _eval(self, t):
+        return self.inner._eval(t)
 
 
 @pytest.fixture(scope="session")

@@ -19,16 +19,7 @@ from weightlab.lpspace import NormResult, SampledFunction, sphere_factor
 from weightlab.relations import DEFAULT_GRID, WeightMatrix
 from weightlab.verdict import holds, inconclusive, to_json
 
-
-class _Opaque(WeightFunction):
-    """The same function behind a type without a closed form or profile."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.nondecreasing = inner.nondecreasing
-
-    def _eval(self, t):
-        return self.inner._eval(t)
+from conftest import _Opaque
 
 
 class _Until(WeightFunction):
@@ -207,7 +198,8 @@ def test_the_index_cases_reach_errors_and_every_status():
 def _alpha0_loop(w, grid):
     t0 = max(grid.t_min * 10, 1.0)
     tg = grid.points()
-    tg = tg[(tg >= t0)]
+    skip = int(np.sum(tg < t0))
+    tg = tg[skip:]
     lam = np.geomspace(1.0, 2.0 ** 10, 22)
     wt = np.asarray(w.evaluate(tg))
     ok = wt > 0
@@ -219,9 +211,9 @@ def _alpha0_loop(w, grid):
         with np.errstate(divide="ignore", invalid="ignore"):
             c = np.where(ok, wl / (L * np.where(ok, wt, 1.0)), 0.0)
         needed = np.maximum(needed, c)
-    last, prev = conditions._split_top(tg)
-    sup_last = float(np.max(needed[last])) if np.any(last) else math.inf
-    sup_prev = float(np.max(needed[prev])) if np.any(prev) else sup_last
+    last, prev = (needed[part] for part in conditions._split_top(grid.decade_starts(), skip))
+    sup_last = float(np.max(last)) if last.size else math.inf
+    sup_prev = float(np.max(prev)) if prev.size else sup_last
     if sup_last <= sup_prev * 1.05 + 1e-9:
         C = float(np.max(needed)) * 1.05
         return holds({"C": C, "t0": t0, "lambda_max": float(lam[-1])},
@@ -235,7 +227,7 @@ def _om6_loop(w, grid):
         raise NotMonotone("om6 check requires a nondecreasing weight")
     tg = grid.points()
     wt = np.asarray(w.evaluate(tg))
-    last, prev = conditions._split_top(tg)
+    last, prev = conditions._split_top(grid.decade_starts())
     for k in range(1, 41):
         H = 2.0 ** k
         gap = 2 * wt - np.asarray(w.evaluate(H * tg))
@@ -250,8 +242,10 @@ def _om6_loop(w, grid):
 
 
 def _unbounded_loop(w, grid):
-    chunks = grid.decades()
-    tops = [float(np.max(np.asarray(w.evaluate(c)))) for c in chunks]
+    starts = grid.require_decades(3)
+    pts = grid.points()
+    tops = [float(np.max(np.asarray(w.evaluate(pts[a:b]))))
+            for a, b in zip(starts, [*starts[1:], pts.size])]
     if all(b > a * (1 + 1e-3) + 1e-12 for a, b in zip(tops[:-1], tops[1:])):
         return holds({"decade_maxima": tops}, horizon=grid.describe())
     return inconclusive(horizon=grid.describe(), notes="decade maxima not strictly growing")
@@ -338,7 +332,7 @@ def test_the_unboundedness_trend_reads_all_decades_at_once(monkeypatch):
 
     monkeypatch.setattr(WeightFunction, "evaluate", counted)
     assert conditions._check_unbounded_limit(_Opaque(Log()), DEFAULT_GRID).holds
-    assert read == [sum(c.size for c in DEFAULT_GRID.decades())]
+    assert read == [DEFAULT_GRID.n_points - DEFAULT_GRID.decade_starts()[0]]
 
 
 # --------------------------------------------------------------------------

@@ -11,6 +11,8 @@ from weightlab.errors import (ChainViolation, HorizonTooSmall, QuadratureFailure
                               WeightlabError)
 from weightlab.verdict import Status, fails, holds, inconclusive
 
+from conftest import _Opaque
+
 H, F = "holds", "fails"
 
 # condition id -> expected status, derived analytically per family
@@ -130,21 +132,6 @@ def test_power_alpha_interior(alpha):
     assert conditions.check_condition(w, "om_sub").holds
 
 
-class _Opaque(WeightFunction):
-    """The same function behind a type without a closed form."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.nondecreasing = inner.nondecreasing
-        self.normalized = inner.normalized
-
-    def _eval(self, t):
-        return self.inner._eval(t)
-
-    def _phi_unchecked(self, u):
-        return self.inner._phi_unchecked(u)
-
-
 # the wrapped weights of the oracle test, and the cells the numeric path
 # still gets wrong (ROADMAP item 4): the +H slack absorbs log growth over
 # any finite horizon, and lambda is capped at 2^10
@@ -247,6 +234,31 @@ def test_a_horizon_failure_leaves_one_condition_inconclusive():
     # a grid shorter than two decades is still refused
     with pytest.raises(HorizonTooSmall):
         conditions.check_condition(w, "om1", GridSpec(1.0, 50.0))
+
+
+def test_a_grid_of_one_decade_is_refused():
+    # [1, 100] holds one decade (hi/10, hi] counted down from 100; the
+    # asymptotic conditions need two
+    with pytest.raises(HorizonTooSmall, match=r"at least 2 decades .* not 1$"):
+        conditions.check_condition(Power(0.5), "om1", GridSpec(1.0, 100.0))
+    assert conditions.check_condition(Power(0.5), "om1", GridSpec(1.0, 101.0)).holds
+
+
+def test_a_linear_grid_from_below_zero_has_decades_above_zero():
+    # the decades (hi/10, hi] run down towards 0 and stop there
+    grid = GridSpec(-1.0, 1e6, 600, "linear")
+    assert conditions.check_condition(_Opaque(Power(0.5)), "om1", grid).holds
+
+
+def test_the_unboundedness_trend_reads_one_maximum_per_decade():
+    # the 7 decades (hi/10, hi] of the default grid, hi = 1, 10, ..., 10^6;
+    # the points up to 0.1 lie in none
+    w = _Opaque(Power(0.5))
+    pts = conditions.DEFAULT_GRID.points()
+    masks = [(pts > hi / 10) & (pts <= hi) for hi in 10.0 ** np.arange(7)]
+    v = conditions.check_condition(w, "unbounded_limit")
+    assert v.holds
+    assert v.certificate["decade_maxima"] == [float(np.max(w.evaluate(pts[m]))) for m in masks]
 
 
 def test_om_snq_names_the_first_y_past_the_last_corner():

@@ -13,6 +13,8 @@ from weightlab import Gevrey, LogPower, Normalized, Power, WeightFunction, conju
 from weightlab.conjugate import ConjugateProfile
 from weightlab.errors import YHorizonTooSmall
 
+from conftest import _Opaque
+
 
 def _dense_values(prof, xs):
     """The scan the pruned search replaced: blocks of 64 x values, each
@@ -61,18 +63,6 @@ def _same(prof, xs):
         pruned = _outcome(lambda: prof.value(xs))
         dense = _outcome(lambda: _dense_values(prof, xs))
     assert pruned == dense
-
-
-class _Opaque(WeightFunction):
-    """The same function behind a type without a closed form or profile."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.nondecreasing = inner.nondecreasing
-        self.normalized = inner.normalized
-
-    def _eval(self, t):
-        return self.inner._eval(t)
 
 
 class _Samples(WeightFunction):

@@ -7,8 +7,7 @@ from hypothesis import given, strategies as st
 
 from weightlab import (Dilated, Exp, Gevrey, GridSpec, Log, LogPower,
                        Normalized, PiecewiseLogLinear, Power, Scaled,
-                       WeightFunction, WeightSequence, dump_weight, load_weight)
-from weightlab.core import associated_weight_function
+                       WeightFunction, dump_weight, load_weight)
 from weightlab.errors import (HorizonTooSmall, NonFinite, NotMonotone,
                               ValidationFailed)
 
@@ -250,17 +249,6 @@ def test_sequence_phi_is_the_supremum_over_the_stored_terms(name):
     np.testing.assert_allclose(w.phi(u), np.max(terms, axis=1), rtol=1e-12, atol=1e-12)
     with pytest.raises(HorizonTooSmall, match=f"P={len(lm) - 1}"):
         w.phi(last * (1 + 1e-12) + 1e-12)
-
-
-def test_weight_sequence_and_associated():
-    M = WeightSequence.from_values([1.0, 1.0, 2.0, 6.0, 24.0])
-    assert M.is_log_convex()
-    w = associated_weight_function(M, 0.0)
-    assert w == pytest.approx(0.0)
-    a = associated_weight_function(M, 2.0)
-    assert a > 0.0
-    with pytest.raises(HorizonTooSmall):
-        associated_weight_function(M, 1e6)  # argmax exceeds stored indices
 
 
 @given(st.floats(min_value=0.1, max_value=1.0),

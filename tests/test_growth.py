@@ -8,6 +8,8 @@ from weightlab import (Dilated, Exp, Log, LogPower, Normalized, PiecewiseLogLine
 from weightlab.errors import (HorizonTooSmall, NonFinite, NotMonotone,
                               QuadratureFailure, ValidationFailed)
 
+from conftest import _Opaque
+
 
 def test_quadrature_nodes_are_numpys_bit_for_bit():
     legendre = np.polynomial.legendre
@@ -50,19 +52,6 @@ def test_kappa_kink_inside_horizon(c, y):
     cy = c * y
     assert finite_part == pytest.approx(cy - 2.0 * math.sqrt(cy / T) + 1.0 / T,
                                         rel=1e-9)
-
-
-class _Opaque(WeightFunction):
-    """The same function behind a type without a profile, which keeps
-    kappa on the quadrature path."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.nondecreasing = inner.nondecreasing
-        self.normalized = inner.normalized
-
-    def _phi_unchecked(self, u):
-        return self.inner._phi_unchecked(u)
 
 
 def test_kappa_kink_near_a_panel_end():
@@ -188,16 +177,6 @@ def test_kappa_sequence_matches_quadrature(name, y):
     assert finite_part == pytest.approx(reference[0], rel=1e-9)
     assert "quad_error" not in res.evidence
 
-
-
-class _Opaque(WeightFunction):
-    """The same function behind a type without a closed form."""
-
-    def __init__(self, inner):
-        self.inner = inner
-
-    def _phi_unchecked(self, u):
-        return self.inner._phi_unchecked(u)
 
 
 _PROFILE = PiecewiseLogLinear([[0.0, 0.0], [1.19695845, 1.246052],

@@ -16,6 +16,8 @@ from weightlab.errors import (HorizonTooSmall, IndexSearchExhausted, NonFinite,
 from weightlab.relations import DEFAULT_ELL_GRID, DEFAULT_GRID, WeightMatrix
 from weightlab.verdict import conjunction, fails, holds, inconclusive
 
+from conftest import _Opaque
+
 
 # --------------------------------------------------------------------------
 # decade suprema
@@ -59,16 +61,14 @@ def test_decade_sups_match_the_mask_loop(tg, data):
     d = np.asarray(data.draw(st.lists(
         st.floats(allow_nan=True, allow_infinity=True, width=64),
         min_size=len(tg), max_size=len(tg))), dtype=float)
-    assert _same(relations._decade_sups(tg, d), _mask_decade_sups(tg, d))
-    assert _same(relations._decade_sups(tg, d, relations._decade_edges(tg)),
-                 _mask_decade_sups(tg, d))
+    assert _same(relations._decade_sups(d, core.decade_starts(tg)), _mask_decade_sups(tg, d))
 
 
 def test_decade_sups_carry_nan():
     tg = np.geomspace(1e-2, 1e6, 600)
     d = np.arange(600.0)
     d[300] = np.nan
-    sups = relations._decade_sups(tg, d)
+    sups = relations._decade_sups(d, core.decade_starts(tg))
     assert _same(sups, _mask_decade_sups(tg, d))
     assert sum(math.isnan(s) for s in sups) == 1
 
@@ -83,13 +83,13 @@ _EDGE_GRIDS = [DEFAULT_GRID, relations.GridSpec(1e-2, 1e12, 1200),
 
 @pytest.mark.parametrize("grid", _EDGE_GRIDS, ids=repr)
 def test_each_grid_finds_its_decade_starts_once(grid):
-    edges = relations._grid_edges(grid)
-    assert np.array_equal(edges, relations._decade_edges(grid.points()))
+    edges = grid.decade_starts()
+    assert np.array_equal(edges, core.decade_starts(grid.points()))
     assert not edges.flags.writeable
-    assert relations._grid_edges(grid) is edges
+    assert grid.decade_starts() is edges
     # an equal grid is the same grid
-    assert relations._grid_edges(relations.GridSpec(grid.t_min, grid.t_max, grid.n_points,
-                                                    grid.spacing)) is edges
+    assert relations.GridSpec(grid.t_min, grid.t_max, grid.n_points,
+                              grid.spacing).decade_starts() is edges
 
 
 def _relation_finding_edges_per_rule(sigma, tau, rel, tg, s, t):
@@ -100,7 +100,7 @@ def _relation_finding_edges_per_rule(sigma, tau, rel, tg, s, t):
         return conjunction({
             "forward": _relation_finding_edges_per_rule(sigma, tau, one_way, tg, s, t),
             "backward": _relation_finding_edges_per_rule(tau, sigma, one_way, tg, t, s)})
-    return relations._relation(sigma, tau, rel, tg, s, t, relations._decade_edges(tg))
+    return relations._relation(sigma, tau, rel, tg, s, t, core.decade_starts(tg))
 
 
 _CHAIN = {"log": Log(), "log2": LogPower(2.0), "t14": Power(0.25), "t12": Power(0.5),
@@ -254,18 +254,6 @@ def test_a_far_row_that_cannot_be_evaluated_is_read_only_if_needed():
 # the row reader and the order check
 # --------------------------------------------------------------------------
 
-class _Opaque(WeightFunction):
-    """The same function behind a type without a closed form."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.nondecreasing = inner.nondecreasing
-        self.normalized = inner.normalized
-
-    def _eval(self, t):
-        return self.inner._eval(t)
-
-
 _PROFILE = PiecewiseLogLinear([(0.0, 0.0), (1.0, 1.5), (2.5, 4.0), (4.0, 4.5)])
 _SEQUENCE = load_weight({"sequence": [0.75 * k * k for k in range(60)]})
 _READ_BASES = {
@@ -391,11 +379,9 @@ def test_the_order_check_of_the_matrix_kinds():
 # the bounded-gap rule on a block of rows
 # --------------------------------------------------------------------------
 
-def _bounded_gap_one_row(tg, d, what="gap", edges=None):
+def _bounded_gap_one_row(tg, d, edges, what="gap"):
     """The bounded-gap rule on one row, in Python floats."""
-    sups = relations._decade_sups(tg, d, edges)
-    if len(sups) < 3:
-        raise HorizonTooSmall("relation checks need at least 3 decades")
+    sups = relations._decade_sups(d, core.require_decades(edges, 3))
     a, b, c = sups[-3], sups[-2], sups[-1]
     growing = c > b + max(1e-9, 0.05 * abs(b)) and b > a + max(1e-9, 0.05 * abs(a))
     strongly = growing and c > 0 and c >= 1.2 * max(b, 1e-300) and b >= 1.2 * max(a, 1e-300)
@@ -456,7 +442,7 @@ def _gap_row(draw, lengths):
 @given(grid=st.sampled_from(sorted(_GAP_GRIDS)), data=st.data())
 def test_the_block_rule_is_the_one_row_rule_row_by_row(grid, data):
     tg = _GAP_GRIDS[grid]
-    edges = relations._decade_edges(tg)
+    edges = core.decade_starts(tg)
     # the leading points before the first decade, then one length per decade
     lengths = np.diff(np.concatenate([[0], edges, [len(tg)]]))
     rows = [data.draw(_gap_row(lengths)) for _ in range(data.draw(st.integers(1, 5)))]
@@ -471,18 +457,18 @@ def test_the_block_rule_is_the_one_row_rule_row_by_row(grid, data):
     what = data.draw(st.sampled_from(["gap", "ratio"]))
     gaps = relations._Gaps(tg, D, edges, what)
     for i in range(k):
-        expected = _bounded_gap_one_row(tg, D[i], what, edges)
+        expected = _bounded_gap_one_row(tg, D[i], edges, what)
         v = gaps.verdict(i)
         assert v.to_dict() == expected.to_dict()
         assert bool(gaps.held[i]) == expected.holds
         if expected.holds:
             assert gaps.C(i) == expected.certificate["C"]
-        assert relations._bounded_gap(tg, D[i], what).to_dict() == expected.to_dict()
+        assert relations._bounded_gap(tg, D[i], edges, what).to_dict() == expected.to_dict()
 
 
 def test_the_block_rule_needs_three_decades():
     tg = np.geomspace(1.0, 500.0, 50)
     with pytest.raises(HorizonTooSmall, match="at least 3 decades"):
-        relations._Gaps(tg, np.zeros((2, 50)))
+        relations._Gaps(tg, np.zeros((2, 50)), core.decade_starts(tg))
     with pytest.raises(HorizonTooSmall, match="at least 3 decades"):
-        _bounded_gap_one_row(tg, np.zeros(50))
+        _bounded_gap_one_row(tg, np.zeros(50), core.decade_starts(tg))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weightlab import GridSpec, Log, LogPower, Power, Scaled, core, lpspace, relations
-from weightlab.errors import BridgeViolation, NotMonotone, ValidationFailed
+from weightlab.errors import BridgeViolation, HorizonTooSmall, NotMonotone, ValidationFailed
 from weightlab.relations import DEFAULT_ELL_GRID
 from weightlab.verdict import fails, holds, inconclusive
 
@@ -128,12 +128,27 @@ def test_matrix_relation_reflexive():
 
 
 def test_a_grid_whose_search_grid_leaves_the_double_range_is_refused():
-    # the partner search grid would end at t_max * 1e6 = inf, where the
-    # decade scan never ends
+    # the partner search grid would end at t_max * 1e6 = inf; the refusal
+    # names the t_max the caller passed
     S = relations.WeightMatrix.exponential(Power(0.5))
     T = relations.WeightMatrix.exponential(Power(0.25))
-    with pytest.raises(ValidationFailed):
+    with pytest.raises(ValidationFailed, match=r"^t_max = 1e\+303 is too large: .* t_max \* 1e6"):
         relations.matrix_relation(S, T, "beurling", grid=GridSpec(1e-2, 1e303, 600))
+
+
+@pytest.mark.parametrize("rel", relations.RELATIONS)
+def test_compare_refuses_a_grid_of_two_decades_with_the_one_guard(rel):
+    # [1, 10^3] holds two decades (hi/10, hi] counted down from 10^3, the
+    # partition the trend rules read: compare's guard refuses it for every
+    # relation, le included, with the guard's own message
+    with pytest.raises(HorizonTooSmall, match=r"^trend needs a grid of at least 3 decades "
+                                              r"\(hi/10, hi\] counted down from its last "
+                                              r"point, not 2$"):
+        relations.compare(Power(0.5), Power(1.0), rel, GridSpec(1.0, 1e3, 91))
+    # a grid just past 10^3 holds three
+    grid = GridSpec(1.0, 1.001e3, 91)
+    assert len(grid.require_decades(3)) == 3
+    relations.compare(Power(0.5), Power(1.0), rel, grid)
 
 
 def test_dilatation_matrix_reduces_to_shifted_scalar():

@@ -7,21 +7,12 @@ import numpy as np
 import pytest
 
 from weightlab import (Dilated, Exp, GridSpec, Log, LogPower, PiecewiseLogLinear, Power,
-                       Scaled, WeightFunction, load_weight, relations)
+                       Scaled, WeightFunction, core, load_weight, relations)
 from weightlab.errors import EmptyInput, IndexSearchExhausted, WeightlabError
 from weightlab.relations import DEFAULT_ELL_GRID, DEFAULT_GRID, RelationVerdict, WeightMatrix
 from weightlab.verdict import conjunction, fails, holds, inconclusive
 
-
-class _Opaque(WeightFunction):
-    """The same function behind a type without a closed form."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.nondecreasing = inner.nondecreasing
-
-    def _eval(self, t):
-        return self.inner._eval(t)
+from conftest import _Opaque
 
 
 class _Wavy(WeightFunction):
@@ -65,12 +56,12 @@ def _outcome(call):
 # compare's dilation relations against a copy of the row-by-row loops
 # --------------------------------------------------------------------------
 
-def _dilation_dom_loop(sigma, tg, s, t):
+def _dilation_dom_loop(sigma, tg, s, t, edges):
     last_peak = prev_peak = None
     for k in range(13):
         C1 = 2.0 ** k
         d = t - (s if k == 0 else np.asarray(sigma.evaluate(C1 * tg)))
-        v = relations._bounded_gap(tg, d)
+        v = relations._bounded_gap(tg, d, edges)
         if v.holds:
             return holds({"C1": C1, "C2": v.certificate["C"]}, margin=v.margin)
         prev_peak, last_peak = last_peak, float(np.max(d))
@@ -84,18 +75,19 @@ def _dilation_dom_loop(sigma, tg, s, t):
 
 
 def _compare_loop(sigma, tau, rel, grid):
+    edges = grid.require_decades(3)
     tg = grid.points()
     s, t = np.asarray(sigma.evaluate(tg)), np.asarray(tau.evaluate(tg))
     if rel == "preceq_c":
-        v = _dilation_dom_loop(sigma, tg, s, t)
+        v = _dilation_dom_loop(sigma, tg, s, t, edges)
     elif rel == "sim_c":
-        v = conjunction({"forward": _dilation_dom_loop(sigma, tg, s, t),
-                         "backward": _dilation_dom_loop(tau, tg, t, s)})
+        v = conjunction({"forward": _dilation_dom_loop(sigma, tg, s, t, edges),
+                         "backward": _dilation_dom_loop(tau, tg, t, s, edges)})
     else:
         parts = {}
         for eps in (1.0, 0.5, 0.1, 0.01):
             d = t - (s if eps == 1.0 else np.asarray(sigma.evaluate(eps * tg)))
-            parts[f"eps={eps}"] = relations._bounded_gap(tg, d)
+            parts[f"eps={eps}"] = relations._bounded_gap(tg, d, edges)
         v = conjunction(parts)
     return RelationVerdict(v, rel)
 
@@ -123,7 +115,8 @@ _PAIRS = [("t12", "log2"), ("log2", "t12"), ("t1", "t12"), ("t12", "t2"), ("log"
           ("short_sequence", "t1"), ("t1", "short_sequence"), ("short_sequence", "t2"),
           ("scaled_sequence", "t12"), ("t2", "scaled_sequence"), ("capped", "t1")]
 # a grid to 100 keeps exp finite, but its dilations overflow from C1 = 8;
-# 1 ... 1000 is a grid of exactly three decades, which the gap rule refuses;
+# 1 ... 1000 holds two decades (hi/10, hi] counted down from 1000, and compare
+# refuses it;
 # on grids from 1, t^-400 is finite, and its rows eps = 0.1, 0.01 overflow
 _GRIDS = {"default": DEFAULT_GRID, "to100": GridSpec(1e-2, 1e2, 300),
           "three_decades": GridSpec(1.0, 1e3, 200), "from1": GridSpec(1.0, 1e5, 300)}
@@ -185,13 +178,13 @@ def _order_loop(W, ell_grid=DEFAULT_ELL_GRID, grid=DEFAULT_GRID):
         prev = cur
 
 
-def _search_loop(outer, cands, outer_row, cand_row, tg):
+def _search_loop(outer, cands, outer_row, cand_row, tg, edges):
     """The first partner of each outer index, pairs read outer row first."""
     found = {}
     for o in outer:
         top, v = outer_row(o), None
         for c in cands:
-            v = relations._bounded_gap(tg, top - cand_row(c))
+            v = relations._bounded_gap(tg, top - cand_row(c), edges)
             if v.holds:
                 found[o] = (c, v.certificate["C"])
                 break
@@ -206,6 +199,7 @@ def _relation_loop(S, T, rel):
     _order_loop(T)
     grid = DEFAULT_GRID
     tg = np.geomspace(grid.t_min, grid.t_max * 1e6, 2 * grid.n_points)
+    edges = core.decade_starts(tg)
 
     def row(W, l):
         return np.asarray(W.weight_at(l).evaluate(tg))
@@ -214,7 +208,7 @@ def _relation_loop(S, T, rel):
         found = {}
         for ell in t_idx:
             for n in s_idx:
-                v = relations._bounded_gap(tg, row(T, ell) - row(S, n))
+                v = relations._bounded_gap(tg, row(T, ell) - row(S, n), edges)
                 if not v.holds:
                     if not v.fails:
                         return RelationVerdict(inconclusive(
@@ -224,12 +218,12 @@ def _relation_loop(S, T, rel):
         return RelationVerdict(holds({"pairs": len(found)}), rel, found)
     if rel == "beurling":
         found, binding, _ = _search_loop(t_idx, s_idx, lambda l: row(T, l),
-                                         lambda n: row(S, n), tg)
+                                         lambda n: row(S, n), tg, edges)
     else:
         # each pair reads T's row first, so T's first row precedes S's rows
         row(T, t_idx[0])
         found, binding, _ = _search_loop(s_idx, t_idx, lambda n: -row(S, n),
-                                         lambda l: -row(T, l), tg)
+                                         lambda l: -row(T, l), tg, edges)
     if binding is not None:
         raise IndexSearchExhausted(binding)
     partner = "n" if rel == "beurling" else "ell"
@@ -267,7 +261,7 @@ def test_the_mixed_doubling_search_raises_where_the_row_loop_does(k, bad):
     def loop(S, T):
         found, binding, _ = _search_loop(
             outer, ext, lambda l: np.asarray(T.weight_at(l).evaluate(2 * tg)),
-            lambda n: np.asarray(S.weight_at(n).evaluate(tg)), tg)
+            lambda n: np.asarray(S.weight_at(n).evaluate(tg)), tg, core.decade_starts(tg))
         if found is None:
             return None, binding
         return {l: {"n": n, "L": L} for l, (n, L) in found.items()}, None

@@ -14,20 +14,7 @@ from weightlab import (Dilated, Exp, Gevrey, Log, LogPower, Normalized, Power, S
 from weightlab.errors import WeightlabError
 from weightlab.verdict import to_json
 
-
-class _Opaque(WeightFunction):
-    """The same function behind a type without a closed form."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.nondecreasing = inner.nondecreasing
-        self.normalized = inner.normalized
-
-    def _eval(self, t):
-        return self.inner._eval(t)
-
-    def _phi_unchecked(self, u):
-        return self.inner._phi_unchecked(u)
+from conftest import _Opaque
 
 
 SQRT_FACTORIAL = [0.5 * math.lgamma(k + 1) for k in range(60)]
