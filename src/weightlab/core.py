@@ -44,12 +44,19 @@ __all__ = [
 class _Value:
     """A value built once: equal to an object of its own type with equal
     slots, hashed by them, and read-only (`__init__` sets the slots with
-    object.__setattr__)."""
+    object.__setattr__).  The tuple of the slots is built at the first
+    comparison or hash and kept in the private slot `_k`, which no field
+    list, repr or report shows."""
 
-    __slots__ = ()
+    __slots__ = ("_k",)
 
     def _key(self):
-        return tuple(getattr(self, name) for name in self.__slots__)
+        try:
+            return self._k
+        except AttributeError:
+            key = tuple(getattr(self, name) for name in self.__slots__)
+            object.__setattr__(self, "_k", key)
+            return key
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -467,10 +474,14 @@ class Scaled(WeightFunction):
                                       c * prof.final_slope)
 
     def _eval(self, t):
-        return self.c * self.base._eval(t)
+        out = self.base._eval(t)
+        with np.errstate(over="ignore"):
+            return self.c * out
 
     def _phi_unchecked(self, u):
-        return self.c * self.base._phi_unchecked(u)
+        out = self.base._phi_unchecked(u)
+        with np.errstate(over="ignore"):
+            return self.c * out
 
 
 class Dilated(WeightFunction):
@@ -492,7 +503,11 @@ class Dilated(WeightFunction):
             self.normalized = self.profile.normalized
 
     def _eval(self, t):
-        return self.base._eval(self.c * t)
+        # a product past the double range is inf, without a warning;
+        # evaluate raises NonFinite where base(inf) is infinite
+        with np.errstate(over="ignore"):
+            dilated = self.c * t
+        return self.base._eval(dilated)
 
     def _phi_unchecked(self, u):
         return self.base._phi_unchecked(u + math.log(self.c))

@@ -192,27 +192,31 @@ class _Gaps:
     the sorted grid tg, from the suprema a, b, c of d over the last three
     decades: d is growing when b and c each rise by more than 5 % (at
     least 1e-9), and the row holds, with C the smallest power of two at
-    least max(sup d, 1), when d is not growing and C <= 2^40.  `held`
-    marks the rows that hold; a row's C and verdict are found when asked
-    for."""
+    least max(sup d, 1), when d is not growing and C <= 2^40.  The block
+    costs two reductions, its decade suprema and its row peaks, each read
+    once as Python floats; the rule then runs row by row on those, and
+    NaN compares false, so a row with an inf or NaN peak never holds.
+    `held` lists whether each row holds; a row's C and verdict are found
+    when asked for."""
 
     def __init__(self, tg, D, edges, what="gap"):
         require_decades(edges, 3)
         self.tg, self.D, self.what = tg, D, what
-        self.sups = np.maximum.reduceat(D, edges[-3:], axis=1)
-        lo, hi = self.sups[:, :2], self.sups[:, 1:]
-        with np.errstate(invalid="ignore"):
-            self.growing = (hi > lo + np.fmax(1e-9, 0.05 * np.abs(lo))).all(axis=1)
-        self.peak = D.max(axis=1)
-        # a NaN peak compares false, as its C lookup runs off the grid
-        self.held = (self.peak <= _C_GRID[-1]) & ~self.growing
+        self.sups = np.maximum.reduceat(D, edges[-3:], axis=1).tolist()
+        self.peak = D.max(axis=1).tolist()
+        self.growing = [c > b + max(1e-9, 0.05 * abs(b)) and b > a + max(1e-9, 0.05 * abs(a))
+                        for a, b, c in self.sups]
+        self.held = [p <= _C_MAX and not g for p, g in zip(self.peak, self.growing)]
 
     def C(self, i):
-        """C of row i, or the list of C of the rows of a slice i."""
-        return _C_GRID[np.searchsorted(_C_GRID, np.maximum(self.peak[i], 1.0))].tolist()
+        """C of row i, or the list of C of the rows of a slice i, each a
+        row that holds."""
+        if isinstance(i, slice):
+            return [_power_of_two_at_least(p) for p in self.peak[i]]
+        return _power_of_two_at_least(self.peak[i])
 
     def verdict(self, i):
-        peak, sups, what = float(self.peak[i]), self.sups[i].tolist(), self.what
+        peak, sups, what = self.peak[i], self.sups[i], self.what
         a, b, c = sups
         if self.growing[i] and c > 0 and c >= 1.2 * max(b, 1e-300) \
                 and b >= 1.2 * max(a, 1e-300):
@@ -223,6 +227,16 @@ class _Gaps:
             C = self.C(i)
             return holds({"C": C, "decade_sups": sups}, margin=C - peak)
         return inconclusive(margin=peak, notes=f"{what} trend undecided at horizon")
+
+
+# the largest C of the bounded-gap rule
+_C_MAX = float(_C_GRID[-1])
+
+
+def _power_of_two_at_least(x):
+    """The smallest power of two >= max(x, 1), exactly, for x <= 2^40."""
+    m, e = math.frexp(max(x, 1.0))
+    return math.ldexp(1.0, e - 1 if m == 0.5 else e)
 
 
 def _bounded_gap(tg, d, edges, what="gap"):
@@ -323,14 +337,14 @@ def _dilation_dom(sigma, tg, s, t, edges):
     search tests its candidates, and the first that holds is kept."""
     for chunk, block in _dilations(sigma, tg, s).doubling(_C1_GRID):
         gaps = _Gaps(tg, t - block, edges)
-        hits = np.flatnonzero(gaps.held)
-        if hits.size:
-            v = gaps.verdict(hits[0])
-            return holds({"C1": chunk[hits[0]], "C2": v.certificate["C"]}, margin=v.margin)
+        if True in gaps.held:
+            i = gaps.held.index(True)
+            v = gaps.verdict(i)
+            return holds({"C1": chunk[i], "C2": v.certificate["C"]}, margin=v.margin)
     # dilation-insensitive divergence: doubling C1 no longer helps, and the
     # gap still grows between decades -- certifies failure (the last two
     # rows are the factors 2^11 and 2^12)
-    prev_peak, last_peak = gaps.peak[-2:].tolist()
+    prev_peak, last_peak = gaps.peak[-2:]
     if last_peak > 0 and abs(prev_peak - last_peak) <= 0.1 * abs(last_peak) \
             and gaps.verdict(-1).fails:
         k = int(np.argmax(gaps.D[-1]))
@@ -419,9 +433,9 @@ def _partner_search(outer, cands, outer_rows, cand_rows, gap, tg, edges):
         last = None
         for chunk, block in cand_rows.doubling(list(cands(o))):
             gaps = _Gaps(tg, gap(row, block), edges)
-            hits = np.flatnonzero(gaps.held)
-            if hits.size:
-                found[o] = (chunk[hits[0]], gaps.C(hits[0]))
+            if True in gaps.held:
+                i = gaps.held.index(True)
+                found[o] = (chunk[i], gaps.C(i))
                 break
             last = gaps
         else:
@@ -442,9 +456,9 @@ def _every_pair(outer, cands, outer_rows, cand_rows, gap, tg, edges):
     for o, row in zip(outer, rows):
         for chunk, block in cand_rows.doubling(cands, len(cands)):
             gaps = _Gaps(tg, gap(row, block), edges)
-            misses = np.flatnonzero(~gaps.held)
-            if misses.size:
-                return None, (o, chunk[misses[0]]), gaps.verdict(misses[0])
+            if False in gaps.held:
+                i = gaps.held.index(False)
+                return None, (o, chunk[i]), gaps.verdict(i)
             found.update(((o, c), (c, C)) for c, C in zip(chunk, gaps.C(slice(None))))
     if err is not None:
         raise err

@@ -323,13 +323,35 @@ def test_bad_command_line_is_a_one_line_error(argv, weight_file, capsys):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
-def test_overflow_in_a_dilation_scan_is_a_one_line_error(tmp_path, capsys):
-    sigma, tau = tmp_path / "log2.json", tmp_path / "sqrt.json"
-    sigma.write_text(json.dumps({"family": "logpower", "params": {"beta": 2}}))
-    tau.write_text(json.dumps({"family": "power", "params": {"alpha": 0.5}}))
-    assert cli.run(["compare", "--sigma", str(sigma), "--tau", str(tau),
-                    "--rel", "preceq_c,triangle", "--horizon", "1.7e308"]) == 1
-    assert capsys.readouterr().err == "error: non-finite weight value encountered\n"
+_OVERFLOW_DOCS = {
+    "log2": {"family": "logpower", "params": {"beta": 2}},
+    "sqrt": {"family": "power", "params": {"alpha": 0.5}},
+    "log": {"family": "log", "params": {}},
+    "big_scaled": {"family": "scaled", "params": {"c": 1e300},
+                   "base": {"family": "power", "params": {"alpha": 2}}},
+    "big_dilated": {"family": "dilated", "params": {"c": 1e300},
+                    "base": {"family": "log", "params": {}}},
+}
+_NON_FINITE = "error: non-finite weight value encountered\n"
+
+
+# a product past the double range inside a dilation scan or a wrapper is
+# inf without a numpy warning: stderr holds the one error line or nothing
+@pytest.mark.parametrize("argv, code, err", [
+    (["compare", "--sigma", "log2", "--tau", "sqrt", "--rel", "preceq_c,triangle",
+      "--horizon", "1.7e308"], 1, _NON_FINITE),
+    (["compare", "--sigma", "big_scaled", "--tau", "log", "--rel", "preceq"], 1, _NON_FINITE),
+    (["classify", "--weight", "big_scaled"], 0, ""),
+    (["index", "--weight", "big_dilated"], 1, _NON_FINITE),
+], ids=["dilation scan", "scaled compare", "scaled classify", "dilated index"])
+def test_overflow_in_a_dilation_scan_is_a_one_line_error(argv, code, err, tmp_path, capsys,
+                                                          recwarn):
+    for name, doc in _OVERFLOW_DOCS.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    assert cli.run([str(tmp_path / f"{a}.json") if a in _OVERFLOW_DOCS else a
+                    for a in argv]) == code
+    assert capsys.readouterr().err == err
+    assert [str(w.message) for w in recwarn] == []
 
 
 # the exit code, stdout and stderr of the help of weightlab and of each

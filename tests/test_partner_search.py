@@ -404,8 +404,13 @@ _VALUE = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True))
 
 
+# the last C and just past it, peaks that are not numbers, and the exact C
+# lookup at 1, at a power of two inside the grid, below 1 and at a negative
+# peak: each value and its neighbours to either side
 _EDGE_PEAKS = (2.0 ** 40, float(np.nextafter(2.0 ** 40, math.inf)), math.nan, math.inf,
-               -math.inf)
+               -math.inf, -3.0,
+               *(float(np.nextafter(x, to)) for x in (0.0, 1.0, 2.0 ** 20)
+                 for to in (-math.inf, x, math.inf)))
 
 
 @st.composite
@@ -445,17 +450,20 @@ def test_the_block_rule_is_the_one_row_rule_row_by_row(grid, data):
     edges = core.decade_starts(tg)
     # the leading points before the first decade, then one length per decade
     lengths = np.diff(np.concatenate([[0], edges, [len(tg)]]))
-    rows = [data.draw(_gap_row(lengths)) for _ in range(data.draw(st.integers(1, 5)))]
-    # peaks on and just past the last C, and peaks that are not numbers:
-    # each as a constant row, and at a drawn point of a drawn row below it
+    # up to 16 drawn rows, the largest chunk a partner search tests
+    drawn = [data.draw(_gap_row(lengths)) for _ in range(data.draw(st.integers(1, 16)))]
+    rows = list(drawn)
+    # each edge peak as a constant row, and at a drawn point of a drawn row
+    # below it
     for peak in _EDGE_PEAKS:
-        row = np.minimum(data.draw(_gap_row(lengths)), peak)
+        row = np.minimum(drawn[data.draw(st.integers(0, len(drawn) - 1))], peak)
         row[data.draw(st.integers(0, len(tg) - 1))] = peak
         rows += [np.full(len(tg), peak), row]
     D = np.stack(rows)
     k = len(D)
     what = data.draw(st.sampled_from(["gap", "ratio"]))
     gaps = relations._Gaps(tg, D, edges, what)
+    held = []
     for i in range(k):
         expected = _bounded_gap_one_row(tg, D[i], edges, what)
         v = gaps.verdict(i)
@@ -463,7 +471,11 @@ def test_the_block_rule_is_the_one_row_rule_row_by_row(grid, data):
         assert bool(gaps.held[i]) == expected.holds
         if expected.holds:
             assert gaps.C(i) == expected.certificate["C"]
+            held.append(i)
         assert relations._bounded_gap(tg, D[i], edges, what).to_dict() == expected.to_dict()
+    # the C of a block whose rows all hold, as `_every_pair` reads them
+    if held:
+        assert relations._Gaps(tg, D[held], edges).C(slice(None)) == [gaps.C(i) for i in held]
 
 
 def test_the_block_rule_needs_three_decades():

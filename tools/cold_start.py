@@ -36,7 +36,7 @@ import tempfile
 from pathlib import Path
 from time import perf_counter
 
-from op_times import label, nearest_rank
+from op_times import alternate, label, percentile_marks
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))
@@ -83,16 +83,6 @@ def import_self_us(src: str, env) -> dict:
     return out
 
 
-def alternate(sides, repeats, measure) -> dict:
-    """side -> the list of `repeats` values of measure(side), the sides
-    taking turns and the first of each turn alternating."""
-    got = {side: [] for side in sides}
-    for r in range(repeats):
-        for side in (sides if r % 2 == 0 else sides[::-1]):
-            got[side].append(measure(side))
-    return got
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seed", required=True, type=int)
@@ -131,9 +121,7 @@ def main(argv=None) -> int:
           f"fresh interpreters per op and side, in ms; sides: "
           + ", ".join(f"{side}={src}" for side, src in srcs.items()))
     order = sorted(range(len(ops)), key=lambda i: medians["this"][i])
-    marks = {}
-    for name, q in (("p50", 0.5), ("p90", 0.9)):
-        marks.setdefault(nearest_rank(len(ops), q), []).append(name)
+    marks = percentile_marks(len(ops))
     for rank, i in enumerate(order, 1):
         print(rank, *(f"{medians[side][i]:.1f}" for side in sides), ops[i]["id"],
               label(ops[i]), *marks.get(rank, []))
