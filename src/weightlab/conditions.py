@@ -24,10 +24,10 @@ else that cannot be certified gets an honest ``inconclusive``.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (DEFAULT_GRID, Associated, Dilated, Exp, GridSpec, Log, LogPower,
                    Normalized, Power, Scaled, WeightFunction, _BLOCK, _C_GRID, decade_starts,
@@ -285,56 +285,134 @@ def _check_alpha0(w, grid):
                         notes="scaling constant still growing at horizon")
 
 
-def _worst_pair(vals):
-    """(i, j, gap): the largest gap = vals[i + j] - vals[i] - vals[j] over
-    i <= j, i + j < n = len(vals), at its first pair in row-major order.
-    Row i is vals[2i:n] - vals[i] - vals[i:n - i]; rows go in bands as wide
-    as their first row, the shifted terms being windows of vals padded with
-    -inf and 0, so a gap past the end of a shorter row is -inf."""
-    n = vals.size
-    rows = (n + 1) // 2
-    sums = sliding_window_view(np.concatenate([vals, np.full(n, -np.inf)]), n)[:2 * rows:2]
-    lone = sliding_window_view(np.concatenate([vals, np.zeros(n)]), n)[:rows]
-    best, at = -np.inf, (0, 0)
-    r0 = 0
-    while r0 < rows:
-        w = n - 2 * r0
-        r1 = min(rows, r0 + max(1, _BLOCK // w))
-        gaps = sums[r0:r1, :w] - vals[r0:r1, None]
-        gaps -= lone[r0:r1, :w]
-        k = int(np.argmax(gaps))
-        if gaps.flat[k] > best:
-            i = r0 + k // w
-            best, at = float(gaps.flat[k]), (i, i + k % w)
-        r0 = r1
-    return (*at, best)
+# side of the square tiles of the pair triangle that the om_sub scan bounds
+_TILE = 8
+
+
+@functools.lru_cache(maxsize=8)
+def _tiles(n):
+    """The tiles of the pair triangle i <= j, i + j < n that hold a pair,
+    as read-only arrays: the block numbers of each tile's rows and columns
+    (blocks of _TILE samples), its first pair's row-major key i * n + j,
+    and the row and column offsets of a tile's cells, row-major."""
+    rb, cb = np.triu_indices(-(-n // _TILE))
+    keep = ((rb + cb) * _TILE < n) & (rb * _TILE <= (n - 1) // 2)
+    rb, cb = rb[keep], cb[keep]
+    cell = np.arange(_TILE * _TILE)
+    tiles = (rb, cb, (rb * n + cb) * _TILE, cell // _TILE, cell % _TILE)
+    for a in tiles:
+        a.flags.writeable = False
+    return tiles
+
+
+def _tile_bounds(stack):
+    """The bound of each tile of _tiles(n), for each row v of the 2-d
+    `stack`: (max v over the tile's sums - min v over its rows) - min v
+    over its columns, with row 0 left out of the first row block.  Each
+    term is taken over whole blocks of _TILE samples, two blocks for the
+    sums, which only loosens it."""
+    n = stack.shape[1]
+    rb, cb = _tiles(n)[:2]
+    starts = np.arange(0, n, _TILE)
+    peak = np.maximum.reduceat(stack, starts, axis=1)
+    peak[:, :-1] = np.maximum(peak[:, :-1], peak[:, 1:])
+    low = np.minimum.reduceat(stack, starts, axis=1)
+    low_rows = low.copy()
+    low_rows[:, 0] = stack[:, 1:_TILE].min(axis=1, initial=np.inf)
+    return (peak.take(rb + cb, axis=1) - low_rows.take(rb, axis=1)) - low.take(cb, axis=1)
+
+
+def _worst_pairs(stack):
+    """[(i, j, gap)] for each row v of the 2-d `stack`: the largest gap =
+    (v[i + j] - v[i]) - v[j] over i <= j, i + j < n = row length, at its
+    first pair in row-major order.
+
+    Row 0 and the diagonal i = j are read whole.  The other pairs lie in
+    _TILE x _TILE tiles, each with an upper bound on its gaps
+    (`_tile_bounds`): rounding is monotone, so a gap computed in the same
+    order from larger sums and smaller terms is no smaller.  Only a tile
+    whose bound beats the best gap of row 0 and the diagonal, or ties it
+    at an earlier pair, is read, each read temporary within _BLOCK
+    doubles."""
+    m, n = stack.shape
+    rb, cb, first, di, dj = _tiles(n)
+    # the exact gaps of row 0 and of the diagonal, and the better of the two
+    top = (stack - stack[:, :1]) - stack
+    half = stack[:, :(n + 1) // 2]
+    diag = (stack[:, ::2] - half) - half
+    at = np.arange(m)
+    j0, d0 = top.argmax(axis=1), diag.argmax(axis=1)
+    best, key = top[at, j0], j0
+    take = diag[at, d0] > best
+    best = np.where(take, diag[at, d0], best)
+    key = np.where(take, d0 * (n + 1), key)
+    bound = _tile_bounds(stack)
+    # a tile is read if its bound beats the best gap, or ties it at an
+    # earlier first pair
+    scale, tile = np.divmod(np.flatnonzero(bound >= best[:, None]), first.size)
+    keep = (bound[scale, tile] > best[scale]) | (first[tile] < key[scale])
+    scale, tile = scale[keep], tile[keep]
+    if tile.size:
+        # one row per scale: the samples, zeros that a row or column past
+        # the end reads, and -inf that every pair outside the triangle sums to
+        width = n + _TILE
+        padded = np.zeros((m, width))
+        padded[:, :n] = stack
+        padded[:, -1] = -np.inf
+        flat = padded.ravel()
+        step = _BLOCK // di.size
+        for c0 in range(0, tile.size, step):
+            sc, t = scale[c0:c0 + step], tile[c0:c0 + step]
+            i = rb[t, None] * _TILE + di
+            j = cb[t, None] * _TILE + dj
+            s = i + j
+            s[(j < i) | (s >= n)] = width - 1
+            off = sc[:, None] * width
+            gaps = (flat[off + s] - flat[off + i]) - flat[off + j]
+            # each scale's best gap in this chunk, and its first pair
+            chunk_best = np.full(m, -np.inf)
+            np.maximum.at(chunk_best, sc, gaps.max(axis=1))
+            pairs = np.where(gaps == chunk_best[sc, None], i * n + j, n * n)
+            chunk_key = np.full(m, n * n)
+            np.minimum.at(chunk_key, sc, pairs.min(axis=1))
+            take = (chunk_best > best) | ((chunk_best == best) & (chunk_key < key))
+            best = np.where(take, chunk_best, best)
+            key = np.where(take, chunk_key, key)
+    return [(k // n, k % n, g) for k, g in zip(key.tolist(), best.tolist())]
 
 
 def _check_om_sub(w, grid):
     # the index-addition scan needs a uniform grid with 0, so small- and
-    # large-argument violations are probed on separate linear scales
+    # large-argument violations are probed on separate linear scales, each
+    # evaluated in order; an error at one ends the evaluations, and the
+    # scales before it are scanned together
     n = 512
     scales = [s for s in (2.0, 64.0, 2048.0, grid.t_max) if s <= grid.t_max]
-    worst, wi, wj, wtg, wtol = -np.inf, 0, 0, None, 0.0
-    concave = True
+    tgs, rows, error = [], [], None
     for t_max in dict.fromkeys(scales):
         tg = np.linspace(0.0, t_max, n)
         try:
-            vals = np.asarray(w.evaluate(tg))
-        except (HorizonTooSmall, NonFinite):
-            if worst > wtol:      # a violation on an earlier scale still stands
-                break
-            raise
-        # w(s+t) - w(s) - w(t) at s = tg[i], t = tg[j]
-        i, j, gap = _worst_pair(vals)
-        tol = 1e-9 * (1.0 + float(np.max(vals)))
-        if gap > worst:
-            worst, wi, wj, wtg, wtol = gap, i, j, tg, tol
-        concave = concave and bool(np.all(np.diff(vals, 2) <= tol)) \
-            and float(vals[0]) == 0.0
-    if worst > wtol:
-        return fails({"s": float(wtg[wi]), "t": float(wtg[wj]), "violation": worst},
+            rows.append(np.asarray(w.evaluate(tg)))
+        except (HorizonTooSmall, NonFinite) as exc:
+            error = exc
+            break
+        tgs.append(tg)
+    if not rows:
+        raise error
+    vals = np.stack(rows)
+    # w(s+t) - w(s) - w(t) at s = tg[i], t = tg[j]; the first scale with
+    # the largest gap holds the witness
+    pairs = _worst_pairs(vals)
+    tols = 1e-9 * (1.0 + vals.max(axis=1))
+    k = max(range(len(pairs)), key=lambda r: pairs[r][2])
+    wi, wj, worst = pairs[k]
+    if worst > tols[k]:  # a violation on a scale before an error still stands
+        return fails({"s": float(tgs[k][wi]), "t": float(tgs[k][wj]), "violation": worst},
                      margin=worst, horizon=grid.describe())
+    if error is not None:
+        raise error
+    concave = bool(np.all(np.diff(vals, 2, axis=1) <= tols[:, None])) \
+        and bool(np.all(vals[:, 0] == 0.0))
     if concave and w.nondecreasing:
         return holds({"reason": "concave with value 0 at the origin", "scan_max_gap": worst},
                      margin=-worst, horizon=grid.describe())

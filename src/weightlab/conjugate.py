@@ -220,6 +220,10 @@ def _conjugate(w: WeightFunction, x_max: float) -> ConjugateProfile:
         return _exact_conjugate(w.profile, x_max)
     y_lo = 0.0 if w.normalized else -60.0
     y_hi = 3.0 * math.log(max(x_max, 2.0)) + 50.0
+    if not math.isfinite(x_max * y_hi):
+        # x * y would be inf on the y-grid, and inf - phi(y) NaN where phi is inf
+        raise ValidationFailed(f"x_max = {x_max:g} is too large: x * y leaves the double "
+                               f"range on the y-grid, which reaches y = {y_hi:g}")
     prof = ConjugateProfile(x_max=x_max, exact=False,
                             breakpoints=np.array([0.0, x_max]),
                             values=np.zeros(2),

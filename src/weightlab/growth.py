@@ -385,11 +385,17 @@ def _index_rows(w, gammas, K_grid, tg, T, wt):
     last = tg >= T / 10
     ok = wt > 0
     sel_last, sel_prev = last & ok, ~last & ok
-    if not (sel_last.any() and sel_prev.any()):
+    unseen = not (sel_last.any() and sel_prev.any())
+    if unseen:
         del scales[1:]  # the scan stops at its first row: no ratio to take the maximum of
     if scales:
         # a scale that two (gamma, K) share, as 2^2 = 4^1, is read once
         rows = dilations(w, tg).all(scales)
+        if unseen:
+            raise HorizonTooSmall(
+                f"growth index: the weight has no positive sample on [{T / 100:g}, {T / 10:g}) "
+                f"or none on [{T / 10:g}, {T:g}], so no ratio w(Kt)/w(t) is taken there; "
+                "a larger T may reach its growth")
         est_last = np.nanmax(rows[:, sel_last] / wt[sel_last], axis=1).tolist()
         est_prev = np.nanmax(rows[:, sel_prev] / wt[sel_prev], axis=1).tolist()
     if pending is not None:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import relations
 from .core import _BLOCK, GridSpec, Rows, WeightFunction
-from .errors import ValidationFailed, WitnessConstructionFailed
+from .errors import HorizonTooSmall, NonFinite, ValidationFailed, WitnessConstructionFailed
 from .relations import WeightMatrix
 from .verdict import holds, inconclusive, report_dict, to_json
 
@@ -318,6 +318,10 @@ def nontriviality_witness(W: WeightMatrix, p, t_max: float = 40.0,
 # ---------------------------------------------------------------------------
 
 class ExperimentReport:
+    """The relation, its two doubling hypotheses and the norm rows that test
+    it.  degraded: a hypothesis is not certified, or a row of the relation
+    cannot be read on its grid, which leaves the relation inconclusive."""
+
     __slots__ = ("relation", "hypotheses", "degraded", "forward_rows", "converse_rows",
                  "all_ok")
 
@@ -377,6 +381,19 @@ def _battery_norms(fns, p):
     return against
 
 
+def _mixed_doubling(M: WeightMatrix, tg):
+    """The hypothesis that M has a doubling partner for ell = 1 on tg: holds
+    with the index map, or inconclusive where no partner is found or a row
+    cannot be read on tg, which leaves it undecided."""
+    try:
+        index_map, binding = relations.mixed_doubling_search(M, M, (1.0,), tg)
+    except (HorizonTooSmall, NonFinite) as exc:
+        return inconclusive(notes=f"{type(exc).__name__}: {exc}")
+    if index_map:
+        return holds({"index_map": index_map})
+    return inconclusive(notes=f"undecided at ell={binding}")
+
+
 def inclusion_experiment(S: WeightMatrix, T: WeightMatrix, p,
                          kind: str = "beurling",
                          grid: GridSpec = DEFAULT_NORM_GRID,
@@ -390,17 +407,15 @@ def inclusion_experiment(S: WeightMatrix, T: WeightMatrix, p,
     _check_exponent(p)
 
     tg = GridSpec(1e-2, 1e6, 400).points()
-    hyp_map_S, bind_S = relations.mixed_doubling_search(S, S, (1.0,), tg)
-    hyp_map_T, bind_T = relations.mixed_doubling_search(T, T, (1.0,), tg)
-    hypotheses = {
-        "mixed_doubling_S": holds({"index_map": hyp_map_S}) if hyp_map_S
-        else inconclusive(notes=f"undecided at ell={bind_S}"),
-        "mixed_doubling_T": holds({"index_map": hyp_map_T}) if hyp_map_T
-        else inconclusive(notes=f"undecided at ell={bind_T}"),
-    }
-    degraded = not (hyp_map_S and hyp_map_T)
-
-    rel = relations.matrix_relation(S, T, kind, ell_grid=(0.5, 1.0, 2.0))
+    hypotheses = {f"mixed_doubling_{side}": _mixed_doubling(M, tg)
+                  for side, M in (("S", S), ("T", T))}
+    degraded = not all(h.holds for h in hypotheses.values())
+    try:
+        rel = relations.matrix_relation(S, T, kind, ell_grid=(0.5, 1.0, 2.0))
+    except (HorizonTooSmall, NonFinite) as exc:
+        rel = relations.RelationVerdict(inconclusive(notes=f"{type(exc).__name__}: {exc}"),
+                                        kind)
+        degraded = True
 
     forward_rows = []
     converse_rows = []

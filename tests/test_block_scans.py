@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from weightlab import (Dilated, Exp, GridSpec, Log, LogPower, Normalized, PiecewiseLogLinear,
                        Power, Scaled, WeightFunction, conditions, core, counterexample, growth,
                        load_weight, lpspace)
-from weightlab.errors import (GammaTooLarge, NotMonotone, ValidationFailed,
+from weightlab.errors import (GammaTooLarge, HorizonTooSmall, NotMonotone, ValidationFailed,
                               WitnessConstructionFailed)
 from weightlab.lpspace import NormResult, SampledFunction, sphere_factor
 from weightlab.relations import DEFAULT_GRID, WeightMatrix
@@ -96,6 +96,11 @@ def _classify_gamma_loop(w, gamma, K_grid, tg, T):
             continue
         wk = np.asarray(w.evaluate(scale * tg))
         ratio = np.where(ok, wk / np.where(ok, wt, 1.0), np.nan)
+        if not ((last & ok).any() and (~last & ok).any()):
+            raise HorizonTooSmall(
+                f"growth index: the weight has no positive sample on [{T / 100:g}, {T / 10:g}) "
+                f"or none on [{T / 10:g}, {T:g}], so no ratio w(Kt)/w(t) is taken there; "
+                "a larger T may reach its growth")
         est_last = float(np.nanmax(ratio[last & ok]))
         est_prev = float(np.nanmax(ratio[~last & ok]))
         agree = abs(est_last - est_prev) <= 0.01 * max(est_prev, 1e-12)
@@ -166,14 +171,14 @@ def test_the_growth_index_equals_the_loop_over_gamma_and_K(key, T, gammas):
 
 
 def test_a_weight_zero_on_the_whole_index_window_raises_as_the_loop_does():
-    # zero up to t = e^20, past the window [1e6, 1e8]: the loop's maximum
-    # over no positive sample is numpy's error, after its first row
+    # zero up to t = e^20, past the window [1e6, 1e8]: the loop finds no
+    # positive sample to take a ratio at, after its first row
     zero = _Opaque(PiecewiseLogLinear([(0.0, 0.0), (20.0, 0.0), (21.0, 1.0)]))
     # the same, with the rows from t = 1e9 on unreadable: the loop never reads them
     for w in (zero, _Until(zero, 1e9)):
         got = _outcome(lambda: growth.growth_index(w))
         assert got == _outcome(lambda: _growth_index_loop(w))
-        assert got[0] == "ValueError"
+        assert got[0] == "HorizonTooSmall"
 
 
 @settings(max_examples=40)

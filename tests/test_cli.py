@@ -336,14 +336,19 @@ _NON_FINITE = "error: non-finite weight value encountered\n"
 
 
 # a product past the double range inside a dilation scan or a wrapper is
-# inf without a numpy warning: stderr holds the one error line or nothing
+# inf without a numpy warning, and a conjugate whose x * y would leave it is
+# refused: stderr holds the one error line or nothing
 @pytest.mark.parametrize("argv, code, err", [
     (["compare", "--sigma", "log2", "--tau", "sqrt", "--rel", "preceq_c,triangle",
       "--horizon", "1.7e308"], 1, _NON_FINITE),
     (["compare", "--sigma", "big_scaled", "--tau", "log", "--rel", "preceq"], 1, _NON_FINITE),
     (["classify", "--weight", "big_scaled"], 0, ""),
     (["index", "--weight", "big_dilated"], 1, _NON_FINITE),
-], ids=["dilation scan", "scaled compare", "scaled classify", "dilated index"])
+    (["conjugate", "--weight", "sqrt", "--xmax", "1e306"], 1,
+     "error: x_max = 1e+306 is too large: x * y leaves the double range on the y-grid, "
+     "which reaches y = 2163.77\n"),
+], ids=["dilation scan", "scaled compare", "scaled classify", "dilated index",
+        "conjugate near the double limit"])
 def test_overflow_in_a_dilation_scan_is_a_one_line_error(argv, code, err, tmp_path, capsys,
                                                           recwarn):
     for name, doc in _OVERFLOW_DOCS.items():

@@ -235,3 +235,19 @@ def test_associated_matrix_rejects_log():
 def test_young_conjugate_refuses_non_finite_x_max(x_max):
     with pytest.raises(ValidationFailed):
         conjugate.young_conjugate(Power(0.5), x_max)
+
+
+@pytest.mark.parametrize("x_max", [1e305, 1e306, 1.7976931348623157e308])
+def test_young_conjugate_refuses_an_x_max_whose_products_leave_the_double_range(x_max,
+                                                                                recwarn):
+    # x * y on the y-grid up to 3 log(x_max) + 50 would overflow to inf, and
+    # inf - phi(y) is NaN where phi = e^(y/2) is inf too
+    with pytest.raises(ValidationFailed, match="too large"):
+        conjugate.young_conjugate(Power(0.5), x_max)
+    assert [str(w.message) for w in recwarn] == []
+
+
+def test_young_conjugate_below_the_overflow_stays_finite(recwarn):
+    prof = conjugate.young_conjugate(Power(0.5), 1e303)
+    assert np.all(np.isfinite(prof.values))
+    assert [str(w.message) for w in recwarn] == []

@@ -256,6 +256,17 @@ def test_growth_index_requires_monotone():
         growth.growth_index(Power(0.5), T=100.0)
 
 
+def test_growth_index_of_a_weight_zero_on_its_window_is_a_typed_error():
+    # zero up to t = e^20 (about 4.9e8), past the whole window [1e6, 1e8]
+    w = _Opaque(PiecewiseLogLinear([(0.0, 0.0), (20.0, 0.0), (21.0, 1.0)]))
+    with pytest.raises(HorizonTooSmall, match=r"no positive sample on \[1e\+06, 1e\+07\)"):
+        growth.growth_index(w)
+    # the window [1e7, 1e9] reaches past e^20 in its last decade only
+    with pytest.raises(HorizonTooSmall):
+        growth.growth_index(w, T=1e9)
+    assert growth.growth_index(w, T=1e12).table
+
+
 def test_growth_index_exp_overflows_honestly():
     # e^t leaves double range far below the default horizon; the failure
     # must surface as an explicit error, not a silent verdict

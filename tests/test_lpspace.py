@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weightlab import Log, Power, lpspace, relations
+from weightlab import Log, Power, load_weight, lpspace, relations
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +121,24 @@ def test_inclusion_experiment_degrades_exactly_where_a_side_has_no_doubling_part
             n, L = partner
             assert v.holds and v.certificate["index_map"] == {1.0: {"n": n, "L": L}}
     assert er.degraded == (partner_S is None or partner_T is None)
+
+
+@pytest.mark.parametrize("seq_side", ["S", "T"])
+def test_a_row_past_the_stored_terms_leaves_the_report_degraded(seq_side):
+    # the 60-term sequence 0.06 k^2 has no value past its last corner, near
+    # t = e^7.02, inside the doubling search's grid and the relation's
+    seq = _DIL(load_weight({"sequence": [0.06 * k * k for k in range(60)]}))
+    S, T = (seq, _DIL(Log())) if seq_side == "S" else (_DIL(Log()), seq)
+    er = lpspace.inclusion_experiment(S, T, 2.0)
+    assert er.degraded
+    for side, v in er.hypotheses.items():
+        if side.endswith(seq_side):
+            assert v.inconclusive and v.notes.startswith("HorizonTooSmall: ")
+        else:
+            assert v.holds
+    assert er.relation.inconclusive
+    assert er.relation.verdict.notes.startswith("HorizonTooSmall: ")
+    assert er.forward_rows == () and er.converse_rows == ()
 
 
 @settings(max_examples=15, deadline=None)

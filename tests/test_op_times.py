@@ -80,3 +80,26 @@ def test_the_alternation_swaps_the_first_side_each_turn():
     got = _tool().alternate(["a", "b"], 3, lambda side: calls.append(side) or len(calls))
     assert calls == ["a", "b", "b", "a", "a", "b"]
     assert got == {"a": [1, 4, 5], "b": [2, 3, 6]}
+
+
+def test_the_call_option_keeps_the_ops_of_the_calls_named_on_both_sides(capsys):
+    tool = _tool()
+    from wlbench import workloads
+    ops = workloads.generate("lib-numeric", 11)["ops"]
+    want = sorted(op["id"] for op in ops if op["call"] in ("classify", "growth_index"))
+    tool.main(["--workload", "lib-numeric", "--seed", "11", "--passes", "1",
+               "--call", "classify", "--call", "growth_index"])
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert sorted(f[2] for f in lines) == want
+    assert {f[3] for f in lines} == {"classify", "growth_index"}
+    tool.main(["--workload", "lib-numeric", "--seed", "11", "--passes", "1",
+               "--call", "classify", "--vs", str(ROOT / "src")])
+    ranked = [line.split() for line in capsys.readouterr().out.splitlines()[1:-3]]
+    assert sorted(f[4] for f in ranked) == sorted(op["id"] for op in ops
+                                                  if op["call"] == "classify")
+    # a cli-cold op's call is its subcommand
+    cli = workloads.generate("cli-cold", 11)["ops"]
+    assert {tool.call_name(op) for op in cli} >= {"classify", "compare"}
+    with pytest.raises(SystemExit):
+        tool.main(["--workload", "lib-numeric", "--seed", "11", "--passes", "1",
+                   "--call", "nope"])

@@ -1,5 +1,6 @@
-"""The numeric subadditivity scan: the banded pair triangle, pinned
-verdicts and the witness kept across a horizon error."""
+"""The numeric subadditivity scan: the pruned pair triangle, its tile
+bounds, the stacked scales, pinned verdicts and the witness kept across a
+horizon error."""
 
 import hashlib
 import json
@@ -95,16 +96,67 @@ def _samples(draw):
 
 @given(_samples())
 def test_the_triangle_scan_matches_the_masked_matrix(vals):
-    assert conditions._worst_pair(vals) == _masked_scan(vals)
+    assert conditions._worst_pairs(vals[None]) == [_masked_scan(vals)]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 511, 512])
-def test_the_banded_scan_matches_the_masked_matrix_at_fixed_sizes(n):
+def test_the_pruned_scan_matches_the_masked_matrix_at_fixed_sizes(n):
     x = np.linspace(0.0, 64.0, n)
     rng = np.random.default_rng(n)
     for vals in (rng.normal(size=n), np.sqrt(x), x ** 2, np.floor(x / 3.0),
                  rng.integers(0, 3, n).astype(float)):
-        assert conditions._worst_pair(vals) == _masked_scan(vals)
+        assert conditions._worst_pairs(vals[None]) == [_masked_scan(vals)]
+
+
+def _scales(w, t_max=1e6):
+    """The samples of om_sub's scales, stacked, up to the first scale that
+    cannot be evaluated."""
+    rows = []
+    for s in (2.0, 64.0, 2048.0, t_max):
+        try:
+            rows.append(np.asarray(w.evaluate(np.linspace(0.0, s, 512))))
+        except WeightlabError:
+            break
+    return np.stack(rows)
+
+
+@pytest.mark.parametrize("name", sorted(WEIGHTS))
+def test_the_stacked_scales_scan_as_each_scale_alone(name):
+    stack = _scales(WEIGHTS[name])
+    assert conditions._worst_pairs(stack) == [_masked_scan(v) for v in stack]
+
+
+def _hard_stacks():
+    """Stacks where the bounds prune little or ties abound: random normals,
+    integer and floor staircases, constants, and the plateaus of the
+    Gaussian sequence on every scale."""
+    rng = np.random.default_rng(24)
+    x = np.linspace(0.0, 64.0, 512)
+    yield rng.normal(size=(4, 512))
+    yield rng.integers(0, 3, (4, 512)).astype(float)
+    yield np.stack([np.floor(x * c) for c in (0.1, 0.5, 1.0, 7.0)])
+    yield np.stack([np.full(512, c) for c in (0.0, -2.5, 1.0, 3e300)])
+    yield _scales(WEIGHTS["seq"])
+    yield np.stack([rng.normal(size=512), np.full(512, 1.0), np.floor(x),
+                    _scales(WEIGHTS["seq"])[1]])
+
+
+@pytest.mark.parametrize("stack", list(_hard_stacks()),
+                         ids=["normal", "integers", "floors", "constants", "seq", "mixed"])
+def test_the_scan_is_exact_where_pruning_fails_or_ties_abound(stack):
+    assert conditions._worst_pairs(stack) == [_masked_scan(v) for v in stack]
+
+
+@given(_samples())
+def test_no_gap_of_a_tile_exceeds_its_bound(vals):
+    n = vals.size
+    bound = conditions._tile_bounds(vals[None])[0]
+    rb, cb, _, di, dj = conditions._tiles(n)
+    i, j = rb[:, None] * conditions._TILE + di, cb[:, None] * conditions._TILE + dj
+    inside = (i <= j) & (i + j < n) & (i > 0)  # row 0 is read whole
+    ii, jj = np.where(inside, i, 0), np.where(inside, j, 0)
+    gaps = (vals[ii + jj] - vals[ii]) - vals[jj]
+    assert np.all(np.where(inside, gaps <= bound[:, None], True))
 
 
 # --------------------------------------------------------------------------

@@ -6,6 +6,8 @@ ops set a workload's p50 and p90.
         --src /path/to/parent/src
     python3 tools/op_times.py --workload lib-families --seed 11 --passes 15 \\
         --vs /path/to/parent/src
+    python3 tools/op_times.py --workload lib-numeric --seed 11 --passes 40 \\
+        --call classify --vs /path/to/parent/src
 
 The ops are those ``wlbench/run.py`` runs for the workload and seed
 (``wlbench.workloads.generate``), made in this process through
@@ -17,7 +19,10 @@ are nearest ranks over the ops, as ``wlbench.scoring.percentile`` takes
 them: the benchmark's figures are percentiles of the ops' own median
 times.  A call that raises is timed up to its error.  ``--src`` names the
 directory whose ``weightlab`` package is imported, this checkout's ``src``
-by default.
+by default.  ``--call NAME``, which may be repeated, keeps only the ops of
+the calls named, such as ``classify``; a ``cli-cold`` op's call is its
+subcommand.  The p50 and p90 marks and figures are then those of the ops
+kept.
 
 ``--vs DIR`` times a second ``weightlab`` package, the one in DIR, against
 the first.  Each side then runs in its own worker process (with the
@@ -61,18 +66,35 @@ def label(op) -> str:
                                    if k not in ("call", "id"))])
 
 
-def prepare(workload: str, seed: int, stack) -> tuple:
-    """(ops, execute): the workload's ops and the call that makes one, with
-    any weight files it reads kept until `stack` closes."""
-    from wlbench import libops, workloads, worker
+def call_name(op) -> str:
+    """The call an op makes: its library call, or a CLI op's subcommand."""
+    return op["argv"][0] if op["call"] == "cli" else op["call"]
+
+
+def workload_ops(workload: str, seed: int, calls=()) -> tuple:
+    """(spec, ops): the workload's spec and its ops, only those of `calls`
+    if any are named."""
+    from wlbench import workloads
     spec = workloads.generate(workload, seed)
+    ops = [op for op in spec["ops"] if not calls or call_name(op) in calls]
+    if not ops:
+        raise SystemExit(f"no op of {workload} seed {seed} makes a call in {sorted(calls)}")
+    return spec, ops
+
+
+def prepare(workload: str, seed: int, stack, calls=()) -> tuple:
+    """(ops, execute): the workload's ops, only those of `calls` if any are
+    named, and the call that makes one, with any weight files it reads kept
+    until `stack` closes."""
+    from wlbench import libops, worker
+    spec, ops = workload_ops(workload, seed, calls)
     if workload == "cli-cold":
         files = worker.write_weight_files(
             spec, Path(stack.enter_context(tempfile.TemporaryDirectory())))
-        return spec["ops"], lambda op: libops.run_cli_in_process(
+        return ops, lambda op: libops.run_cli_in_process(
             worker.resolve_argv(op["argv"], files))
     inputs = libops.Inputs(spec)
-    return spec["ops"], lambda op: libops.call(op, inputs)
+    return ops, lambda op: libops.call(op, inputs)
 
 
 def one_pass(ops, execute) -> list:
@@ -93,23 +115,24 @@ def medians(passes) -> list:
     return [statistics.median(times) for times in zip(*passes)]
 
 
-def op_times(workload: str, seed: int, passes: int) -> list:
-    """(op, median ms) for every op of the workload, in run order, after
-    one untimed pass."""
+def op_times(workload: str, seed: int, passes: int, calls=()) -> list:
+    """(op, median ms) for every op of the workload, only those of `calls`
+    if any are named, in run order, after one untimed pass."""
     with contextlib.ExitStack() as stack:
-        ops, execute = prepare(workload, seed, stack)
+        ops, execute = prepare(workload, seed, stack, calls)
         one_pass(ops, execute)
         return list(zip(ops, medians([one_pass(ops, execute) for _ in range(passes)])))
 
 
-def serve(workload: str, seed: str, src: str) -> None:
+def serve(workload: str, seed: str, src: str, *calls: str) -> None:
     """A worker of ``--vs``: import weightlab from `src`, run one untimed
-    pass, write the op ids as a JSON line, then answer each line read from
-    stdin with one timed pass, its times as a JSON line."""
+    pass over the ops of `calls` (all ops if none), write the op ids as a
+    JSON line, then answer each line read from stdin with one timed pass,
+    its times as a JSON line."""
     sys.path[:0] = [src, str(ROOT)]
     replies, sys.stdout = sys.stdout, sys.stderr  # an op that prints misses the replies
     with contextlib.ExitStack() as stack:
-        ops, execute = prepare(workload, int(seed), stack)
+        ops, execute = prepare(workload, int(seed), stack, calls)
         one_pass(ops, execute)
         print(json.dumps([op["id"] for op in ops]), file=replies, flush=True)
         for _ in sys.stdin:
@@ -126,11 +149,10 @@ def alternate(sides, repeats, measure) -> dict:
     return got
 
 
-def vs_times(workload: str, seed: int, passes: int, srcs: dict) -> tuple:
+def vs_times(workload: str, seed: int, passes: int, srcs: dict, calls=()) -> tuple:
     """(ops, {side: each op's median ms}) for the packages in srcs, {side:
     directory}, each timed in its own worker process, pass by pass in
-    turns."""
-    from wlbench import workloads
+    turns, over the ops of `calls` (all ops if none)."""
     from wlbench.run import worker_env
     code = (f"import sys; sys.path.insert(0, {str(ROOT / 'tools')!r}); "
             "import op_times; op_times.serve(*sys.argv[1:])")
@@ -139,9 +161,9 @@ def vs_times(workload: str, seed: int, passes: int, srcs: dict) -> tuple:
         for side, src in srcs.items():
             env = {**worker_env(), "PYTHONPATH": src}
             workers[side] = subprocess.Popen(
-                [sys.executable, "-c", code, workload, str(seed), src],
+                [sys.executable, "-c", code, workload, str(seed), src, *calls],
                 env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
-        ops = workloads.generate(workload, seed)["ops"]
+        ops = workload_ops(workload, seed, calls)[1]
         for side, w in workers.items():
             if json.loads(w.stdout.readline() or "null") != [op["id"] for op in ops]:
                 raise RuntimeError(f"the worker of {srcs[side]} did not start")
@@ -200,6 +222,9 @@ def main(argv=None) -> int:
     ap.add_argument("--vs", default=None, metavar="DIR",
                     help="directory of a second weightlab package to time against, "
                          "in alternating passes")
+    ap.add_argument("--call", action="append", default=[], metavar="NAME",
+                    help="time only the ops of this call, such as classify (a cli-cold "
+                         "op's call is its subcommand); may be repeated")
     args = ap.parse_args(argv)
     if args.passes < 1:
         ap.error("--passes must be at least 1")
@@ -208,10 +233,11 @@ def main(argv=None) -> int:
         srcs = {"this": str(Path(args.src).resolve()), "vs": str(Path(args.vs).resolve())}
         print(f"# {args.workload} seed {args.seed}: median of {args.passes} passes per op "
               "and side, in ms; sides: " + ", ".join(f"{k}={v}" for k, v in srcs.items()))
-        print_vs(*vs_times(args.workload, args.seed, args.passes, srcs))
+        print_vs(*vs_times(args.workload, args.seed, args.passes, srcs, tuple(args.call)))
         return 0
     sys.path[:0] = [args.src]
-    ranked = sorted(op_times(args.workload, args.seed, args.passes), key=lambda x: x[1])
+    ranked = sorted(op_times(args.workload, args.seed, args.passes, tuple(args.call)),
+                    key=lambda x: x[1])
     marks = percentile_marks(len(ranked))
     for rank, (op, ms) in enumerate(ranked, 1):
         print(rank, f"{ms:.4f}", op["id"], label(op), *marks.get(rank, []))
