@@ -385,13 +385,13 @@ def _index_rows(w, gammas, K_grid, tg, T, wt):
     last = tg >= T / 10
     ok = wt > 0
     sel_last, sel_prev = last & ok, ~last & ok
-    unseen = not (sel_last.any() and sel_prev.any())
-    if unseen:
+    vanishes = not (sel_last.any() and sel_prev.any())
+    if vanishes:
         del scales[1:]  # the scan stops at its first row: no ratio to take the maximum of
     if scales:
         # a scale that two (gamma, K) share, as 2^2 = 4^1, is read once
         rows = dilations(w, tg).all(scales)
-        if unseen:
+        if vanishes:
             raise HorizonTooSmall(
                 f"growth index: the weight has no positive sample on [{T / 100:g}, {T / 10:g}) "
                 f"or none on [{T / 10:g}, {T:g}], so no ratio w(Kt)/w(t) is taken there; "
