@@ -397,22 +397,26 @@ def _check_om_sub(w, grid):
             error = exc
             break
         tgs.append(tg)
-    if not rows:
+    if error is not None and not rows:
         raise error
-    vals = np.stack(rows)
-    # w(s+t) - w(s) - w(t) at s = tg[i], t = tg[j]; the first scale with
-    # the largest gap holds the witness
-    pairs = _worst_pairs(vals)
-    tols = 1e-9 * (1.0 + vals.max(axis=1))
-    k = max(range(len(pairs)), key=lambda r: pairs[r][2])
-    wi, wj, worst = pairs[k]
-    if worst > tols[k]:  # a violation on a scale before an error still stands
-        return fails({"s": float(tgs[k][wi]), "t": float(tgs[k][wj]), "violation": worst},
-                     margin=worst, horizon=grid.describe())
+    # the scales hold grid.t_max, so only a grid with no ordered t_max (NaN)
+    # fits none: then nothing is scanned and no gap is found
+    worst, concave = -np.inf, True
+    if rows:
+        vals = np.stack(rows)
+        # w(s+t) - w(s) - w(t) at s = tg[i], t = tg[j]; the first scale with
+        # the largest gap holds the witness
+        pairs = _worst_pairs(vals)
+        tols = 1e-9 * (1.0 + vals.max(axis=1))
+        k = max(range(len(pairs)), key=lambda r: pairs[r][2])
+        wi, wj, worst = pairs[k]
+        if worst > tols[k]:  # a violation on a scale before an error still stands
+            return fails({"s": float(tgs[k][wi]), "t": float(tgs[k][wj]), "violation": worst},
+                         margin=worst, horizon=grid.describe())
+        concave = bool(np.all(np.diff(vals, 2, axis=1) <= tols[:, None])) \
+            and bool(np.all(vals[:, 0] == 0.0))
     if error is not None:
         raise error
-    concave = bool(np.all(np.diff(vals, 2, axis=1) <= tols[:, None])) \
-        and bool(np.all(vals[:, 0] == 0.0))
     if concave and w.nondecreasing:
         return holds({"reason": "concave with value 0 at the origin", "scan_max_gap": worst},
                      margin=-worst, horizon=grid.describe())

@@ -5,12 +5,13 @@ horizon error."""
 import hashlib
 import json
 import math
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from weightlab import (Dilated, Exp, Gevrey, Log, LogPower, Normalized, Power, Scaled,
+from weightlab import (Dilated, Exp, Gevrey, GridSpec, Log, LogPower, Normalized, Power, Scaled,
                        WeightFunction, conditions, counterexample, load_weight)
 from weightlab.errors import WeightlabError
 from weightlab.verdict import to_json
@@ -237,3 +238,32 @@ class _SqrtUpTo10(WeightFunction):
 def test_a_horizon_error_with_no_violation_before_it_leaves_om_sub_inconclusive():
     v = conditions.check_condition(_SqrtUpTo10(), "om_sub")
     assert v.inconclusive and v.notes.startswith("NonFinite: ")
+
+
+# verdicts on grids that end below the first scale of 2, where the only
+# scale scanned is grid.t_max itself
+SHORT_GRIDS = {
+    ("seq", 1.0): "holds 2a15ae8b9dcaac35", ("seq", 1.5): "holds 2c34823489d5f072",
+    ("sqrtfact", 1.0): "holds 2a15ae8b9dcaac35", ("sqrtfact", 1.5): "fails 72ca5d94192a917c",
+    ("o_sqrt", 1.0): "holds 2a15ae8b9dcaac35", ("o_sqrt", 1.5): "holds 2c34823489d5f072",
+    ("o_sq", 1.0): "fails e443d39ff2642e72", ("o_sq", 1.5): "fails 1fb932551752acaa",
+}
+
+
+@pytest.mark.parametrize("name,t_max", sorted(SHORT_GRIDS))
+def test_om_sub_on_a_grid_shorter_than_the_first_scale(name, t_max):
+    grid = GridSpec(1e-3 if t_max == 1.0 else 1e-2, t_max)
+    v = conditions.check_condition(WEIGHTS[name], "om_sub", grid)
+    assert _digest(v) == SHORT_GRIDS[name, t_max]
+    if t_max == 1.0:
+        report = conditions.classify(WEIGHTS[name], grid)
+        assert _digest(report.conditions["om_sub"]) == SHORT_GRIDS[name, t_max]
+
+
+@pytest.mark.parametrize("name", ["o_sqrt", "o_sq", "seq"])
+def test_om_sub_with_no_scale_to_scan_finds_no_gap(name):
+    # a grid whose t_max compares false with every scale
+    grid = types.SimpleNamespace(t_max=float("nan"), describe=lambda: None)
+    v = conditions._check_om_sub(WEIGHTS[name], grid)
+    assert v.holds and v.margin == math.inf
+    assert v.certificate["scan_max_gap"] == -math.inf
