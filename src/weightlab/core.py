@@ -286,7 +286,10 @@ class LogPower(WeightFunction, _Value):
         object.__setattr__(self, "beta", beta)
 
     def _eval(self, t):
-        return np.log1p(t) ** self.beta
+        # a 0-d t is read as an array of one: np.log1p of it is a numpy
+        # scalar, whose ** rounds unlike the array power, so evaluate(t)
+        # would differ from evaluate([t])[0] in the last bit
+        return np.log1p(np.atleast_1d(t)) ** self.beta
 
     def _phi_unchecked(self, u):
         return np.logaddexp(0.0, u) ** self.beta

@@ -18,7 +18,8 @@ import numpy as np
 
 from . import relations
 from .core import _BLOCK, GridSpec, Rows, WeightFunction
-from .errors import HorizonTooSmall, NonFinite, ValidationFailed, WitnessConstructionFailed
+from .errors import (HorizonTooSmall, NonFinite, ValidationFailed, WeightlabError,
+                     WitnessConstructionFailed)
 from .relations import WeightMatrix
 from .verdict import holds, inconclusive, report_dict, to_json
 
@@ -279,25 +280,25 @@ def nontriviality_witness(W: WeightMatrix, p, t_max: float = 40.0,
 
     log_psi = np.zeros_like(ts)
     exponents = {}
-    # block n is [n, n + 1) of the sorted radii, the last one [n_max, oo)
+    # block n is [n, n + 1) of the sorted radii, the last one [n_max, oo),
+    # and reads row n + 1 there and, for p < oo, at max(n, n0) and n + 1
     starts = np.searchsorted(ts, np.arange(n_max + 1), side="left").tolist() + [ts.size]
-    for n in range(n_max + 1):
+    blocks = [n for n in range(n_max + 1) if starts[n] < starts[n + 1]]
+    at = _witness_reads(W, ts, starts, blocks, n0, p)
+    for j, n in enumerate(blocks):
         blk = slice(starts[n], starts[n + 1])
-        if blk.start == blk.stop:
-            continue
-        row = W.weight_at(float(n + 1))
-        wvals = np.asarray(row.evaluate(ts[blk]))
+        wvals = at(n, ts[blk], blk)
         if p == math.inf:
             log_psi[blk] = -wvals ** 2
         else:
-            base = float(row.evaluate(float(max(n, n0))))
+            base = float(at(n, float(max(n, n0)), ts.size + j))
             if base <= 1.0:
                 log_psi[blk] = -wvals  # before n0 plain decay suffices
                 continue
             a_n = max(1.0, math.log(2 * (d + 1) * math.log(2.0 + n))
                       / math.log(base))
             b_n = max(1.0, (a_n * math.log(max(
-                float(row.evaluate(float(n + 1))), base)) + math.log(2.0))
+                float(at(n, float(n + 1), ts.size + len(blocks) + j)), base)) + math.log(2.0))
                 / math.log(base))
             exponents[n] = {"a_n": a_n, "b_n": b_n}
             log_psi[blk] = -(wvals ** (a_n * b_n)) / p
@@ -311,6 +312,28 @@ def nontriviality_witness(W: WeightMatrix, p, t_max: float = 40.0,
     rows = tuple(zip(test_indices, norms))
     ok = not any(res.divergent for res in norms)
     return psi, MembershipReport(rows, ok, exponents or None)
+
+
+def _witness_reads(W, ts, starts, blocks, n0, p):
+    """(n, t, k) -> W^(n+1)(t), for the reads of the witness's loop over
+    its blocks: row n + 1 on the radii of block n, at k = that block's
+    slice of ts, and for p < oo row n + 1 at max(n, n0) and at n + 1, at
+    k = len(ts) + j and len(ts) + len(blocks) + j, block n being
+    blocks[j].  All are read with one `WeightMatrix._at`, whose values are
+    the rows' own bit for bit; if that read cannot be done, each is read
+    alone, through weight_at, when the loop asks for it, so the error is
+    the one the loop over the blocks meets first."""
+    ells = np.repeat(np.arange(1.0, len(starts)), np.diff(starts))
+    args = ts
+    if p != math.inf:
+        rows = np.array(blocks, dtype=float) + 1
+        ells = np.concatenate([ells, rows, rows])
+        args = np.concatenate([ts, np.maximum(rows - 1, n0), rows])
+    try:
+        read = W._at(ells, args)
+    except WeightlabError:
+        return lambda n, t, k: W.weight_at(float(n + 1)).evaluate(t)
+    return lambda n, t, k: read[k]
 
 
 # ---------------------------------------------------------------------------
@@ -424,13 +447,22 @@ def inclusion_experiment(S: WeightMatrix, T: WeightMatrix, p,
     if rel.holds and rel.index_map:
         battery = _battery(S, p, grid, d)
         norms = _battery_norms(battery, p)
+        # the norms against each partner weight, by side and index: entries
+        # often share a partner
+        sides = {}
+
+        def norms_of(M, idx):
+            if (M, idx) not in sides:
+                sides[M, idx] = norms(M.weight_at(idx))
+            return sides[M, idx]
+
         for key, entry in rel.index_map.items():
             if kind == "beurling":
                 ell, n, C = float(key), entry["n"], entry["C"]
             else:
                 n, ell, C = float(key), entry["ell"], entry["C"]
             factor = math.exp(min(C if p == math.inf else C / p, 700))
-            lhs_of, rhs_of = norms(T.weight_at(ell)), norms(S.weight_at(n))
+            lhs_of, rhs_of = norms_of(T, ell), norms_of(S, n)
             for i, fn in enumerate(battery):
                 lhs, rhs = lhs_of(i), rhs_of(i)
                 if rhs.divergent:

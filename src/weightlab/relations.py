@@ -23,10 +23,10 @@ import math
 
 import numpy as np
 
-from .core import (DEFAULT_GRID, _C_GRID, Dilated, GridSpec, Rows, Scaled, WeightFunction,
-                   decade_starts, dilations, require_decades)
-from .errors import (BridgeViolation, IndexSearchExhausted, NonFinite, NotMonotone,
-                     ValidationFailed)
+from .core import (DEFAULT_GRID, _BLOCK, _C_GRID, Dilated, GridSpec, Rows, Scaled,
+                   WeightFunction, decade_starts, dilations, require_decades)
+from .errors import (BridgeViolation, EmptyInput, IndexSearchExhausted, NonFinite,
+                     NotMonotone, ValidationFailed)
 from .verdict import Verdict, conjunction, fails, holds, inconclusive, report_dict
 
 __all__ = [
@@ -106,28 +106,49 @@ class WeightMatrix:
             return tuple(l for l, _ in self.entries)
         return tuple(_EXTENDED_ELL_GRID) if extended else tuple(ell_grid)
 
+    def _at(self, ells, args):
+        """w^ell(t) for the indices `ells` and the arguments `args`, broadcast
+        against each other, read with one evaluation of the base (of each
+        entry an index names, for an explicit matrix).  Each value is bit for
+        bit weight_at(ell).evaluate(t); a read that cannot be done raises a
+        WeightlabError, not always the one weight_at(ell) would raise."""
+        ells = np.asarray(ells, dtype=float)
+        with np.errstate(over="ignore"):
+            if self.kind == "dilatation":
+                return self.base.evaluate(ells * args)
+            if self.kind == "exponential":
+                out = ells * self.base.evaluate(args)
+                if out.size and out.max() == math.inf:
+                    raise NonFinite("non-finite weight value encountered")
+                return out
+        entries = np.unique(ells)
+        ells, args = np.broadcast_arrays(ells, args)
+        out = np.empty(ells.shape)
+        for ell in entries:
+            at = ells == ell
+            out[at] = self.weight_at(ell).evaluate(args[at])
+        return out
+
     def _rows(self, ells, args):
         """The rows w^ell(args) for the indices `ells`, as one
-        (len(ells), len(args)) array read with one evaluation of the base.
-        Each row is bit for bit weight_at(ell).evaluate(args), and one row
-        is read as that, so it raises that weight's own error; a block that
-        cannot be read is read again row by row through `core.Rows`."""
-        with np.errstate(over="ignore"):
-            if self.kind == "explicit" or len(ells) == 1:
-                return np.stack([self.weight_at(l).evaluate(args) for l in ells])
-            for ell in ells:
-                _check_index(ell)
-            if self.kind == "dilatation":
-                return self.base.evaluate(np.multiply.outer(ells, args))
-            block = np.asarray(ells, dtype=float)[:, None] * self.base.evaluate(args)
-        if block.size and block.max() == math.inf:
-            raise NonFinite("non-finite weight value encountered")
-        return block
+        (len(ells), len(args)) array read by `_at`.  One row raises that
+        weight's own error: a dilated row is read as weight_at(ell), whose
+        horizon error names its own corners; a block that cannot be read
+        is read again row by row through `core.Rows`."""
+        if self.kind == "dilatation" and len(ells) == 1:
+            return self.weight_at(ells[0]).evaluate(args)[None]
+        for ell in ells:
+            _check_index(ell)
+        return self._at(np.asarray(ells, dtype=float)[:, None], args)
 
     def verify_pointwise_order(self, ell_grid=DEFAULT_ELL_GRID, grid=DEFAULT_GRID):
         tg = grid.points()
+        ells = sorted(self.indices(ell_grid))
+        if self.kind == "exponential":
+            _check_exponential(self.base, ells, tg)
+            return
         # the pairs below a row that cannot be read are checked first
-        rows, err = Rows(self._rows, tg).block(sorted(self.indices(ell_grid)))
+        rows, err = Rows(self._rows, tg).block(ells)
         _check_order(tg, rows)
         if err is not None:
             raise err
@@ -138,6 +159,25 @@ def _check_index(ell):
         raise ValidationFailed("matrix index must be positive")
     if not math.isfinite(ell):
         raise ValidationFailed("matrix index must be finite")
+
+
+def _check_exponential(base, ells, tg):
+    """The order check of the rows ell * base(tg) for the sorted indices
+    `ells`, from one read of the base.  With w = base(tg) finite and >= 0,
+    fl(l1 w) <= fl(l2 w) for 0 < l1 < l2, rounding being monotone, so the
+    rows are in order and only a read can fail: the error is the one the
+    row-by-row read meets first, at the first index that is not valid,
+    the base's own, or NonFinite at the first index where ell * w
+    overflows."""
+    if not ells:
+        raise EmptyInput("no matrix indices to read")
+    peak = None
+    for ell in ells:
+        _check_index(ell)
+        if peak is None:
+            peak = float(base.evaluate(tg).max())
+        if ell * peak == math.inf:
+            raise NonFinite("non-finite weight value encountered")
 
 
 def _check_order(tg, rows):
@@ -415,31 +455,38 @@ def _any_holds(v1: Verdict, v2: Verdict) -> Verdict:
 # ---------------------------------------------------------------------------
 
 def _partner_search(outer, cands, outer_rows, cand_rows, gap, tg, edges):
-    """For every o in `outer`, the first c in `cands(o)` whose
-    gap(outer_rows(o), cand_rows(c)) is certified bounded on tg, whose
-    decades start at `edges`.
+    """For every o in `outer`, the first c in the nonempty list `cands`
+    whose gap(outer_rows(o), cand_rows(c)) is certified bounded on tg,
+    whose decades start at `edges`.
 
-    The outer rows are read as one block.  The candidates of an outer
-    index are tested in chunks of 1, 2, 4, ..., one block of gaps per
-    chunk, and the first that holds is kept, as in a loop over them; a row
-    that cannot be read raises once that loop, outer row first, reaches it.
-    Returns ({o: (c, C)}, None, None), or (None, o, v) for the first o
-    without a partner, v being the verdict on its last candidate (None if
-    it had none).
+    The outer rows are read as one block and tested against the first
+    candidate in blocks of at most core._BLOCK // len(tg) rows.  An outer
+    index that does not hold there tests the later candidates in chunks of
+    2, 4, 8, ..., one block of gaps per chunk, and keeps the first that
+    holds, as a loop over them does; a row that cannot be read raises once
+    that loop, outer row first, reaches it.  Returns ({o: (c, C)}, None,
+    None), or (None, o, v) for the first o without a partner, v being the
+    verdict on its last candidate.
     """
     found = {}
     rows, err = outer_rows.block(outer)
-    for o, row in zip(outer, rows):
-        last = None
-        for chunk, block in cand_rows.doubling(list(cands(o))):
-            gaps = _Gaps(tg, gap(row, block), edges)
-            if True in gaps.held:
-                i = gaps.held.index(True)
-                found[o] = (chunk[i], gaps.C(i))
-                break
-            last = gaps
-        else:
-            return None, o, last and last.verdict(-1)
+    step = max(1, _BLOCK // len(tg))
+    for lo in range(0, len(rows), step):
+        first = _Gaps(tg, gap(rows[lo:lo + step], cand_rows.all(cands[:1])), edges)
+        for i, row in enumerate(rows[lo:lo + step]):
+            o = outer[lo + i]
+            if first.held[i]:
+                found[o] = (cands[0], first.C(i))
+                continue
+            last, k = first, i
+            for chunk, block in cand_rows.doubling(cands[1:], 2):
+                last, k = _Gaps(tg, gap(row, block), edges), -1
+                if True in last.held:
+                    k = last.held.index(True)
+                    found[o] = (chunk[k], last.C(k))
+                    break
+            else:
+                return None, o, last.verdict(k)
     if err is not None:
         raise err
     return found, None, None
@@ -476,12 +523,12 @@ def _matrix_search(S, T, rel, ell_grid, grid):
     s_idx, t_idx = sorted(S.indices(ell_grid)), sorted(T.indices(ell_grid))
     if rel == "beurling":
         s_ext = sorted(S.indices(ell_grid, extended=True))
-        return _partner_search(t_idx, lambda ell: s_ext, tau, sig, np.subtract, tg, edges)
+        return _partner_search(t_idx, s_ext, tau, sig, np.subtract, tg, edges)
     if rel == "roumieu":
         t_ext = sorted(T.indices(ell_grid, extended=True))
         # pairs read T's row first: if both rows fail, T's error wins
         tau.all(t_ext[:1])
-        return _partner_search(s_idx, lambda n: t_ext, sig, tau, _minus_from, tg, edges)
+        return _partner_search(s_idx, t_ext, sig, tau, _minus_from, tg, edges)
     return _every_pair(t_idx, s_idx, tau, sig, np.subtract, tg, edges)
 
 
@@ -573,7 +620,7 @@ def mixed_doubling_search(S, T, outer, tg):
     ell without a partner.
     """
     s_ext = sorted(S.indices(DEFAULT_ELL_GRID, extended=True))
-    found, binding, _ = _partner_search(outer, lambda ell: s_ext, Rows(T._rows, 2 * tg),
+    found, binding, _ = _partner_search(outer, s_ext, Rows(T._rows, 2 * tg),
                                         Rows(S._rows, tg), np.subtract, tg, decade_starts(tg))
     if found is None:
         return None, binding

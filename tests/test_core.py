@@ -335,6 +335,27 @@ def test_evaluate_edge_cases():
     assert Power(0.5).evaluate([4.0]).shape == (1,)
 
 
+_SCALAR_READS = {
+    "logpower2": LogPower(2), "logpower1.5": LogPower(1.5),
+    "scaled_logpower2": Scaled(3.0, LogPower(2)), "scaled_logpower1.5": Scaled(3.0, LogPower(1.5)),
+    "dilated_logpower2": Dilated(3.0, LogPower(2)),
+    "dilated_logpower1.5": Dilated(3.0, LogPower(1.5)),
+    # controls, equal before LogPower's 0-d reads went through the array power
+    "power0.45": Power(0.45), "power25.42": Power(25.42), "log": Log(), "exp": Exp(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SCALAR_READS))
+def test_a_number_is_read_as_the_array_of_it_bit_for_bit(name):
+    w = _SCALAR_READS[name]
+    ts = np.random.default_rng(20_000).uniform(0.0, 50.0, 20_000)
+    block = w.evaluate(ts)
+    for t, v in zip(ts.tolist(), block.tolist()):
+        one = w.evaluate(t)
+        assert type(one) is float
+        assert one == v == w.evaluate(np.array([t]))[0], t
+
+
 # --------------------------------------------------------------------------
 # a wrapped sequence's horizon
 # --------------------------------------------------------------------------

@@ -1,10 +1,13 @@
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weightlab import Log, Power, load_weight, lpspace, relations
+from weightlab import Log, LogPower, Power, load_weight, lpspace, relations
+from weightlab.verdict import to_json
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +78,36 @@ def test_inclusion_experiment_converse():
     assert er.relation.verdict.fails
     assert er.converse_rows and er.all_ok
     assert all(r["kind"] == "divergent" for r in er.converse_rows)
+
+
+# sha256 of the report's JSON (sorted keys) for the two experiments of the
+# numeric benchmark workload, and for one whose witness is built on a
+# dilatation of log(1 + t)^1.5
+_INCLUSION_DIGESTS = {
+    "exp:t12 dil:log beurling":
+        "bf730e58a270fbaa88fafa52036abbc926ba6a3d14c5f15a4922b6d37f233418",
+    "dil:log2 exp:t12 roumieu":
+        "eb88b139fda42f7379bb0119d37d8ea2b1b3c655f1c1ab6303f5609989352a02",
+    "dil:log15 exp:log roumieu":
+        "698f426ccc259c80d2a2fc1ae3ad80ee6db4f2a5fdf49fef4a18d00e1e46d96e",
+}
+_MATRIX_KINDS = {"exp": relations.WeightMatrix.exponential,
+                 "dil": relations.WeightMatrix.dilatation}
+_MATRIX_BASES = {"t12": Power(0.5), "log": Log(), "log2": LogPower(2.0), "log15": LogPower(1.5)}
+
+
+def _matrix(side):
+    kind, base = side.split(":")
+    return _MATRIX_KINDS[kind](_MATRIX_BASES[base])
+
+
+@pytest.mark.parametrize("key", sorted(_INCLUSION_DIGESTS))
+def test_inclusion_experiment_reports_are_pinned(key):
+    s, t, kind = key.split()
+    rep = lpspace.inclusion_experiment(_matrix(s), _matrix(t), 2.0, kind)
+    assert rep.relation.holds and len(rep.forward_rows) == 18
+    text = json.dumps(to_json(rep.to_dict()), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == _INCLUSION_DIGESTS[key]
 
 
 def test_inclusion_experiment_decides_mixed_doubling_on_both_sides():

@@ -53,26 +53,32 @@ def test_one_pass_against_the_same_src_ranks_each_op_once_with_both_sides(capsys
     tool = _tool()
     src = str(ROOT / "src")
     tool.main(["--workload", "lib-families", "--seed", "11", "--passes", "1", "--vs", src])
-    out = capsys.readouterr().out.splitlines()
-    assert out[0].startswith("# lib-families seed 11: median of 1 passes")
+    text = capsys.readouterr().out
+    # each assertion shows the tool's whole output, so a failure shows its
+    # cause; printed again, it is also shown when the parsing below fails
+    print(text)
+    out = text.splitlines()
+    assert out[0].startswith("# lib-families seed 11: median of 1 passes"), text
     lines = [line.split() for line in out[1:]]
     from wlbench import workloads
     ops = workloads.generate("lib-families", 11)["ops"]
     n = len(ops)
     ranked, figures = lines[:n], lines[n:]
-    assert [int(f[0]) for f in ranked] == list(range(1, n + 1))
-    assert sorted(f[4] for f in ranked) == sorted(op["id"] for op in ops)
+    assert [int(f[0]) for f in ranked] == list(range(1, n + 1)), text
+    assert sorted(f[4] for f in ranked) == sorted(op["id"] for op in ops), text
     this = [float(f[1]) for f in ranked]
-    assert this == sorted(this)
+    assert this == sorted(this), text
     for f in ranked:
         a, b, ratio = map(float, f[1:4])
+        assert a > 0 and b > 0, text
         # each time is printed to 5e-5 ms, the ratio to 5e-4
-        assert abs(ratio - a / b) <= a / b * (5e-5 / a + 5e-5 / b) + 5e-4
+        assert abs(ratio - a / b) <= a / b * (5e-5 / a + 5e-5 / b) + 5e-4, text
     marked = {f[-1]: int(f[0]) for f in ranked if f[-1] in ("p50", "p90")}
-    assert marked == {"p50": tool.nearest_rank(n, 0.5), "p90": tool.nearest_rank(n, 0.9)}
-    assert [f[0] for f in figures] == ["p50_ms", "p90_ms", "ops_per_s"]
-    assert all(len(f) == 4 and float(f[1]) > 0 and float(f[2]) > 0 for f in figures)
-    assert float(figures[0][1]) == pytest.approx(this[tool.nearest_rank(n, 0.5) - 1], abs=1e-4)
+    assert marked == {"p50": tool.nearest_rank(n, 0.5), "p90": tool.nearest_rank(n, 0.9)}, text
+    assert [f[0] for f in figures] == ["p50_ms", "p90_ms", "ops_per_s"], text
+    assert all(len(f) == 4 and float(f[1]) > 0 and float(f[2]) > 0 for f in figures), text
+    assert float(figures[0][1]) == pytest.approx(this[tool.nearest_rank(n, 0.5) - 1],
+                                                 abs=1e-4), text
 
 
 def test_the_alternation_swaps_the_first_side_each_turn():

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from weightlab import (Dilated, Exp, Log, LogPower, Normalized, PiecewiseLogLinear,
                        Power, Scaled, WeightFunction, core, load_weight, relations)
-from weightlab.errors import (HorizonTooSmall, IndexSearchExhausted, NonFinite,
+from weightlab.errors import (EmptyInput, HorizonTooSmall, IndexSearchExhausted, NonFinite,
                               ValidationFailed, WeightlabError)
 from weightlab.relations import DEFAULT_ELL_GRID, DEFAULT_GRID, WeightMatrix
 from weightlab.verdict import conjunction, fails, holds, inconclusive
@@ -250,6 +250,25 @@ def test_a_far_row_that_cannot_be_evaluated_is_read_only_if_needed():
         ell: 16 * ell for ell in DEFAULT_ELL_GRID}
 
 
+def test_a_first_candidate_that_cannot_be_read_raises_once_an_outer_row_is_read():
+    # S's first entry runs out of sequence terms past t ~ 4.6e9, inside
+    # the search grid, and its second can be read there; `huge` leaves the
+    # double range there.  The outer rows of T are read first: the error
+    # is S's once T's first row is read, T's when it cannot be
+    S = WeightMatrix.explicit([(1.0, load_weight({"sequence": [0.19 * k * k for k in range(60)]})),
+                               (2.0, Power(1.0))])
+    huge = Scaled(1e58, Power(30.0))
+    first_candidate = _outcome_of(lambda: S.weight_at(1.0).evaluate(_TG))
+    first_outer = _outcome_of(lambda: huge.evaluate(_TG))
+    assert first_candidate[0] is HorizonTooSmall and first_outer[0] is NonFinite
+    for T, expected in ((WeightMatrix.exponential(Log()), first_candidate),
+                        (WeightMatrix.explicit([(1.0, Log()), (2.0, huge)]), first_candidate),
+                        (WeightMatrix.explicit([(1.0, huge), (2.0, Scaled(2.0, huge))]),
+                         first_outer)):
+        assert _outcome_of(T.verify_pointwise_order) is None
+        assert _outcome_of(lambda: relations.matrix_relation(S, T, "beurling")) == expected
+
+
 # --------------------------------------------------------------------------
 # the row reader and the order check
 # --------------------------------------------------------------------------
@@ -301,10 +320,13 @@ def _first_row_error(W, ells, args):
     WeightMatrix.exponential(Power(25.42)),
     WeightMatrix.exponential(Power(40.0)),
     WeightMatrix.dilatation(Exp()),
+    # an exponential row is read as ell times its base, whose error it keeps
+    WeightMatrix.exponential(load_weight({"sequence": [0.19 * k * k for k in range(60)]})),
     # a dilated sequence names its own horizon, not its base's
     WeightMatrix.dilatation(load_weight({"sequence": [0.19 * k * k for k in range(60)]})),
     WeightMatrix.explicit([(1.0, Power(0.5)), (2.0, Power(40.0)), (3.0, Exp())]),
-], ids=["exp_overflow", "exp_base_overflow", "dil_exp", "dil_sequence", "explicit"])
+], ids=["exp_overflow", "exp_base_overflow", "dil_exp", "exp_sequence", "dil_sequence",
+        "explicit"])
 def test_a_block_that_cannot_be_read_raises_its_first_rows_error(W):
     ells = sorted(W.indices(DEFAULT_ELL_GRID, extended=True))
     i, expected = _first_row_error(W, ells, _TG)
@@ -327,7 +349,10 @@ def _order_check_row_by_row(W, ell_grid=DEFAULT_ELL_GRID, grid=DEFAULT_GRID):
     """The order check one row at a time, each row against the one below."""
     tg = grid.points()
     prev = None
-    for l in sorted(W.indices(ell_grid)):
+    ells = sorted(W.indices(ell_grid))
+    if not ells:
+        raise EmptyInput("no matrix indices to read")
+    for l in ells:
         cur = np.asarray(W.weight_at(l).evaluate(tg))
         if prev is not None:
             tol = 1e-9 * (1.0 + float(np.max(np.abs(cur))))
@@ -367,12 +392,26 @@ def test_the_order_check_reports_what_the_row_by_row_check_reports(entries):
 
 
 def test_the_order_check_of_the_matrix_kinds():
+    grid = relations.GridSpec(1e-2, 1e12, 600)
     for W in (WeightMatrix.exponential(Power(0.5)), WeightMatrix.dilatation(_SEQUENCE),
               WeightMatrix.exponential(Power(25.42))):
         assert _outcome_of(W.verify_pointwise_order) is None
-        grid = relations.GridSpec(1e-2, 1e12, 600)
         assert _outcome_of(lambda: W.verify_pointwise_order(grid=grid)) == \
             _outcome_of(lambda: _order_check_row_by_row(W, grid=grid))
+    # an exponential matrix is read as its base once: ell * w overflows
+    # only at ell = 64, the last index; a sequence base runs past its last
+    # corner on the long grid; no index at all is refused
+    seq = WeightMatrix.exponential(load_weight({"sequence": [0.19 * k * k for k in range(60)]}))
+    for W, g, ell_grid, error in (
+            (WeightMatrix.exponential(Power(51.1)), DEFAULT_GRID, DEFAULT_ELL_GRID, NonFinite),
+            (seq, grid, DEFAULT_ELL_GRID, HorizonTooSmall),
+            (WeightMatrix.exponential(Power(0.5)), DEFAULT_GRID, (), EmptyInput)):
+        expected = _outcome_of(lambda: _order_check_row_by_row(W, ell_grid, g))
+        assert expected[0] is error
+        assert _outcome_of(lambda: W.verify_pointwise_order(ell_grid, g)) == expected
+    with np.errstate(over="ignore"):
+        assert WeightMatrix.exponential(Power(51.1)).weight_at(32.0).evaluate(
+            DEFAULT_GRID.points()).max() < math.inf
 
 
 # --------------------------------------------------------------------------

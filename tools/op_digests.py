@@ -8,6 +8,15 @@
 ``--seed`` also takes a comma-separated list (``--seed 11,12,13``); each
 line then starts with its seed, and one seed prints as above.
 
+``--vs DIR`` digests the ``weightlab`` package in DIR too, in a second
+process, and prints only the lines of the ops whose digests differ, each
+as ``[<seed>] <op id> <call> <digest> <DIR's digest>``, then one line
+``<n> of <m> ops changed``; a byte-identity check of two revisions is then
+one command, which prints ``0 of <m> ops changed``:
+
+    python3 tools/op_digests.py --workload lib-numeric --seed 11,7,1001 \\
+        --vs /path/to/parent/src
+
 The ops are those ``wlbench/run.py`` runs for the workload and seed
 (``wlbench.workloads.generate``), made once each, in order, in this
 process through ``wlbench.libops.call``.  Each output line reads
@@ -29,6 +38,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -75,6 +85,14 @@ def seed_list(text: str) -> list:
     return [int(v) for v in text.split(",")]
 
 
+def changed(this, other) -> list:
+    """The lines of `this` whose op's digest in `other` differs, each with
+    that digest appended; the two list the same ops in the same order."""
+    if [line.rsplit(" ", 1)[0] for line in this] != [line.rsplit(" ", 1)[0] for line in other]:
+        raise SystemExit("the two sides list different ops")
+    return [f"{a} {b.rsplit(' ', 1)[1]}" for a, b in zip(this, other) if a != b]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload", required=True,
@@ -83,12 +101,24 @@ def main(argv=None) -> int:
                     help="a seed, or a comma-separated list of seeds")
     ap.add_argument("--src", default=str(ROOT / "src"),
                     help="directory holding the weightlab package to digest")
+    ap.add_argument("--vs", metavar="DIR",
+                    help="print only the ops whose digest differs from DIR's package")
     args = ap.parse_args(argv)
     sys.path[:0] = [args.src, str(ROOT)]
-    for seed in args.seed:
-        prefix = [seed] if len(args.seed) > 1 else []
-        for op_id, call, digest in digests(args.workload, seed):
-            print(*prefix, op_id, call, digest)
+    lines = [" ".join(map(str, ([seed] if len(args.seed) > 1 else []) + list(line)))
+             for seed in args.seed for line in digests(args.workload, seed)]
+    if args.vs is None:
+        for line in lines:
+            print(line)
+        return 0
+    other = subprocess.run(
+        [sys.executable, __file__, "--workload", args.workload,
+         "--seed", ",".join(map(str, args.seed)), "--src", args.vs],
+        check=True, stdout=subprocess.PIPE, text=True).stdout.splitlines()
+    diff = changed(lines, other)
+    for line in diff:
+        print(line)
+    print(f"{len(diff)} of {len(lines)} ops changed")
     return 0
 
 
