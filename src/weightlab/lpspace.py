@@ -12,6 +12,7 @@ that huge exponents never overflow.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -447,15 +448,9 @@ def inclusion_experiment(S: WeightMatrix, T: WeightMatrix, p,
     if rel.holds and rel.index_map:
         battery = _battery(S, p, grid, d)
         norms = _battery_norms(battery, p)
-        # the norms against each partner weight, by side and index: entries
-        # often share a partner
-        sides = {}
-
-        def norms_of(M, idx):
-            if (M, idx) not in sides:
-                sides[M, idx] = norms(M.weight_at(idx))
-            return sides[M, idx]
-
+        # the norms against each partner weight, kept by side and index:
+        # entries often share a partner
+        norms_of = functools.cache(lambda M, idx: norms(M.weight_at(idx)))
         for key, entry in rel.index_map.items():
             if kind == "beurling":
                 ell, n, C = float(key), entry["n"], entry["C"]
