@@ -17,9 +17,10 @@ plus the structural checks: normalized, nondecreasing, unbounded_limit.
 
 Asymptotic conditions can never be refuted from finite data alone, so a
 ``fails`` status is produced only from closed-form reasoning (analytic
-families) or from a genuine pointwise witness (om4 slope inversion,
-subadditivity violation, a nonzero sample on [0,1], ...).  Everything
-else that cannot be certified gets an honest ``inconclusive``.
+families, and the final ray of a finite profile) or from a genuine
+pointwise witness (om4 slope inversion, subadditivity violation, a nonzero
+sample on [0,1], ...).  Everything else that cannot be certified gets an
+honest ``inconclusive``.
 """
 
 from __future__ import annotations
@@ -56,6 +57,9 @@ CONDITION_IDS = (
 # is invariant under passing to an equivalent weight
 _ASYMPTOTIC = ("om1", "om2", "om3", "om3w", "om5", "om6",
                "om_nq", "om_snq", "alpha0", "unbounded_limit")
+# those that a finite profile's final ray decides; unboundedness has its own
+# exact rule, whose certificate reads the profile
+_RAY = _ASYMPTOTIC[:-1]
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +126,22 @@ def _closed_form(w: WeightFunction, cond: str):
     return None
 
 
+def _final_ray(w: WeightFunction, cond: str):
+    """The exact verdict of `cond` on a nondecreasing weight whose profile
+    stores no end index and ends in the ray phi(u) = s u + c with s > 0, else
+    None.  Past its last corner such a weight is s log t + c, equivalent to
+    log(1 + t), and every condition of _RAY is invariant under equivalence."""
+    prof = w.profile
+    if (cond not in _RAY or prof is None or prof.end_index is not None
+            or not prof.final_slope > 0 or not w.nondecreasing):
+        return None
+    s = float(prof.final_slope)
+    verdict = holds if _closed_form(Log(), cond) else fails
+    return verdict({"final_slope": s, "equivalent_to": "log(1+t)"},
+                   notes=f"exact for the truncated profile, which is {s:g} log t + c past "
+                         "its last corner, not for an infinite construction it truncates")
+
+
 # ---------------------------------------------------------------------------
 # numeric machinery
 # ---------------------------------------------------------------------------
@@ -164,7 +184,7 @@ def _ratio_condition(w, cond, grid):
     skip = int(np.searchsorted(tg, max(grid.t_min, 1e-12)))
     tg = tg[skip:]
     wt = np.asarray(w.evaluate(tg))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if cond == "om1":
             ratio = np.asarray(w.evaluate(2 * tg)) / (wt + 1.0)
         elif cond in ("om2", "om5"):
@@ -268,7 +288,7 @@ def _check_alpha0(w, grid):
     if not np.any(ok):
         return inconclusive(notes="weight vanishes on the whole test range")
     rows = dilations(w, tg).all(lam.tolist())
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         cs = np.where(ok, rows / (lam[:, None] * np.where(ok, wt, 1.0)), 0.0)
     # folded row by row, in order, as the scan over lambda folds them
     needed = np.zeros_like(tg)
@@ -481,6 +501,9 @@ def check_condition(w: WeightFunction, cond: str, grid: GridSpec = DEFAULT_GRID)
         return holds({"closed_form": True}, notes="exact family-level answer")
     if exact is False:
         return fails({"closed_form": True}, notes="exact family-level refutation")
+    ray = _final_ray(w, cond)
+    if ray is not None:
+        return ray
 
     try:
         if cond in ("om1", "om2", "om3", "om3w", "om5"):

@@ -348,7 +348,9 @@ def associated_weight_matrix(w: WeightFunction, ell: float, j_max: int):
         raise ValidationFailed("j_max must be nonnegative")
     if not w.nondecreasing:
         raise NotMatrixAdmissible("weight must be nondecreasing")
-    if _om3_status(w).fails:
+    # a finite profile fails om3, yet its conjugate is exact and finite up to
+    # its final slope, past which _exact_conjugate raises
+    if _om3_status(w).fails and w.profile is None:
         raise NotMatrixAdmissible("log t = o(w) fails; conjugate values blow up")
 
     x_max = ell * j_max if j_max > 0 else 0.0

@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .core import PiecewiseLogLinear, Rows, WeightFunction
-from .errors import (GammaTooLarge, JHorizonTooSmall, MismatchedCorners,
+from .errors import (GammaTooLarge, JHorizonTooSmall, MismatchedCorners, NonFinite,
                      OverflowAtJ, ValidationFailed)
 from .verdict import Verdict, fails, holds, inconclusive, report_dict, to_json
 
@@ -130,12 +130,6 @@ class CounterexampleProfile:
         self.ell = ell          # connector slopes ell_1..ell_{J-1}
         self.log_x = log_x
         self.weight = weight
-
-    def block(self, j: int) -> dict:
-        i = j - 1
-        return {"j": j, "t": self.t[i], "x": self.x[i], "xbar": self.xbar[i],
-                "y": self.y[i], "phi_x": self.phi_x[i], "phi_y": self.phi_y[i],
-                "k": self.k[i]}
 
 
 def construct(delta: AdmissibleDelta, t1: float, J: int) -> CounterexampleProfile:
@@ -357,12 +351,18 @@ def slow_variation_certificate(p: CounterexampleProfile, gamma_set):
         his = np.append(p.x[j0:p.J], p.y[p.J - 1])
         reach = ~(np.isfinite(his) & (his + gamma <= 1e300))
         n = int(reach.argmax()) if reach.any() else his.size
-        s = np.linspace(p.x[j0 - 1:j0 - 1 + n], his[:n], 60, axis=1)
-        args = np.stack([s + gamma, s], axis=1).reshape(-1, 60)
-        vals = Rows(lambda i, a: p.weight.phi(a[i]), args).all(range(len(args)))
-        ratio = vals[0::2] / vals[1::2]
-        sups = [{"j": j, "sup_minus_1": sup - 1.0}
-                for j, sup in enumerate(ratio.max(axis=1).tolist(), start=j0)]
+        sups = []
+        if n:
+            # each later block starts where the one before it ends, so the
+            # first start is the one end left to check before linspace
+            if not math.isfinite(p.x[j0 - 1]):
+                raise NonFinite("non-finite phi value encountered")
+            s = np.linspace(p.x[j0 - 1:j0 - 1 + n], his[:n], 60, axis=1)
+            args = np.stack([s + gamma, s], axis=1).reshape(-1, 60)
+            vals = Rows(lambda i, a: p.weight.phi(a[i]), args).all(range(len(args)))
+            ratio = vals[0::2] / vals[1::2]
+            sups = [{"j": j, "sup_minus_1": sup - 1.0}
+                    for j, sup in enumerate(ratio.max(axis=1).tolist(), start=j0)]
 
         threshold = None
         for row in sups:

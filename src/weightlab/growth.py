@@ -396,8 +396,11 @@ def _index_rows(w, gammas, K_grid, tg, T, wt):
                 f"growth index: the weight has no positive sample on [{T / 100:g}, {T / 10:g}) "
                 f"or none on [{T / 10:g}, {T:g}], so no ratio w(Kt)/w(t) is taken there; "
                 "a larger T may reach its growth")
-        est_last = np.nanmax(rows[:, sel_last] / wt[sel_last], axis=1).tolist()
-        est_prev = np.nanmax(rows[:, sel_prev] / wt[sel_prev], axis=1).tolist()
+        # a ratio past the double range over a subnormal w(t) rounds to inf,
+        # an estimate above every K
+        with np.errstate(over="ignore"):
+            est_last = np.nanmax(rows[:, sel_last] / wt[sel_last], axis=1).tolist()
+            est_prev = np.nanmax(rows[:, sel_prev] / wt[sel_prev], axis=1).tolist()
     if pending is not None:
         raise pending
 

@@ -78,9 +78,6 @@ class SampledFunction:
         with np.errstate(divide="ignore"):
             return np.log(self.values)
 
-    def scaled(self, c: float):
-        return SampledFunction(self.ts, c * self.values, self.d, self.label)
-
 
 class NormResult:
     __slots__ = ("p", "kind", "value", "error_estimate", "evidence")

@@ -5,6 +5,7 @@ one at a time.  A scan must give the same report, or raise the same
 error where the loop does."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ from hypothesis import given, settings, strategies as st
 from weightlab import (Dilated, Exp, GridSpec, Log, LogPower, Normalized, PiecewiseLogLinear,
                        Power, Scaled, WeightFunction, conditions, core, counterexample, growth,
                        load_weight, lpspace)
-from weightlab.errors import (GammaTooLarge, HorizonTooSmall, NotMonotone, ValidationFailed,
-                              WitnessConstructionFailed)
+from weightlab.errors import (GammaTooLarge, HorizonTooSmall, NonFinite, NotMonotone,
+                              ValidationFailed, WitnessConstructionFailed)
 from weightlab.lpspace import NormResult, SampledFunction, sphere_factor
 from weightlab.relations import DEFAULT_GRID, WeightMatrix
 from weightlab.verdict import holds, inconclusive, to_json
@@ -435,6 +436,20 @@ def test_the_slow_variation_cases_reach_errors_and_the_double_range():
         rep = _slow_variation_loop(_PROFILE_PAST_THE_RANGE, (gamma,))[0]
         assert len(rep.block_sup_ratios) == blocks
 
+
+
+def test_the_slow_variation_certificate_checks_the_block_ends_before_it_samples():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # the first block starts at x = inf: an error, and no numpy warning
+        with pytest.raises(NonFinite, match=r"^non-finite phi value encountered$"):
+            counterexample.slow_variation_certificate(_PROFILE_PAST_THE_RANGE, (59.5, 60.0))
+        # the first block ends past 1e300: a report with no block, as the loop's
+        reports = _reports(lambda: counterexample.slow_variation_certificate(
+            _PROFILE_PAST_THE_RANGE, (45.0,)))
+        assert _outcome(reports) == _outcome(_reports(
+            lambda: _slow_variation_loop(_PROFILE_PAST_THE_RANGE, (45.0,))))
+    assert reports()[0]["block_sup_ratios"] == []
 
 # --------------------------------------------------------------------------
 # weighted norms, the witness and the inclusion battery against their loops

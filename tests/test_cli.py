@@ -416,6 +416,19 @@ def _python(*args):
                           capture_output=True, text=True)
 
 
+# w(K^gamma t) / w(t) over a subnormal w(t) leaves the double range: the ratio
+# rounds to inf, an estimate above every K, and no numpy warning is printed
+def test_an_index_ratio_past_the_double_range_prints_no_warning(tmp_path):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(
+        {"profile": [[0, 0], [9.82, 2.185e-312], [20.26, 17.27], [22.47, 22.33]]}))
+    p = _python("-m", "weightlab.cli", "index", "--weight", str(path), "--horizon", "1e4")
+    assert (p.returncode, p.stderr) == (0, "")
+    est = json.loads(p.stdout)["results"]["growth_index"]
+    assert {row["status"] for row in est["table"] if row["est"] == "inf"} == {"refuted"}
+    assert (est["lower_bound"], est["upper_bound"]) == (0.8781260801866497, 0.8876882462632606)
+
+
 @pytest.mark.parametrize("argv,loaded,unloaded", [
     (["classify"], {"weightlab.conditions"}, _UNNEEDED),
     (["analyze", "--conditions", "om1"], {"weightlab.conditions"}, _UNNEEDED),

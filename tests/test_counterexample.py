@@ -100,7 +100,6 @@ def test_overflow_is_reported():
 def test_profile_weight_matches_blocks(plateau_profile_small):
     p = plateau_profile_small
     w = p.weight
-    for j in range(1, 6):
-        b = p.block(j)
-        assert w.phi(b["x"]) == pytest.approx(b["phi_x"], rel=1e-12)
-        assert w.phi(b["y"]) == pytest.approx(b["phi_y"], rel=1e-12)
+    for i in range(5):
+        assert w.phi(p.x[i]) == pytest.approx(p.phi_x[i], rel=1e-12)
+        assert w.phi(p.y[i]) == pytest.approx(p.phi_y[i], rel=1e-12)

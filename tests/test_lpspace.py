@@ -37,7 +37,8 @@ def test_unweighted_gaussian_l2(gaussian):
 
 def test_norm_scaling_homogeneity(gaussian):
     base = lpspace.weighted_norm(gaussian, Log(), 2.0)
-    double = lpspace.weighted_norm(gaussian.scaled(2.0), Log(), 2.0)
+    doubled = lpspace.SampledFunction(gaussian.ts, 2.0 * gaussian.values)
+    double = lpspace.weighted_norm(doubled, Log(), 2.0)
     assert double.value == pytest.approx(2.0 * base.value, rel=1e-9)
 
 
