@@ -16,11 +16,12 @@ om_sub subadditive:            w(s+t) <= w(s) + w(t)
 plus the structural checks: normalized, nondecreasing, unbounded_limit.
 
 Asymptotic conditions can never be refuted from finite data alone, so a
-``fails`` status is produced only from closed-form reasoning (analytic
-families, and the final ray of a finite profile) or from a genuine
-pointwise witness (om4 slope inversion, subadditivity violation, a nonzero
-sample on [0,1], ...).  Everything else that cannot be certified gets an
-honest ``inconclusive``.
+``fails`` status is produced only from closed-form reasoning or from a
+genuine pointwise witness (om4 slope inversion, subadditivity violation, a
+nonzero sample on [0,1], ...).  Everything else that cannot be certified
+gets an honest ``inconclusive``.  The closed forms of the asymptotic
+conditions are read from a weight's germ alone (`_germ_truth`): each is
+invariant under equivalence, and a finite profile's germ is its final ray's.
 """
 
 from __future__ import annotations
@@ -30,9 +31,8 @@ import math
 
 import numpy as np
 
-from .core import (DEFAULT_GRID, Associated, Dilated, Exp, GridSpec, Log, LogPower,
-                   Normalized, Power, Scaled, WeightFunction, _BLOCK, _C_GRID, decade_starts,
-                   dilations)
+from .core import (DEFAULT_GRID, Associated, Dilated, GridSpec, Normalized, Scaled,
+                   WeightFunction, _BLOCK, _C_GRID, decade_starts, dilations)
 from .errors import (ChainViolation, HorizonTooSmall, NonFinite, NotMonotone,
                      UnknownCondition, WeightlabError)
 from .verdict import Verdict, conjunction, fails, holds, inconclusive, report_dict
@@ -63,80 +63,61 @@ _RAY = _ASYMPTOTIC[:-1]
 
 
 # ---------------------------------------------------------------------------
-# closed-form answers for the analytic families
+# closed-form answers
 # ---------------------------------------------------------------------------
 
+def _germ_truth(germ, cond: str) -> bool:
+    """The asymptotic condition `cond` on a weight of germ (a, b), equivalent
+    to t^a (log t)^b, or of germ "exp"; om1, om3w and unbounded_limit hold on
+    every (a, b) (Braun-Meise-Taylor 1990)."""
+    if germ == "exp":
+        return cond in ("om3", "om3w", "om6", "unbounded_limit")
+    a, b = germ
+    return {"om2": a <= 1, "alpha0": a <= 1, "om5": a < 1, "om_nq": a < 1,
+            "om_snq": a < 1, "om6": a > 0, "om3": a > 0 or b > 1}.get(cond, True)
+
+
 def _closed_form(w: WeightFunction, cond: str):
-    """True / False when the family admits an exact answer, else None."""
-    if isinstance(w, Power):  # includes Gevrey
-        a = w.alpha
-        return {
-            "om1": True, "om2": a <= 1, "om3": True, "om3w": True, "om4": True,
-            "om5": a < 1, "om6": True, "om_nq": a < 1, "om_snq": a < 1,
-            "alpha0": a <= 1, "om_sub": a <= 1,
-            "normalized": False, "nondecreasing": True, "unbounded_limit": True,
-        }.get(cond)
-    if isinstance(w, Log):
-        return {
-            "om1": True, "om2": True, "om3": False, "om3w": True, "om4": True,
-            "om5": True, "om6": False, "om_nq": True, "om_snq": True,
-            "alpha0": True, "om_sub": True,
-            "normalized": False, "nondecreasing": True, "unbounded_limit": True,
-        }.get(cond)
-    if isinstance(w, LogPower):
-        b = w.beta
-        return {
-            "om1": True, "om2": True, "om3": b > 1, "om3w": True, "om4": True,
-            "om5": True, "om6": False, "om_nq": True, "om_snq": True,
-            "alpha0": True, "om_sub": b == 1,
-            "normalized": False, "nondecreasing": True, "unbounded_limit": True,
-        }.get(cond)
-    if isinstance(w, Exp):
-        return {
-            "om1": False, "om2": False, "om3": True, "om3w": True, "om4": True,
-            "om5": False, "om6": True, "om_nq": False, "om_snq": False,
-            "alpha0": False, "om_sub": False,
-            "normalized": False, "nondecreasing": True, "unbounded_limit": True,
-        }.get(cond)
+    """True / False when an exact answer is known, else None.  An asymptotic
+    condition is read from the germ of a weight with no profile; a profile's
+    germ is its final ray's, which _final_ray reads."""
+    if cond in _ASYMPTOTIC:
+        return None if w.germ is None or w.profile is not None else _germ_truth(w.germ, cond)
     if isinstance(w, Associated):
-        if cond == "om4":
-            return True  # supremum of affine functions of u
-        if cond == "nondecreasing":
-            return True
-        return None
+        # a supremum of affine functions of u
+        return True if cond in ("om4", "nondecreasing") else None
     if isinstance(w, (Scaled, Dilated)):
-        # every listed condition survives positive scaling / dilation exactly
-        if cond == "normalized":
-            if isinstance(w, Scaled):
-                return _closed_form(w.base, cond)
-            return _closed_form(w.base, cond) if w.c <= 1 else None
+        if cond == "normalized" and isinstance(w, Dilated) and w.c > 1:
+            return None
+        # om4, om_sub, nondecreasing and otherwise normalized survive exactly
         return _closed_form(w.base, cond)
     if isinstance(w, Normalized):
-        if cond in _ASYMPTOTIC:
-            return _closed_form(w.base, cond)
         if cond == "normalized":
             return True
+        base = _closed_form(w.base, cond)
         if cond == "nondecreasing":
-            return _closed_form(w.base, cond)
-        if cond == "om4":
-            # clipping a convex nondecreasing profile keeps convexity
-            base = _closed_form(w.base, cond)
-            return True if (base is True and w.base.nondecreasing) else None
+            return base
+        # clipping a convex nondecreasing profile keeps convexity
+        return True if cond == "om4" and base is True and w.base.nondecreasing else None
+    if w.germ is None or w.profile is not None:
         return None
-    return None
+    # a family: t^a, log(1 + t)^b with b >= 1, or e^t - 1, each nondecreasing,
+    # convex in log scale and positive at t = 1; subadditive when concave
+    if cond == "om_sub":
+        return w.germ != "exp" and max(w.germ) <= 1
+    return cond != "normalized"
 
 
 def _final_ray(w: WeightFunction, cond: str):
-    """The exact verdict of `cond` on a nondecreasing weight whose profile
-    stores no end index and ends in the ray phi(u) = s u + c with s > 0, else
-    None.  Past its last corner such a weight is s log t + c, equivalent to
-    log(1 + t), and every condition of _RAY is invariant under equivalence."""
+    """The exact verdict of `cond` on a weight with a profile and a germ,
+    else None: a nondecreasing profile with no end index that ends in the ray
+    phi(u) = s u + c, s > 0, is s log t + c past its last corner, and every
+    condition of _RAY is invariant under equivalence."""
     prof = w.profile
-    if (cond not in _RAY or prof is None or prof.end_index is not None
-            or not prof.final_slope > 0 or not w.nondecreasing):
+    if cond not in _RAY or prof is None or w.germ is None:
         return None
     s = float(prof.final_slope)
-    verdict = holds if _closed_form(Log(), cond) else fails
+    verdict = holds if _germ_truth(w.germ, cond) else fails
     return verdict({"final_slope": s, "equivalent_to": "log(1+t)"},
                    notes=f"exact for the truncated profile, which is {s:g} log t + c past "
                          "its last corner, not for an infinite construction it truncates")

@@ -190,6 +190,10 @@ def _first_argmax(xs, ys, phis):
 
 
 def _om3_status(w):
+    """om3, read only on a weight with no profile: a profile's conjugate is
+    exact, and finite up to its final slope, where om3 fails or not."""
+    if w.profile is not None:
+        return inconclusive(notes="om3 not read: the conjugate is exact")
     from . import conditions
     try:
         return conditions.check_condition(w, "om3")
@@ -200,7 +204,7 @@ def _om3_status(w):
 def young_conjugate(w: WeightFunction, x_max: float) -> ConjugateProfile:
     """Conjugate of u -> w(e^u) on [0, x_max]."""
     _check_x_max(x_max)
-    if w.profile is None and _om3_status(w).fails:
+    if _om3_status(w).fails:
         raise Om3Violated("log t is not dominated by the weight; the conjugate "
                           "is infinite for every positive x")
     return _conjugate(w, x_max)
@@ -348,9 +352,7 @@ def associated_weight_matrix(w: WeightFunction, ell: float, j_max: int):
         raise ValidationFailed("j_max must be nonnegative")
     if not w.nondecreasing:
         raise NotMatrixAdmissible("weight must be nondecreasing")
-    # a finite profile fails om3, yet its conjugate is exact and finite up to
-    # its final slope, past which _exact_conjugate raises
-    if _om3_status(w).fails and w.profile is None:
+    if _om3_status(w).fails:
         raise NotMatrixAdmissible("log t = o(w) fails; conjugate values blow up")
 
     x_max = ell * j_max if j_max > 0 else 0.0

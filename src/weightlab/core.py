@@ -166,6 +166,10 @@ class WeightFunction:
     # else None; the exact paths of kappa, the conjugate, om4 and the
     # unboundedness rule read it
     profile = None
+    # the growth order: (a, b) when w is equivalent to t^a (log t)^b at
+    # infinity, "exp" for exponential type, else None; the asymptotic
+    # conditions are read from it
+    germ = None
 
     # -- evaluation ---------------------------------------------------------
     def _eval(self, t: np.ndarray) -> np.ndarray:
@@ -237,6 +241,7 @@ class Power(WeightFunction, _Value):
     """w(t) = t**alpha."""
 
     __slots__ = ("alpha",)
+    germ = property(lambda self: (self.alpha, 0))
 
     def __init__(self, alpha: float):
         if alpha <= 0:
@@ -266,6 +271,7 @@ class Log(WeightFunction, _Value):
     """w(t) = log(1 + t)."""
 
     __slots__ = ()
+    germ = (0, 1)
 
     def _eval(self, t):
         return np.log1p(t)
@@ -279,6 +285,7 @@ class LogPower(WeightFunction, _Value):
     """w(t) = log(1 + t)**beta, beta >= 1."""
 
     __slots__ = ("beta",)
+    germ = property(lambda self: (0, self.beta))
 
     def __init__(self, beta: float):
         if beta < 1:
@@ -299,6 +306,7 @@ class Exp(WeightFunction, _Value):
     """w(t) = e^t - 1."""
 
     __slots__ = ()
+    germ = "exp"
 
     def _eval(self, t):
         with np.errstate(over="ignore"):
@@ -348,6 +356,10 @@ class PiecewiseLogLinear(WeightFunction):
         self.end_index = end_index
         self.normalized = bool(us[0] >= 0)
         self.nondecreasing = bool(np.all(slopes >= 0) and final_slope >= 0)
+        # past its last corner a rising profile is s log t + c, s > 0; a
+        # sequence's is not stored
+        if end_index is None and final_slope > 0 and self.nondecreasing:
+            self.germ = (0, 1)
 
     def _with(self, us, vs, slopes, final_slope):
         """A profile with these corners and this one's end index."""
@@ -471,6 +483,7 @@ class Scaled(WeightFunction):
         self.base = base
         self.nondecreasing = base.nondecreasing
         self.normalized = base.normalized
+        self.germ = base.germ
         prof = base.profile
         if prof is not None:
             self.profile = prof._with(prof.us, c * prof.vs, c * prof.slopes,
@@ -496,6 +509,7 @@ class Dilated(WeightFunction):
         self.c = c
         self.base = base
         self.nondecreasing = base.nondecreasing
+        self.germ = base.germ
         # dilation with c > 1 destroys flatness on [0,1], c <= 1 keeps it;
         # a profile says exactly, by where its first corner moves
         self.normalized = base.normalized and c <= 1
@@ -525,6 +539,7 @@ class Normalized(WeightFunction):
         if not base.nondecreasing:
             raise NotMonotone("normalize requires a nondecreasing weight")
         self.base = base
+        self.germ = base.germ
         self.shift = float(base.evaluate(1.0))
         prof = base.profile
         if prof is not None:
