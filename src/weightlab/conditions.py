@@ -271,10 +271,7 @@ def _check_alpha0(w, grid):
     rows = dilations(w, tg).all(lam.tolist())
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         cs = np.where(ok, rows / (lam[:, None] * np.where(ok, wt, 1.0)), 0.0)
-    # folded row by row, in order, as the scan over lambda folds them
-    needed = np.zeros_like(tg)
-    for c in cs:
-        needed = np.maximum(needed, c)
+    needed = cs.max(axis=0, initial=0.0)
     last, prev = (needed[part] for part in _split_top(grid.decade_starts(), skip))
     sup_last = float(np.max(last)) if last.size else math.inf
     sup_prev = float(np.max(prev)) if prev.size else sup_last

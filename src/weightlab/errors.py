@@ -86,10 +86,6 @@ class GammaTooLarge(WeightlabError):
         super().__init__(f"shift {gamma} exceeds the block gaps available from j0={j0}")
 
 
-class MismatchedCorners(WeightlabError):
-    """Two profiles expected to share corner abscissas do not."""
-
-
 class ValidationFailed(WeightlabError):
     pass
 

@@ -37,6 +37,7 @@ __all__ = [
 
 DEFAULT_GAMMA_GRID = (0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 8.0)
 DEFAULT_K_GRID = tuple([math.e] + [2.0 ** k for k in range(1, 7)])
+_K_LOGS = tuple((K, math.log(K)) for K in DEFAULT_K_GRID)
 
 # Each panel is integrated by the 15-point Gauss-Legendre rule on both of
 # its halves (columns 1 and 2 of _RULES), and by the 15-point Gauss-Lobatto
@@ -365,22 +366,22 @@ class IndexEstimate:
     to_dict = report_dict
 
 
-def _index_rows(w, gammas, K_grid, tg, T, wt):
+def _index_rows(w, gammas, tg, T, wt):
     """The rows of the index scan at the gammas, wt being w(tg): limsup
     estimates of w(K^gamma t)/w(t), from the dilations of every gamma and K
     read as one block."""
     # the scales in the order of the loop over gamma and K; one whose
-    # K^gamma T passes 1e305 is skipped, and one that overflows raises once
-    # the rows before it are read
-    plan, pending = [[] for _ in gammas], None
-    try:
-        for ks, gamma in zip(plan, gammas):
-            for K in K_grid:
+    # K^gamma T passes 1e305 is skipped, and so is one past e^709, where
+    # K^gamma T passes it for any T >= 1e4 and K^gamma itself may overflow
+    plan = []
+    for gamma in gammas:
+        ks = []
+        for K, log_k in _K_LOGS:
+            if not gamma * log_k > 709:
                 scale = K ** gamma
                 if not scale * T > 1e305:
                     ks.append((K, scale))
-    except OverflowError as exc:
-        pending = exc
+        plan.append(ks)
     scales = [scale for ks in plan for _, scale in ks]
     last = tg >= T / 10
     ok = wt > 0
@@ -401,8 +402,6 @@ def _index_rows(w, gammas, K_grid, tg, T, wt):
         with np.errstate(over="ignore"):
             est_last = np.nanmax(rows[:, sel_last] / wt[sel_last], axis=1).tolist()
             est_prev = np.nanmax(rows[:, sel_prev] / wt[sel_prev], axis=1).tolist()
-    if pending is not None:
-        raise pending
 
     out, r = [], 0
     for gamma, ks in zip(gammas, plan):
@@ -431,7 +430,7 @@ def _index_rows(w, gammas, K_grid, tg, T, wt):
     return out
 
 
-def growth_index(w: WeightFunction, gamma_grid=None, K_grid=None,
+def growth_index(w: WeightFunction, gamma_grid=None,
                  T: float = 1e8, refine: bool = True) -> IndexEstimate:
     """Bracket the growth index by certifying / refuting the defining
     property on a gamma grid, with optional geometric bisection between
@@ -441,22 +440,21 @@ def growth_index(w: WeightFunction, gamma_grid=None, K_grid=None,
     if T < 1e4:
         raise HorizonTooSmall("need at least 4 decades of horizon")
     gamma_grid = sorted(gamma_grid if gamma_grid is not None else DEFAULT_GAMMA_GRID)
-    K_grid = tuple(K_grid if K_grid is not None else DEFAULT_K_GRID)
     tg = np.geomspace(T / 100, T, 300)
 
     rows = []
     if gamma_grid:
         wt = np.asarray(w.evaluate(tg))
-        rows = _index_rows(w, gamma_grid, K_grid, tg, T, wt)
+        rows = _index_rows(w, gamma_grid, tg, T, wt)
     certified = [r["gamma"] for r in rows if r["status"] == "certified"]
     refuted = [r["gamma"] for r in rows if r["status"] == "refuted"]
 
-    # the certified set must be downward closed on the grid
-    if certified:
-        top = max(certified)
-        for r in rows:
-            if r["gamma"] <= top and r["status"] == "refuted":
-                raise AssertionError("certified gamma set is not downward closed")
+    # the certified set of a nondecreasing weight is downward closed on the
+    # grid: a larger gamma has larger scales and keeps fewer of them
+    if certified and any(r["status"] == "refuted" and r["gamma"] <= max(certified)
+                         for r in rows):
+        raise NotMonotone("certified gamma set is not downward closed: "
+                          "the weight is not nondecreasing")
 
     lower = max(certified) if certified else 0.0
     upper = min(refuted) if refuted else math.inf
@@ -468,7 +466,7 @@ def growth_index(w: WeightFunction, gamma_grid=None, K_grid=None,
             if hi / lo <= 1.02:
                 break
             mid = math.sqrt(lo * hi)
-            row = _index_rows(w, [mid], K_grid, tg, T, wt)[0]
+            row = _index_rows(w, [mid], tg, T, wt)[0]
             est.table.append(row)
             if row["status"] == "certified":
                 lo = mid

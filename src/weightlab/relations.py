@@ -284,13 +284,6 @@ def _bounded_gap(tg, d, edges, what="gap"):
     return _Gaps(tg, d[None], edges, what).verdict(0)
 
 
-def _affine_dom(tg, s, t, edges):
-    """tau <= C sigma + C: bounded ratio tau/(sigma+1)."""
-    with np.errstate(invalid="ignore"):
-        r = t / (s + 1.0)
-    return _bounded_gap(tg, r, edges, "ratio")
-
-
 def _ratio_vanishes(tg, s, t, edges):
     """tau/sigma -> 0, tested on decade suprema of the damped ratio."""
     with np.errstate(invalid="ignore"):
@@ -337,7 +330,10 @@ def _relation(sigma, tau, rel, tg, s, t, edges) -> Verdict:
         return holds({"pointwise": True}, margin=float(np.min(s - t)))
 
     if rel == "preceq":
-        return _affine_dom(tg, s, t, edges)
+        # tau <= C sigma + C: bounded ratio tau/(sigma+1)
+        with np.errstate(invalid="ignore"):
+            r = t / (s + 1.0)
+        return _bounded_gap(tg, r, edges, "ratio")
 
     if rel in ("sim", "sim_c"):
         one_way = {"sim": "preceq", "sim_c": "preceq_c"}[rel]

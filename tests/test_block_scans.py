@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from weightlab import (Dilated, Exp, GridSpec, Log, LogPower, Normalized, PiecewiseLogLinear,
                        Power, Scaled, WeightFunction, conditions, core, counterexample, growth,
-                       load_weight, lpspace)
+                       errors, load_weight, lpspace)
 from weightlab.errors import (GammaTooLarge, HorizonTooSmall, NonFinite, NotMonotone,
                               ValidationFailed, WitnessConstructionFailed)
 from weightlab.lpspace import NormResult, SampledFunction, sphere_factor
@@ -92,6 +92,9 @@ def _classify_gamma_loop(w, gamma, K_grid, tg, T):
     certified = False
     refutes = 0
     for K in K_grid:
+        # past e^709, K^gamma T passes 1e305 for any T >= 1e4, and K^gamma may overflow
+        if gamma * math.log(K) > 709:
+            continue
         scale = K ** gamma
         if scale * T > 1e305:
             continue
@@ -113,7 +116,8 @@ def _classify_gamma_loop(w, gamma, K_grid, tg, T):
             certified = True
         if est_last >= K * (1 - 1e-4) and (agree or trend_up):
             refutes += 1
-    n_considered = sum(1 for K in K_grid if K ** gamma * T <= 1e305)
+    n_considered = sum(1 for K in K_grid
+                       if gamma * math.log(K) <= 709 and K ** gamma * T <= 1e305)
     refuted = (not certified) and n_considered > 0 and refutes == n_considered
     status = "certified" if certified else ("refuted" if refuted else "inconclusive")
     row = {"gamma": float(gamma), "status": status}
@@ -156,9 +160,9 @@ def _growth_index_loop(w, gamma_grid=None, K_grid=None, T=1e8, refine=True):
 
 
 _INDEX_CASES = [(k, T, None) for k in _WEIGHTS for T in (1e8, 1e30)] + [
-    ("o_log", 1e8, (1.0, 1.5, 200.0)),      # 64^200 overflows after its gamma's rows
-    ("o_sqrt_factorial", 1e8, (0.5, 200.0)),  # w(tg) raises before it
-    ("log_until_1e9", 1e8, (1.0, 200.0)),     # and here the row K = 16 of gamma 1
+    ("o_log", 1e8, (1.0, 1.5, 200.0)),      # 32^200 T passes 1e305, 64^200 the double range
+    ("o_sqrt_factorial", 1e8, (0.5, 200.0)),  # w(tg) raises
+    ("log_until_1e9", 1e8, (1.0, 200.0)),     # the row K = 16 of gamma 1 raises
     ("o_sq", 1e8, ()),
     ("o_zero_below_1", 1e4, (0.5, 2.0)),
 ]
@@ -192,7 +196,11 @@ def test_the_growth_index_of_random_profiles_equals_the_loop(w, T):
 def test_the_index_cases_reach_errors_and_every_status():
     outcomes = [_outcome(lambda: _growth_index_loop(_WEIGHTS[k], g, T=T))
                 for k, T, g in _INDEX_CASES]
-    assert {"ok", "HorizonTooSmall", "NonFinite", "OverflowError"} <= {o[0] for o in outcomes}
+    assert {"ok", "HorizonTooSmall", "NonFinite"} <= {o[0] for o in outcomes}
+    # every error is a typed one
+    typed = {c.__name__ for c in vars(errors).values()
+             if isinstance(c, type) and issubclass(c, errors.WeightlabError)}
+    assert {o[0] for o in outcomes} <= typed | {"ok"}
     statuses = {row["status"] for kind, rep in outcomes if kind == "ok" for row in rep["table"]}
     assert statuses == {"certified", "refuted", "inconclusive"}
 

@@ -416,6 +416,13 @@ def _python(*args):
                           capture_output=True, text=True)
 
 
+def test_an_index_gamma_past_the_double_range_is_an_inconclusive_row(weight_file, capsys):
+    # every scale K^1000 lies past the double range, so the row has no scale
+    assert cli.run(["index", "--weight", weight_file, "--gammas", "0.5,1000"]) == 0
+    table = json.loads(capsys.readouterr().out)["results"]["growth_index"]["table"]
+    assert {row["gamma"]: row["status"] for row in table}[1000.0] == "inconclusive"
+
+
 # w(K^gamma t) / w(t) over a subnormal w(t) leaves the double range: the ratio
 # rounds to inf, an estimate above every K, and no numpy warning is printed
 def test_an_index_ratio_past_the_double_range_prints_no_warning(tmp_path):

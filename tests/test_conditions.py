@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from weightlab import (Dilated, Exp, GridSpec, Log, LogPower, Normalized,
                        PiecewiseLogLinear, Power, Scaled, WeightFunction,
-                       conditions, growth, load_weight)
+                       conditions, counterexample, growth, load_weight)
 from weightlab.errors import (ChainViolation, HorizonTooSmall, QuadratureFailure,
                               WeightlabError)
 from weightlab.verdict import Status, fails, holds, inconclusive
@@ -160,6 +160,30 @@ def test_numeric_verdicts_agree_with_the_closed_form(name, cond):
     truth = conditions._closed_form(w, cond)
     if not v.inconclusive and truth is not None:
         assert v.holds == truth
+
+
+# finite profiles, log-type at infinity, whose final ray decides the
+# asymptotic conditions exactly; the numeric om6 holds on their opaque copies
+# with H = 16, 2^20, 2^20, 2^35 and 2^20, since the +H slack absorbs log
+# growth over any finite horizon
+RAY_PROFILES = {
+    "staircase J=60": counterexample.construct(counterexample.default_delta(60), 0.5, 60).weight,
+    "(1,1),(3,4)": PiecewiseLogLinear([(0, 0), (1, 1), (3, 4)]),
+    "(1,2)": PiecewiseLogLinear([(0, 0), (1, 2)]),
+    "(2,4),(5,5)": PiecewiseLogLinear([(0, 0), (2, 4), (5, 5)]),
+    "(1,30)": PiecewiseLogLinear([(0, 0), (1, 30)]),
+}
+
+
+@pytest.mark.parametrize("name,cond", [
+    pytest.param(name, cond, marks=pytest.mark.xfail(
+        strict=True, reason="wrong numeric verdict, ROADMAP item 4"))
+    if cond == "om6" else (name, cond)
+    for name in RAY_PROFILES for cond in conditions._RAY])
+def test_numeric_verdicts_on_opaque_profiles_agree_with_the_final_ray(name, cond):
+    p = RAY_PROFILES[name]
+    v = conditions.check_condition(_Opaque(p), cond)
+    assert v.inconclusive or v.status == conditions.check_condition(p, cond).status
 
 
 class _Hump(WeightFunction):

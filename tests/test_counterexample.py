@@ -1,8 +1,7 @@
 import pytest
 
 from weightlab import counterexample
-from weightlab.errors import (GammaTooLarge, JHorizonTooSmall,
-                              MismatchedCorners, OverflowAtJ, ValidationFailed)
+from weightlab.errors import GammaTooLarge, JHorizonTooSmall, OverflowAtJ, ValidationFailed
 
 
 def test_spot_arithmetic():
@@ -78,10 +77,10 @@ def test_nonequivalence_same_delta_fails():
     assert counterexample.nonequivalence(d, d, 60).fails
 
 
-def test_nonequivalence_rejects_mismatched_geometry():
-    d = counterexample.default_delta(20)
-    with pytest.raises(MismatchedCorners):
-        counterexample.nonequivalence(d, d, 20, t1=0.5, t1_prime=0.4)
+def test_nonequivalence_rejects_a_short_second_delta_as_construct_does():
+    d, short = counterexample.default_delta(20), counterexample.default_delta(10)
+    with pytest.raises(ValidationFailed, match="need 20 delta values, got 10"):
+        counterexample.nonequivalence(d, short, 20)
 
 
 def test_overflow_is_reported():

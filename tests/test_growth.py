@@ -234,6 +234,27 @@ def test_kappa_equivalence():
     assert growth.kappa_equivalence_check(Power(1.0)).fails
 
 
+class _PowerLog(WeightFunction):
+    """t / log(e + t)^b, nondecreasing for b <= 3 (ROADMAP item 12's
+    `PowerLog(1, b)`)."""
+
+    def __init__(self, b):
+        self.b = b
+
+    def _eval(self, t):
+        return t / np.log(math.e + t) ** self.b
+
+
+@pytest.mark.xfail(strict=True, reason="wrong verdict: w ~ kappa certified from finite "
+                   "samples, ROADMAP item 4")
+@pytest.mark.parametrize("b", [2.0, 3.0])
+def test_kappa_equivalence_does_not_hold_on_t_over_a_power_of_log(b):
+    # kappa(y) = y * int_1^oo dt / (t log(e + y t)^b) grows like w(y) log y
+    # / (b - 1), so kappa / w is unbounded; the check holds today with C = 8
+    # (b = 2) and C = 4 (b = 3), since kappa is finite on its 25 samples
+    assert not growth.kappa_equivalence_check(_PowerLog(b)).holds
+
+
 @pytest.mark.parametrize("alpha", [1.0 / 3.0, 0.5, 1.0])
 def test_growth_index_power_oracle(alpha):
     est = growth.growth_index(Power(alpha))
@@ -254,6 +275,21 @@ def test_growth_index_requires_monotone():
         growth.growth_index(bad)
     with pytest.raises(HorizonTooSmall):
         growth.growth_index(Power(0.5), T=100.0)
+
+
+class _FallsAt1e9(WeightFunction):
+    """t up to 1e9, then 1: it falls, but keeps the class's declared
+    nondecreasing = True."""
+
+    def _eval(self, t):
+        return np.where(t <= 1e9, t, 1.0)
+
+
+def test_growth_index_of_a_falsely_declared_monotone_weight_is_not_monotone():
+    # gamma = 1 is refuted, while gamma = 2 is certified by its scales
+    # past 1e9: the certified set is not downward closed
+    with pytest.raises(NotMonotone, match="not downward closed"):
+        growth.growth_index(_FallsAt1e9(), gamma_grid=(1.0, 2.0), refine=False)
 
 
 def test_growth_index_of_a_weight_zero_on_its_window_is_a_typed_error():
