@@ -90,6 +90,8 @@ class GridSpec(_Value):
             raise ValidationFailed("t_min and t_max must be finite")
         if n_points < 2:
             raise ValidationFailed("n_points must be >= 2")
+        if not isinstance(n_points, (int, np.integer)):
+            raise ValidationFailed("n_points must be an integer")
         if spacing not in ("linear", "logarithmic"):
             raise ValidationFailed(f"unknown spacing {spacing!r}")
         if spacing == "logarithmic" and t_min <= 0:
@@ -244,7 +246,7 @@ class Power(WeightFunction, _Value):
     germ = property(lambda self: (self.alpha, 0))
 
     def __init__(self, alpha: float):
-        if alpha <= 0:
+        if not alpha > 0:
             raise ValidationFailed("alpha must be > 0")
         object.__setattr__(self, "alpha", alpha)
 
@@ -261,7 +263,7 @@ class Gevrey(Power):
     """w(t) = t**(1/s); a Power weight indexed the other way around."""
 
     def __init__(self, s: float):
-        if s <= 0:
+        if not s > 0:
             raise ValidationFailed("s must be > 0")
         object.__setattr__(self, "s", s)
         super().__init__(alpha=1.0 / s)
@@ -288,7 +290,7 @@ class LogPower(WeightFunction, _Value):
     germ = property(lambda self: (0, self.beta))
 
     def __init__(self, beta: float):
-        if beta < 1:
+        if not beta >= 1:
             raise ValidationFailed("beta must be >= 1")
         object.__setattr__(self, "beta", beta)
 
@@ -477,7 +479,7 @@ class Scaled(WeightFunction):
     """c * base(t)."""
 
     def __init__(self, c: float, base: WeightFunction):
-        if c <= 0:
+        if not c > 0:
             raise ValidationFailed("scale must be > 0")
         self.c = c
         self.base = base
@@ -504,7 +506,7 @@ class Dilated(WeightFunction):
     """base(c * t)."""
 
     def __init__(self, c: float, base: WeightFunction):
-        if c <= 0:
+        if not c > 0:
             raise ValidationFailed("dilation must be > 0")
         self.c = c
         self.base = base

@@ -266,7 +266,7 @@ def nonconvexity_certificate(p: CounterexampleProfile, A_max: float):
     profile is too short for some rung of the ladder, `JHorizonTooSmall`
     carries the required block estimate and the rungs already certified.
     """
-    if A_max < 1:
+    if not A_max >= 1:
         raise ValidationFailed("A_max must be >= 1")
     results = []
     A = 1.0
@@ -315,8 +315,10 @@ def slow_variation_certificate(p: CounterexampleProfile, gamma_set):
     """
     reports = []
     for gamma in gamma_set:
-        if gamma <= 0:
+        if not gamma > 0:
             raise ValidationFailed("gamma must be positive")
+        if gamma == math.inf:
+            raise ValidationFailed("gamma must be finite")
         j0 = max(1, math.ceil(gamma))
         if j0 > p.J:
             raise GammaTooLarge(gamma, j0)

@@ -94,6 +94,10 @@ class UnknownCondition(WeightlabError, ValueError):
     """A condition id outside ``conditions.CONDITION_IDS``."""
 
 
+class UnknownRelation(WeightlabError, ValueError):
+    """A relation id outside ``relations.RELATIONS`` or ``MATRIX_RELATIONS``."""
+
+
 class WitnessConstructionFailed(WeightlabError):
     def __init__(self, binding_n, message=""):
         self.binding_n = binding_n

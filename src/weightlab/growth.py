@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .core import _C_GRID, WeightFunction, dilations
-from .errors import HorizonTooSmall, NotMonotone, QuadratureFailure, ValidationFailed
+from .errors import EmptyInput, HorizonTooSmall, NotMonotone, QuadratureFailure, ValidationFailed
 from .verdict import Verdict, fails, holds, inconclusive, report_dict
 
 __all__ = [
@@ -244,6 +244,8 @@ def _kappa(w, ys, T, until_divergent):
         raise ValidationFailed("y must be >= 0")
     if not np.isfinite(ys).all():
         raise ValidationFailed("y must be finite")
+    if not math.isfinite(T):
+        raise ValidationFailed("kappa horizon must be finite")
     if T <= 10:
         raise HorizonTooSmall("kappa horizon must exceed 10")
     u0 = np.array([math.log(y) if y > 0 else -745.0 for y in ys])
@@ -322,8 +324,10 @@ def kappa_equivalence_check(w: WeightFunction, y_grid=None, T: float = 1e6) -> V
     if y_grid is None:
         y_grid = np.geomspace(1.0, 1e4, 25)
     y_grid = np.asarray(y_grid, dtype=float)
+    if not y_grid.size:
+        raise EmptyInput("kappa equivalence needs at least one y")
     res = kappa(w, y_grid, T, until_divergent=True)
-    if res and res[-1].divergent:
+    if res[-1].divergent:
         return fails({"y": float(y_grid[len(res) - 1]), "evidence": res[-1].evidence},
                      notes="kappa transform divergent")
     kv = np.asarray([r.value for r in res])
@@ -437,9 +441,14 @@ def growth_index(w: WeightFunction, gamma_grid=None,
     the last certified and first refuted gamma."""
     if not w.nondecreasing:
         raise NotMonotone("growth index requires a nondecreasing weight")
+    if not math.isfinite(T):
+        raise ValidationFailed("growth index horizon must be finite")
     if T < 1e4:
         raise HorizonTooSmall("need at least 4 decades of horizon")
     gamma_grid = sorted(gamma_grid if gamma_grid is not None else DEFAULT_GAMMA_GRID)
+    # a NaN gamma passes here and ends in NonFinite when its scale is read
+    if any(g <= 0 for g in gamma_grid):
+        raise ValidationFailed("growth index gammas must be > 0")
     tg = np.geomspace(T / 100, T, 300)
 
     rows = []
@@ -460,7 +469,7 @@ def growth_index(w: WeightFunction, gamma_grid=None,
     upper = min(refuted) if refuted else math.inf
     est = IndexEstimate(lower, upper, rows, T)
 
-    if refine and certified and refuted and upper / max(lower, 1e-12) > 1.02:
+    if refine and certified and refuted and upper / lower > 1.02:
         lo, hi = lower, upper
         for _ in range(60):
             if hi / lo <= 1.02:

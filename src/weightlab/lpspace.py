@@ -225,6 +225,7 @@ class _Norms:
 def theta_function(w: WeightFunction, p, grid: GridSpec = DEFAULT_NORM_GRID,
                    d: int = 1) -> SampledFunction:
     """theta^p_w = e^{-w/p} (p < oo) or e^{-w} (p = oo)."""
+    _check_exponent(p)
     ts = grid.points()
     return _theta(ts, np.asarray(w.evaluate(ts)), p, d)
 
@@ -264,6 +265,8 @@ def nontriviality_witness(W: WeightMatrix, p, t_max: float = 40.0,
     """
     if not W.nondecreasing:
         raise ValidationFailed("witness construction needs a nondecreasing matrix")
+    if not math.isfinite(t_max):
+        raise ValidationFailed("t_max must be finite")
     n_max = int(t_max)
     ts = np.linspace(0.0, t_max, max(int(t_max * 100) + 1, 200))
 

@@ -26,7 +26,7 @@ import numpy as np
 from .core import (DEFAULT_GRID, _BLOCK, _C_GRID, Dilated, GridSpec, Rows, Scaled,
                    WeightFunction, decade_starts, dilations, require_decades)
 from .errors import (BridgeViolation, EmptyInput, IndexSearchExhausted, NonFinite,
-                     NotMonotone, ValidationFailed)
+                     NotMonotone, UnknownRelation, ValidationFailed)
 from .verdict import Verdict, conjunction, fails, holds, inconclusive, report_dict
 
 __all__ = [
@@ -311,6 +311,8 @@ def _ratio_vanishes(tg, s, t, edges):
 
 def compare(sigma: WeightFunction, tau: WeightFunction, rel: str,
             grid: GridSpec = DEFAULT_GRID) -> RelationVerdict:
+    if rel not in RELATIONS:
+        raise UnknownRelation(f"unknown relation {rel!r}")
     edges = grid.require_decades(3)
     tg = grid.points()
     s = np.asarray(sigma.evaluate(tg))
@@ -349,14 +351,9 @@ def _relation(sigma, tau, rel, tg, s, t, edges) -> Verdict:
     if rel == "preceq_c":
         return _dilation_dom(sigma, tg, s, t, edges)
 
-    if rel == "triangle_c":
-        block, err = _dilations(sigma, tg, s).block(_EPS_GRID)
-        gaps = _Gaps(tg, t - block, edges)
-        if err is not None:
-            raise err
-        return conjunction({f"eps={eps}": gaps.verdict(i) for i, eps in enumerate(_EPS_GRID)})
-
-    raise ValueError(f"unknown relation {rel!r}")
+    # triangle_c, the last of RELATIONS
+    gaps = _Gaps(tg, t - _dilations(sigma, tg, s).all(_EPS_GRID), edges)
+    return conjunction({f"eps={eps}": gaps.verdict(i) for i, eps in enumerate(_EPS_GRID)})
 
 
 def _dilations(sigma, tg, s):
@@ -461,8 +458,7 @@ def _partner_search(outer, cands, outer_rows, cand_rows, gap, tg, edges):
     2, 4, 8, ..., one block of gaps per chunk, and keeps the first that
     holds, as a loop over them does; a row that cannot be read raises once
     that loop, outer row first, reaches it.  Returns ({o: (c, C)}, None,
-    None), or (None, o, v) for the first o without a partner, v being the
-    verdict on its last candidate.
+    None), or (None, o, None) for the first o without a partner.
     """
     found = {}
     rows, err = outer_rows.block(outer)
@@ -474,15 +470,14 @@ def _partner_search(outer, cands, outer_rows, cand_rows, gap, tg, edges):
             if first.held[i]:
                 found[o] = (cands[0], first.C(i))
                 continue
-            last, k = first, i
             for chunk, block in cand_rows.doubling(cands[1:], 2):
-                last, k = _Gaps(tg, gap(row, block), edges), -1
-                if True in last.held:
-                    k = last.held.index(True)
-                    found[o] = (chunk[k], last.C(k))
+                gaps = _Gaps(tg, gap(row, block), edges)
+                if True in gaps.held:
+                    k = gaps.held.index(True)
+                    found[o] = (chunk[k], gaps.C(k))
                     break
             else:
-                return None, o, last.verdict(k)
+                return None, o, None
     if err is not None:
         raise err
     return found, None, None
@@ -497,12 +492,14 @@ def _every_pair(outer, cands, outer_rows, cand_rows, gap, tg, edges):
     found = {}
     rows, err = outer_rows.block(outer)
     for o, row in zip(outer, rows):
-        for chunk, block in cand_rows.doubling(cands, len(cands)):
-            gaps = _Gaps(tg, gap(row, block), edges)
-            if False in gaps.held:
-                i = gaps.held.index(False)
-                return None, (o, chunk[i]), gaps.verdict(i)
-            found.update(((o, c), (c, C)) for c, C in zip(chunk, gaps.C(slice(None))))
+        block, cand_err = cand_rows.block(cands)
+        gaps = _Gaps(tg, gap(row, block), edges)
+        if False in gaps.held:
+            i = gaps.held.index(False)
+            return None, (o, cands[i]), gaps.verdict(i)
+        found.update(((o, c), (c, C)) for c, C in zip(cands, gaps.C(slice(None))))
+        if cand_err is not None:
+            raise cand_err
     if err is not None:
         raise err
     return found, None, None
@@ -529,20 +526,19 @@ def _matrix_search(S, T, rel, ell_grid, grid):
 
 
 def _reduction(S, T, rel, grid):
-    if S.kind == "exponential" and T.kind == "exponential":
-        base = "preceq" if rel in ("beurling", "roumieu") else "triangle"
-        return compare(S.base, T.base, base, grid).verdict, base
-    if S.kind == "dilatation" and T.kind == "dilatation":
-        base = "preceq_c" if rel in ("beurling", "roumieu") else "triangle_c"
-        return compare(S.base, T.base, base, grid).verdict, base
-    return None, None
+    if S.kind != T.kind or S.kind == "explicit":
+        return None, None
+    base = "triangle" if rel == "triangle" else "preceq"
+    if S.kind == "dilatation":
+        base += "_c"
+    return compare(S.base, T.base, base, grid).verdict, base
 
 
 def matrix_relation(S: WeightMatrix, T: WeightMatrix, rel: str,
                     ell_grid=DEFAULT_ELL_GRID,
                     grid: GridSpec = DEFAULT_GRID) -> RelationVerdict:
     if rel not in MATRIX_RELATIONS:
-        raise ValueError(f"unknown matrix relation {rel!r}")
+        raise UnknownRelation(f"unknown matrix relation {rel!r}")
     S.verify_pointwise_order(ell_grid, grid)
     T.verify_pointwise_order(ell_grid, grid)
     if not math.isfinite(grid.t_max * 1e6):
@@ -554,9 +550,10 @@ def matrix_relation(S: WeightMatrix, T: WeightMatrix, rel: str,
 
     red, red_name = _reduction(S, T, rel, grid)
     found, binding, v = _matrix_search(S, T, rel, ell_grid, search)
+    refuted = red is not None and red.fails
 
-    if rel == "triangle":
-        if binding is not None:
+    if binding is not None:
+        if rel == "triangle":
             ell, n = binding
             if not v.fails:
                 return RelationVerdict(inconclusive(
@@ -566,12 +563,7 @@ def matrix_relation(S: WeightMatrix, T: WeightMatrix, rel: str,
                     f"direct triangle search fails but the {red_name} "
                     "reduction holds")
             return RelationVerdict(v, rel, {"ell": ell, "n": n})
-        v = _reconcile(holds({"pairs": len(found)}), red, red_name, rel)
-        index_map = {str(k): C for k, (_, C) in found.items()}
-        return RelationVerdict(v, rel, index_map if v.holds else None)
-
-    if binding is not None:
-        if red is not None and red.fails:
+        if refuted:
             return RelationVerdict(
                 fails({"binding_index": binding,
                        "reduction": red.witness},
@@ -579,34 +571,21 @@ def matrix_relation(S: WeightMatrix, T: WeightMatrix, rel: str,
                 rel)
         raise IndexSearchExhausted(binding)
 
+    # the reduction is an exact equivalence, so partners found where it
+    # refutes are a horizon artifact, and it wins; ROADMAP item 14 revisits
+    # this rule, whose reduction reads a shorter grid than the search
+    if refuted:
+        return RelationVerdict(
+            fails({"reduction": red.witness},
+                  notes=f"scalar {red_name} reduction refutes {rel}; "
+                        "direct index map discarded as a horizon artifact"),
+            rel)
+    if rel == "triangle":
+        return RelationVerdict(holds({"pairs": len(found)}), rel,
+                               {str(k): C for k, (_, C) in found.items()})
     partner = "n" if rel == "beurling" else "ell"
     index_map = {o: {partner: c, "C": C} for o, (c, C) in found.items()}
-    v = _reconcile(holds({"indices_covered": len(index_map)}), red, red_name, rel)
-    return RelationVerdict(v, rel, index_map if v.holds else None)
-
-
-def _reconcile(direct: Verdict, red: Verdict | None, red_name, rel) -> Verdict:
-    """Cross-check the quantifier search against the scalar reduction.
-
-    For the exponential and dilatation kinds the reduction is an exact
-    equivalence, so when it refutes the relation while the index search
-    found partners, the partner certificates are a finite-horizon artifact
-    (a very large partner index can push the crossover beyond any fixed
-    grid) and the refutation wins.  The opposite disagreement -- the search
-    failing to find partners the reduction guarantees to exist -- indicates
-    a checker bug and is raised.
-    """
-    if red is None or red.inconclusive or direct.inconclusive:
-        return direct
-    if direct.status is red.status:
-        return direct
-    if direct.holds and red.fails:
-        return fails({"reduction": red.witness},
-                     notes=f"scalar {red_name} reduction refutes {rel}; "
-                           "direct index map discarded as a horizon artifact")
-    raise ValidationFailed(
-        f"matrix {rel} search disagrees with the scalar {red_name} "
-        f"reduction: {direct.status.value} vs {red.status.value}")
+    return RelationVerdict(holds({"indices_covered": len(index_map)}), rel, index_map)
 
 
 def mixed_doubling_search(S, T, outer, tg):

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weightlab import GridSpec, Log, LogPower, Power, Scaled, core, lpspace, relations
-from weightlab.errors import BridgeViolation, HorizonTooSmall, NotMonotone, ValidationFailed
+from weightlab.errors import (BridgeViolation, HorizonTooSmall, NotMonotone, UnknownRelation,
+                             ValidationFailed)
 from weightlab.relations import DEFAULT_ELL_GRID
 from weightlab.verdict import fails, holds, inconclusive
 
@@ -46,6 +47,17 @@ def test_log_below_powers():
 def test_unknown_relation():
     with pytest.raises(ValueError):
         relations.compare(Power(1.0), Power(1.0), "nope")
+
+
+def test_an_unknown_relation_is_refused_before_any_weight_is_read(monkeypatch):
+    def refuse(self, t):
+        raise RuntimeError("evaluated")
+    monkeypatch.setattr(core.WeightFunction, "evaluate", refuse)
+    with pytest.raises(UnknownRelation, match=r"^unknown relation 'nope'$"):
+        relations.compare(Power(1.0), Power(1.0), "nope")
+    S = relations.WeightMatrix.exponential(Power(1.0))
+    with pytest.raises(UnknownRelation, match=r"^unknown matrix relation 'nope'$"):
+        relations.matrix_relation(S, S, "nope")
 
 
 @pytest.mark.parametrize("rel", relations.RELATIONS)
@@ -118,6 +130,32 @@ def test_matrix_relation_reduces_to_scalar():
     v = relations.matrix_relation(T, S, "beurling", ells).verdict
     assert v.fails
     assert "reduction" in v.witness
+
+
+@pytest.mark.parametrize("rel", ["beurling", "roumieu"])
+def test_a_refuting_reduction_discards_the_partners_the_search_found(rel):
+    # the search finds a partner n (or ell) for every index on its grid,
+    # since log t grows slowly, but log^2 <= C log + C fails: the scalar
+    # preceq reduction wins, and no index map is reported
+    S = relations.WeightMatrix.exponential(Log())
+    T = relations.WeightMatrix.exponential(LogPower(2))
+    rv = relations.matrix_relation(S, T, rel)
+    assert rv.fails
+    assert set(rv.verdict.witness) == {"reduction"}
+    assert rv.verdict.notes == (f"scalar preceq reduction refutes {rel}; "
+                                "direct index map discarded as a horizon artifact")
+    assert rv.index_map is None
+
+
+@pytest.mark.xfail(strict=True, reason="wrong verdict: the triangle_c reduction reads the "
+                   "grid to 1e6 only, ROADMAP item 14")
+def test_a_dilatation_triangle_past_the_reduction_grid_holds():
+    # log^2(1 + ell t) <= (n t)^(1/4) + D holds for every ell and n, but
+    # log^2(1 + t) crosses t^(1/4) near 2.15e11, which the search grid (to
+    # 1e12) reaches and the reduction grid (to 1e6) does not
+    S = relations.WeightMatrix.dilatation(Power(0.25))
+    T = relations.WeightMatrix.dilatation(LogPower(2))
+    assert relations.matrix_relation(S, T, "triangle").holds
 
 
 def test_matrix_relation_reflexive():
