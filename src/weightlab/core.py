@@ -248,6 +248,8 @@ class Power(WeightFunction, _Value):
     def __init__(self, alpha: float):
         if not alpha > 0:
             raise ValidationFailed("alpha must be > 0")
+        if not math.isfinite(alpha):
+            raise ValidationFailed("alpha must be finite")
         object.__setattr__(self, "alpha", alpha)
 
     def _eval(self, t):
@@ -292,6 +294,8 @@ class LogPower(WeightFunction, _Value):
     def __init__(self, beta: float):
         if not beta >= 1:
             raise ValidationFailed("beta must be >= 1")
+        if not math.isfinite(beta):
+            raise ValidationFailed("beta must be finite")
         object.__setattr__(self, "beta", beta)
 
     def _eval(self, t):
@@ -481,6 +485,8 @@ class Scaled(WeightFunction):
     def __init__(self, c: float, base: WeightFunction):
         if not c > 0:
             raise ValidationFailed("scale must be > 0")
+        if not math.isfinite(c):
+            raise ValidationFailed("scale must be finite")
         self.c = c
         self.base = base
         self.nondecreasing = base.nondecreasing
@@ -508,6 +514,8 @@ class Dilated(WeightFunction):
     def __init__(self, c: float, base: WeightFunction):
         if not c > 0:
             raise ValidationFailed("dilation must be > 0")
+        if not math.isfinite(c):
+            raise ValidationFailed("dilation must be finite")
         self.c = c
         self.base = base
         self.nondecreasing = base.nondecreasing

@@ -320,10 +320,11 @@ def _kappa(w, ys, T, until_divergent):
 
 
 def kappa_equivalence_check(w: WeightFunction, y_grid=None, T: float = 1e6) -> Verdict:
-    """Two-sided comparison of w with its kappa transform on a y-grid."""
+    """Two-sided comparison of w with its kappa transform on a y-grid; a
+    number is a grid of one point."""
     if y_grid is None:
         y_grid = np.geomspace(1.0, 1e4, 25)
-    y_grid = np.asarray(y_grid, dtype=float)
+    y_grid = np.atleast_1d(np.asarray(y_grid, dtype=float))
     if not y_grid.size:
         raise EmptyInput("kappa equivalence needs at least one y")
     res = kappa(w, y_grid, T, until_divergent=True)

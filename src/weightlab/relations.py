@@ -525,6 +525,34 @@ def _matrix_search(S, T, rel, ell_grid, grid):
     return _every_pair(t_idx, s_idx, tau, sig, np.subtract, tg, edges)
 
 
+def _germ_above(g, h):
+    """Whether germ g grows strictly faster than germ h: (a, b) germs
+    compare lexicographically, and "exp" is above every (a, b)."""
+    if "exp" in (g, h):
+        return g == "exp" != h
+    return g > h
+
+
+def _germ_refutation(S, T, rel, ell_grid):
+    """`fails` on a mixed-kind pair whose T base has a germ above its S
+    base's, else None.  Both kinds of row of a base of germ (a, b) are
+    equivalent to t^a (log t)^b whatever ell > 0 is, and those of an "exp"
+    base outgrow every t^a, so every tau^ell / sigma^n tends to infinity
+    and no gap tau^ell - sigma^n is bounded."""
+    if {S.kind, T.kind} != {"exponential", "dilatation"}:
+        return None
+    gs, gt = S.base.germ, T.base.germ
+    if gs is None or gt is None or not _germ_above(gt, gs):
+        return None
+    v = fails({"germ_sigma": gs, "germ_tau": gt},
+              notes="tau's growth order exceeds sigma's, so no index pair "
+                    "has a bounded gap")
+    if rel != "triangle":
+        return RelationVerdict(v, rel)
+    return RelationVerdict(v, rel, {"ell": min(T.indices(ell_grid)),
+                                    "n": min(S.indices(ell_grid))})
+
+
 def _reduction(S, T, rel, grid):
     if S.kind != T.kind or S.kind == "explicit":
         return None, None
@@ -544,6 +572,9 @@ def matrix_relation(S: WeightMatrix, T: WeightMatrix, rel: str,
     if not math.isfinite(grid.t_max * 1e6):
         raise ValidationFailed(f"t_max = {grid.t_max:g} is too large: the partner search "
                                "reads up to t_max * 1e6, past the double range")
+    by_germ = _germ_refutation(S, T, rel, ell_grid)
+    if by_germ is not None:
+        return by_germ
     # pair certificates are checked far beyond the reporting grid: a large
     # partner index can push the crossover point out by many decades
     search = GridSpec(grid.t_min, grid.t_max * 1e6, 2 * grid.n_points)

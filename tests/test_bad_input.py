@@ -39,12 +39,18 @@ _CASES = {
     "index-T-inf": (lambda: growth.growth_index(Power(0.5), T=_INF), ValidationFailed),
     "kappa-equivalence-empty": (lambda: growth.kappa_equivalence_check(Power(0.5), y_grid=[]),
                                 EmptyInput),
+    "kappa-equivalence-2d": (lambda: growth.kappa_equivalence_check(
+        Power(0.5), y_grid=[[1.0, 4.0]]), ValidationFailed),
     # parameters that are NaN or infinite
     "power-nan": (lambda: Power(_NAN), ValidationFailed),
     "gevrey-nan": (lambda: Gevrey(_NAN), ValidationFailed),
     "logpower-nan": (lambda: LogPower(_NAN), ValidationFailed),
     "scaled-nan": (lambda: Scaled(_NAN, Log()), ValidationFailed),
     "dilated-nan": (lambda: Dilated(_NAN, Log()), ValidationFailed),
+    "power-inf": (lambda: Power(_INF), ValidationFailed),
+    "logpower-inf": (lambda: LogPower(_INF), ValidationFailed),
+    "scaled-inf": (lambda: Scaled(_INF, Log()), ValidationFailed),
+    "dilated-inf": (lambda: Dilated(_INF, Log()), ValidationFailed),
     "nonconvexity-nan": (lambda: counterexample.nonconvexity_certificate(_profile(), _NAN),
                          ValidationFailed),
     "slow-variation-nan": (lambda: counterexample.slow_variation_certificate(_profile(), [_NAN]),
@@ -70,6 +76,16 @@ def test_bad_input_ends_in_a_typed_error_without_a_warning(case):
             call()
     assert type(info.value) is error
     assert [str(w.message) for w in caught] == []
+
+
+@pytest.mark.parametrize("make, name", [(Power, "alpha"), (LogPower, "beta"),
+                                        (lambda c: Scaled(c, Log()), "scale"),
+                                        (lambda c: Dilated(c, Log()), "dilation")])
+def test_a_nan_parameter_keeps_its_message_and_an_infinite_one_is_not_finite(make, name):
+    with pytest.raises(ValidationFailed, match=f"^{name} must be (> 0|>= 1)$"):
+        make(_NAN)
+    with pytest.raises(ValidationFailed, match=f"^{name} must be finite$"):
+        make(_INF)
 
 
 def test_a_nan_gamma_still_ends_in_non_finite():

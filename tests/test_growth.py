@@ -234,6 +234,12 @@ def test_kappa_equivalence():
     assert growth.kappa_equivalence_check(Power(1.0)).fails
 
 
+def test_kappa_equivalence_reads_a_number_as_a_one_point_grid():
+    for w in (Power(0.5), Log(), Power(1.0)):
+        one = growth.kappa_equivalence_check(w, y_grid=5.0)
+        assert one.to_dict() == growth.kappa_equivalence_check(w, y_grid=[5.0]).to_dict()
+
+
 class _PowerLog(WeightFunction):
     """t / log(e + t)^b, nondecreasing for b <= 3 (ROADMAP item 12's
     `PowerLog(1, b)`)."""

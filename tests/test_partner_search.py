@@ -127,7 +127,9 @@ _KINDS = {"exp": WeightMatrix.exponential, "dil": WeightMatrix.dilatation}
 
 # "holds" with log2(partner):log2(C) per outer index for beurling/roumieu, or
 # the leading sha256 digits of the JSON index map for triangle; "fails" with
-# log2 of the refuting (ell, n); "exhausted" with log2 of the binding index
+# log2 of the refuting (ell, n), or with the witness's keys where no index
+# map names a pair; "exhausted" with log2 of the binding index.  The pairs
+# whose T base outgrows the S base fail from their germs
 PINNED = {
     "exp:t12 dil:log beurling": "holds -12:4 -12:4 -12:4 -12:4 -12:4 -12:4 -12:5 -12:5 -12:5 -12:5 -12:5 -12:5 -12:5",
     "exp:t12 dil:log roumieu": "holds -12:0 -12:0 -12:0 -12:0 -12:0 -12:0 -12:0 -12:0 -12:0 -12:0 -12:0 -12:0 -12:0",
@@ -141,23 +143,23 @@ PINNED = {
     "dil:t12 exp:log2 beurling": "holds -12:0 -12:1 -12:2 -12:4 -12:6 -12:7 -12:8 -12:10 -12:11 -12:12 -12:13 -12:14 -12:16",
     "dil:t12 exp:log2 roumieu": "holds -12:0 -12:0 -12:0 -12:0 -12:0 -12:0 -12:0 -12:0 -12:0 -12:0 -12:0 -12:0 -12:0",
     "dil:t12 exp:log2 triangle": "holds 4c2347211fb24f9b",
-    "exp:log dil:t12 beurling": "exhausted -6",
-    "exp:log dil:t12 roumieu": "exhausted -6",
+    "exp:log dil:t12 beurling": "fails germ_sigma,germ_tau",
+    "exp:log dil:t12 roumieu": "fails germ_sigma,germ_tau",
     "exp:log dil:t12 triangle": "fails -6,-6",
-    "dil:log exp:t12 beurling": "exhausted -6",
-    "dil:log exp:t12 roumieu": "exhausted -6",
+    "dil:log exp:t12 beurling": "fails germ_sigma,germ_tau",
+    "dil:log exp:t12 roumieu": "fails germ_sigma,germ_tau",
     "dil:log exp:t12 triangle": "fails -6,-6",
-    "exp:log dil:log2 beurling": "holds 5:0 6:0 6:0 6:0 6:0 6:0 6:0 6:0 6:0 6:0 6:0 6:0 6:0",
-    "exp:log dil:log2 roumieu": "exhausted -6",
+    "exp:log dil:log2 beurling": "fails germ_sigma,germ_tau",
+    "exp:log dil:log2 roumieu": "fails germ_sigma,germ_tau",
     "exp:log dil:log2 triangle": "fails -6,-6",
-    "dil:log exp:log2 beurling": "exhausted -5",
-    "dil:log exp:log2 roumieu": "holds -12:0 -12:0 -12:0 -12:0 -12:0 -12:0 -12:0 -12:0 -12:0 -12:0 -12:0 -12:0 -12:0",
-    "dil:log exp:log2 triangle": "inconclusive",
-    "exp:log2 dil:t12 beurling": "exhausted 4",
-    "exp:log2 dil:t12 roumieu": "exhausted -6",
+    "dil:log exp:log2 beurling": "fails germ_sigma,germ_tau",
+    "dil:log exp:log2 roumieu": "fails germ_sigma,germ_tau",
+    "dil:log exp:log2 triangle": "fails -6,-6",
+    "exp:log2 dil:t12 beurling": "fails germ_sigma,germ_tau",
+    "exp:log2 dil:t12 roumieu": "fails germ_sigma,germ_tau",
     "exp:log2 dil:t12 triangle": "fails -6,-6",
-    "dil:log2 exp:t12 beurling": "exhausted -6",
-    "dil:log2 exp:t12 roumieu": "holds -12:0 -12:0 -12:0 -12:0 -12:0 -12:0 -12:0 -12:0 -12:0 -12:0 -12:0 -12:0 -12:0",
+    "dil:log2 exp:t12 beurling": "fails germ_sigma,germ_tau",
+    "dil:log2 exp:t12 roumieu": "fails germ_sigma,germ_tau",
     "dil:log2 exp:t12 triangle": "fails -6,-6",
     "exp:log2 dil:log beurling": "holds -6:4 -6:4 -6:4 -6:4 -6:4 -6:4 -6:4 -6:5 -6:5 -6:5 -6:5 -6:5 -6:5",
     "exp:log2 dil:log roumieu": "holds -10:4 -12:0 -12:0 -12:0 -12:0 -12:0 -12:0 -12:0 -12:0 -12:0 -12:0 -12:0 -12:0",
@@ -190,6 +192,8 @@ def _outcome(S, T, rel):
     if status == "holds":
         digest = hashlib.sha256(json.dumps(im, sort_keys=True).encode()).hexdigest()
         return f"holds {digest[:16]}"
+    if status == "fails" and im is None:
+        return "fails " + ",".join(sorted(rv.verdict.witness))
     if status == "fails":
         return f"fails {_lg(im['ell'])},{_lg(im['n'])}"
     return status
