@@ -80,7 +80,8 @@ def test_bad_input_ends_in_a_typed_error_without_a_warning(case):
 
 @pytest.mark.parametrize("make, name", [(Power, "alpha"), (LogPower, "beta"),
                                         (lambda c: Scaled(c, Log()), "scale"),
-                                        (lambda c: Dilated(c, Log()), "dilation")])
+                                        (lambda c: Dilated(c, Log()), "dilation")],
+                         ids=["power", "logpower", "scaled", "dilated"])
 def test_a_nan_parameter_keeps_its_message_and_an_infinite_one_is_not_finite(make, name):
     with pytest.raises(ValidationFailed, match=f"^{name} must be (> 0|>= 1)$"):
         make(_NAN)
