@@ -55,11 +55,6 @@ def _no_search(*args):
     raise _Searched
 
 
-def test_the_table_has_every_outgrown_pair():
-    # 3 bases of rank 0, and one each of ranks 1, 2 and 4, two of rank 3
-    assert len(_OUTGROWN) == 3 * 5 + 1 * 4 + 1 * 3 + 2 * 1
-
-
 @pytest.mark.parametrize("rel", relations.MATRIX_RELATIONS)
 @pytest.mark.parametrize("s_kind, t_kind", [("exp", "dil"), ("dil", "exp")])
 @pytest.mark.parametrize("s, t", _OUTGROWN, ids=[f"{s}<{t}" for s, t in _OUTGROWN])
