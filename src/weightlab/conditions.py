@@ -20,7 +20,7 @@ Asymptotic conditions can never be refuted from finite data alone, so a
 genuine pointwise witness (om4 slope inversion, subadditivity violation, a
 nonzero sample on [0,1], ...).  Everything else that cannot be certified
 gets an honest ``inconclusive``.  The closed forms of the asymptotic
-conditions are read from a weight's germ alone (`_germ_truth`): each is
+conditions are read from a weight's germ alone (`core.germ_truth`): each is
 invariant under equivalence, and a finite profile's germ is its final ray's.
 """
 
@@ -31,8 +31,8 @@ import math
 
 import numpy as np
 
-from .core import (DEFAULT_GRID, Associated, Dilated, GridSpec, Normalized, Scaled,
-                   WeightFunction, _BLOCK, _C_GRID, decade_starts, dilations)
+from .core import (ASYMPTOTIC, DEFAULT_GRID, GridSpec, WeightFunction, _BLOCK, _C_GRID,
+                   closed_form, decade_starts, dilations, germ_truth)
 from .errors import (ChainViolation, HorizonTooSmall, NonFinite, NotMonotone,
                      UnknownCondition, WeightlabError)
 from .verdict import Verdict, conjunction, fails, holds, inconclusive, report_dict
@@ -53,60 +53,14 @@ CONDITION_IDS = (
     "normalized", "nondecreasing", "unbounded_limit",
 )
 
-# the asymptotic conditions: each needs a grid spanning decades, and each
-# is invariant under passing to an equivalent weight
-_ASYMPTOTIC = ("om1", "om2", "om3", "om3w", "om5", "om6",
-               "om_nq", "om_snq", "alpha0", "unbounded_limit")
-# those that a finite profile's final ray decides; unboundedness has its own
-# exact rule, whose certificate reads the profile
-_RAY = _ASYMPTOTIC[:-1]
+# those asymptotic conditions that a finite profile's final ray decides;
+# unboundedness has its own exact rule, whose certificate reads the profile
+_RAY = ASYMPTOTIC[:-1]
 
 
 # ---------------------------------------------------------------------------
 # closed-form answers
 # ---------------------------------------------------------------------------
-
-def _germ_truth(germ, cond: str) -> bool:
-    """The asymptotic condition `cond` on a weight of germ (a, b), equivalent
-    to t^a (log t)^b, or of germ "exp"; om1, om3w and unbounded_limit hold on
-    every (a, b) (Braun-Meise-Taylor 1990)."""
-    if germ == "exp":
-        return cond in ("om3", "om3w", "om6", "unbounded_limit")
-    a, b = germ
-    return {"om2": a <= 1, "alpha0": a <= 1, "om5": a < 1, "om_nq": a < 1,
-            "om_snq": a < 1, "om6": a > 0, "om3": a > 0 or b > 1}.get(cond, True)
-
-
-def _closed_form(w: WeightFunction, cond: str):
-    """True / False when an exact answer is known, else None.  An asymptotic
-    condition is read from the germ of a weight with no profile; a profile's
-    germ is its final ray's, which _final_ray reads."""
-    if cond in _ASYMPTOTIC:
-        return None if w.germ is None or w.profile is not None else _germ_truth(w.germ, cond)
-    if isinstance(w, Associated):
-        # a supremum of affine functions of u
-        return True if cond in ("om4", "nondecreasing") else None
-    if isinstance(w, (Scaled, Dilated)):
-        if cond == "normalized" and isinstance(w, Dilated) and w.c > 1:
-            return None
-        # om4, om_sub, nondecreasing and otherwise normalized survive exactly
-        return _closed_form(w.base, cond)
-    if isinstance(w, Normalized):
-        if cond == "normalized":
-            return True
-        base = _closed_form(w.base, cond)
-        if cond == "nondecreasing":
-            return base
-        # clipping a convex nondecreasing profile keeps convexity
-        return True if cond == "om4" and base is True and w.base.nondecreasing else None
-    if w.germ is None or w.profile is not None:
-        return None
-    # a family: t^a, log(1 + t)^b with b >= 1, or e^t - 1, each nondecreasing,
-    # convex in log scale and positive at t = 1; subadditive when concave
-    if cond == "om_sub":
-        return w.germ != "exp" and max(w.germ) <= 1
-    return cond != "normalized"
-
 
 def _final_ray(w: WeightFunction, cond: str):
     """The exact verdict of `cond` on a weight with a profile and a germ,
@@ -117,7 +71,7 @@ def _final_ray(w: WeightFunction, cond: str):
     if cond not in _RAY or prof is None or w.germ is None:
         return None
     s = float(prof.final_slope)
-    verdict = holds if _germ_truth(w.germ, cond) else fails
+    verdict = holds if germ_truth(w.germ, cond) else fails
     return verdict({"final_slope": s, "equivalent_to": "log(1+t)"},
                    notes=f"exact for the truncated profile, which is {s:g} log t + c past "
                          "its last corner, not for an infinite construction it truncates")
@@ -471,10 +425,10 @@ def _check_unbounded_limit(w, grid):
 def check_condition(w: WeightFunction, cond: str, grid: GridSpec = DEFAULT_GRID) -> Verdict:
     if cond not in CONDITION_IDS:
         raise UnknownCondition(f"unknown condition {cond!r}; choose from {CONDITION_IDS}")
-    if cond in _ASYMPTOTIC:
+    if cond in ASYMPTOTIC:
         grid.require_decades(2)
 
-    exact = _closed_form(w, cond)
+    exact = closed_form(w, cond)
     if exact is True:
         return holds({"closed_form": True}, notes="exact family-level answer")
     if exact is False:

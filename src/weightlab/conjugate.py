@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .core import _BLOCK, PiecewiseLogLinear, WeightFunction, _hull, pl_eval
+from .core import _BLOCK, PiecewiseLogLinear, WeightFunction, _hull, _require_count, pl_eval
 from .errors import (EmptyInput, NotMatrixAdmissible, Om3Violated,
                      ValidationFailed, WeightlabError, YHorizonTooSmall)
 from .verdict import inconclusive, report_dict, to_json
@@ -348,8 +348,7 @@ def associated_weight_matrix(w: WeightFunction, ell: float, j_max: int):
     """log W_j = phi*(ell*j)/ell for j = 0..j_max (returned as log-values)."""
     if ell <= 0:
         raise ValidationFailed("ell must be positive")
-    if j_max < 0:
-        raise ValidationFailed("j_max must be nonnegative")
+    _require_count(j_max, "j_max", 0)
     if not w.nondecreasing:
         raise NotMatrixAdmissible("weight must be nondecreasing")
     if _om3_status(w).fails:

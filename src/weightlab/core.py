@@ -77,6 +77,14 @@ class _Value:
         return f"{type(self).__name__}({fields})"
 
 
+def _require_count(n, name: str, least: int):
+    """ValidationFailed unless n is an integer, not a bool, and n >= least."""
+    if n < least:
+        raise ValidationFailed(f"{name} must be >= {least}")
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValidationFailed(f"{name} must be an integer")
+
+
 class GridSpec(_Value):
     """Evaluation grid on [t_min, t_max]."""
 
@@ -88,10 +96,7 @@ class GridSpec(_Value):
             raise ValidationFailed("t_min must be < t_max")
         if not (math.isfinite(t_min) and math.isfinite(t_max)):
             raise ValidationFailed("t_min and t_max must be finite")
-        if n_points < 2:
-            raise ValidationFailed("n_points must be >= 2")
-        if not isinstance(n_points, (int, np.integer)):
-            raise ValidationFailed("n_points must be an integer")
+        _require_count(n_points, "n_points", 2)
         if spacing not in ("linear", "logarithmic"):
             raise ValidationFailed(f"unknown spacing {spacing!r}")
         if spacing == "logarithmic" and t_min <= 0:
@@ -573,6 +578,68 @@ class Normalized(WeightFunction):
         out = np.maximum(self.base._phi_unchecked(u) - self.shift, 0.0)
         out[u <= 0.0] = 0.0
         return out
+
+
+# ---------------------------------------------------------------------------
+# closed forms: the germ order, the germ truths and the family facts
+# ---------------------------------------------------------------------------
+
+# the asymptotic conditions: each needs a grid spanning decades, and each
+# is invariant under passing to an equivalent weight
+ASYMPTOTIC = ("om1", "om2", "om3", "om3w", "om5", "om6",
+              "om_nq", "om_snq", "alpha0", "unbounded_limit")
+
+
+def germ_above(g, h):
+    """Whether germ g grows strictly faster than germ h: (a, b) germs compare
+    lexicographically, "exp" is above every (a, b), and a None germ is unordered."""
+    if g is None or h is None:
+        return False
+    if "exp" in (g, h):
+        return g == "exp" != h
+    return g > h
+
+
+def germ_truth(germ, cond: str) -> bool:
+    """The asymptotic condition `cond` on a weight of germ (a, b), equivalent
+    to t^a (log t)^b, or of germ "exp"; om1, om3w and unbounded_limit hold on
+    every (a, b) (Braun-Meise-Taylor 1990)."""
+    if germ == "exp":
+        return cond in ("om3", "om3w", "om6", "unbounded_limit")
+    a, b = germ
+    return {"om2": a <= 1, "alpha0": a <= 1, "om5": a < 1, "om_nq": a < 1,
+            "om_snq": a < 1, "om6": a > 0, "om3": a > 0 or b > 1}.get(cond, True)
+
+
+def closed_form(w: WeightFunction, cond: str):
+    """True / False when an exact answer is known, else None.  An asymptotic
+    condition is read from the germ of a weight with no profile; a profile's
+    germ is its final ray's, which conditions._final_ray reads."""
+    if cond in ASYMPTOTIC:
+        return None if w.germ is None or w.profile is not None else germ_truth(w.germ, cond)
+    if isinstance(w, Associated):
+        # a supremum of affine functions of u
+        return True if cond in ("om4", "nondecreasing") else None
+    if isinstance(w, (Scaled, Dilated)):
+        if cond == "normalized" and isinstance(w, Dilated) and w.c > 1:
+            return None
+        # om4, om_sub, nondecreasing and otherwise normalized survive exactly
+        return closed_form(w.base, cond)
+    if isinstance(w, Normalized):
+        if cond == "normalized":
+            return True
+        base = closed_form(w.base, cond)
+        if cond == "nondecreasing":
+            return base
+        # clipping a convex nondecreasing profile keeps convexity
+        return True if cond == "om4" and base is True and w.base.nondecreasing else None
+    if w.germ is None or w.profile is not None:
+        return None
+    # a family: t^a, log(1 + t)^b with b >= 1, or e^t - 1, each nondecreasing,
+    # convex in log scale and positive at t = 1; subadditive when concave
+    if cond == "om_sub":
+        return w.germ != "exp" and max(w.germ) <= 1
+    return cond != "normalized"
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .core import PiecewiseLogLinear, WeightFunction
+from .core import PiecewiseLogLinear, WeightFunction, _require_count
 from .errors import GammaTooLarge, JHorizonTooSmall, NonFinite, OverflowAtJ, ValidationFailed
 from .verdict import Verdict, fails, holds, inconclusive, report_dict, to_json
 
@@ -90,8 +90,7 @@ class AdmissibleDelta:
 
 def default_delta(J: int) -> AdmissibleDelta:
     """delta_j = 1/log(e + j)."""
-    if J < 1:
-        raise ValidationFailed("J must be >= 1")
+    _require_count(J, "J", 1)
     return AdmissibleDelta(tuple(1.0 / math.log(math.e + j)
                                  for j in range(1, J + 1)), "default-formula")
 
@@ -132,8 +131,7 @@ class CounterexampleProfile:
 def construct(delta: AdmissibleDelta, t1: float, J: int) -> CounterexampleProfile:
     if not 0 < t1 < 1:
         raise ValidationFailed("t1 must lie in (0, 1)")
-    if J < 1:
-        raise ValidationFailed("J must be >= 1")
+    _require_count(J, "J", 1)
     if len(delta) < J:
         raise ValidationFailed(f"need {J} delta values, got {len(delta)}")
 

@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .core import (DEFAULT_GRID, _BLOCK, _C_GRID, Dilated, GridSpec, Rows, Scaled,
-                   WeightFunction, decade_starts, dilations, require_decades)
+                   WeightFunction, decade_starts, dilations, germ_above, require_decades)
 from .errors import (BridgeViolation, EmptyInput, IndexSearchExhausted, NonFinite,
                      NotMonotone, UnknownRelation, ValidationFailed)
 from .verdict import Verdict, conjunction, fails, holds, inconclusive, report_dict
@@ -525,14 +525,6 @@ def _matrix_search(S, T, rel, ell_grid, grid):
     return _every_pair(t_idx, s_idx, tau, sig, np.subtract, tg, edges)
 
 
-def _germ_above(g, h):
-    """Whether germ g grows strictly faster than germ h: (a, b) germs
-    compare lexicographically, and "exp" is above every (a, b)."""
-    if "exp" in (g, h):
-        return g == "exp" != h
-    return g > h
-
-
 def _germ_refutation(S, T, rel, ell_grid):
     """`fails` on a mixed-kind pair whose T base has a germ above its S
     base's, else None.  Both kinds of row of a base of germ (a, b) are
@@ -542,7 +534,7 @@ def _germ_refutation(S, T, rel, ell_grid):
     if {S.kind, T.kind} != {"exponential", "dilatation"}:
         return None
     gs, gt = S.base.germ, T.base.germ
-    if gs is None or gt is None or not _germ_above(gt, gs):
+    if not germ_above(gt, gs):
         return None
     v = fails({"germ_sigma": gs, "germ_tau": gt},
               notes="tau's growth order exceeds sigma's, so no index pair "

@@ -6,7 +6,7 @@ import warnings
 
 import pytest
 
-from weightlab import cli, counterexample, growth, lpspace, relations
+from weightlab import cli, conjugate, counterexample, growth, lpspace, relations
 from weightlab.core import Dilated, Gevrey, GridSpec, Log, LogPower, Power, Scaled
 from weightlab.errors import (EmptyInput, NonFinite, UnknownRelation, ValidationFailed,
                              WeightlabError)
@@ -64,6 +64,17 @@ _CASES = {
     "witness-t-max-inf": (lambda: lpspace.nontriviality_witness(
         WeightMatrix.exponential(Power(0.5)), 2.0, t_max=_INF), ValidationFailed),
     "grid-fractional-points": (lambda: GridSpec(1e-2, 1e6, 2.5), ValidationFailed),
+    # block counts that are no integers, or are bools
+    "default-delta-float": (lambda: counterexample.default_delta(60.0), ValidationFailed),
+    "default-delta-bool": (lambda: counterexample.default_delta(True), ValidationFailed),
+    "construct-float": (lambda: counterexample.construct(
+        counterexample.default_delta(60), 0.5, 60.0), ValidationFailed),
+    "construct-bool": (lambda: counterexample.construct(
+        counterexample.default_delta(3), 0.5, True), ValidationFailed),
+    "matrix-j-max-fractional": (lambda: conjugate.associated_weight_matrix(
+        Power(0.5), 1.0, 2.5), ValidationFailed),
+    "matrix-j-max-bool": (lambda: conjugate.associated_weight_matrix(
+        Power(0.5), 1.0, True), ValidationFailed),
 }
 
 

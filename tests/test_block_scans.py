@@ -99,7 +99,9 @@ def _classify_gamma_loop(w, gamma, K_grid, tg, T):
         if scale * T > 1e305:
             continue
         wk = np.asarray(w.evaluate(scale * tg))
-        ratio = np.where(ok, wk / np.where(ok, wt, 1.0), np.nan)
+        # as in growth._index_rows: a ratio past the double range is inf
+        with np.errstate(over="ignore"):
+            ratio = np.where(ok, wk / np.where(ok, wt, 1.0), np.nan)
         if not ((last & ok).any() and (~last & ok).any()):
             raise HorizonTooSmall(
                 f"growth index: the weight has no positive sample on [{T / 100:g}, {T / 10:g}) "
@@ -385,7 +387,10 @@ def _slow_variation_loop(p, gamma_set):
             hi = p.x[i + 1] if j < p.J else p.y[i]
             if not math.isfinite(hi) or hi + gamma > 1e300:
                 break
-            s = np.linspace(p.x[i], hi, 60)
+            # a block that starts at inf samples NaN, on which phi raises
+            # NonFinite, as slow_variation_certificate does before it samples
+            with np.errstate(invalid="ignore"):
+                s = np.linspace(p.x[i], hi, 60)
             ratio = np.asarray(phi(s + gamma)) / np.asarray(phi(s))
             sups.append({"j": j, "sup_minus_1": float(np.max(ratio)) - 1.0})
         threshold = None

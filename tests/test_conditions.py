@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from weightlab import (Dilated, Exp, GridSpec, Log, LogPower, Normalized,
                        PiecewiseLogLinear, Power, Scaled, WeightFunction,
-                       conditions, counterexample, growth, load_weight)
+                       conditions, core, counterexample, growth, load_weight)
 from weightlab.errors import (ChainViolation, HorizonTooSmall, QuadratureFailure,
                               WeightlabError)
 from weightlab.verdict import Status, fails, holds, inconclusive
@@ -157,7 +157,7 @@ def test_numeric_verdicts_agree_with_the_closed_form(name, cond):
         v = conditions.check_condition(_Opaque(w), cond)
     except WeightlabError:
         return
-    truth = conditions._closed_form(w, cond)
+    truth = core.closed_form(w, cond)
     if not v.inconclusive and truth is not None:
         assert v.holds == truth
 

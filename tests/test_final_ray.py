@@ -11,14 +11,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weightlab import (Dilated, Log, Normalized, PiecewiseLogLinear, Scaled, WeightFunction,
-                       conditions, conjugate, load_weight)
+                       conditions, conjugate, core, load_weight)
 from weightlab.errors import NotMonotone, WeightlabError
 from weightlab.verdict import to_json
 
 from conftest import _Opaque
 
 RAY = ("om1", "om2", "om3", "om3w", "om5", "om6", "om_nq", "om_snq", "alpha0")
-LOG_TRUTH = {cond: conditions._closed_form(Log(), cond) for cond in RAY}
+LOG_TRUTH = {cond: core.closed_form(Log(), cond) for cond in RAY}
 
 
 class _Counted(_Opaque):

@@ -2,7 +2,7 @@
 or "exp", and the asymptotic conditions are read from it in one place.
 
 `closed_form_table.json` holds `_table()` as it read before weights carried
-germs: `_closed_form`'s True / False / None and `_final_ray`'s status for
+germs: `core.closed_form`'s True / False / None and `_final_ray`'s status for
 each weight below and each condition.  Germs change no answer of either."""
 
 import ast
@@ -13,7 +13,7 @@ import pytest
 
 import weightlab
 from weightlab import (Dilated, Exp, Gevrey, Log, LogPower, Normalized, PiecewiseLogLinear,
-                       Power, Scaled, conditions, dump_weight, load_weight)
+                       Power, Scaled, conditions, core, dump_weight, load_weight)
 from weightlab.errors import NotMonotone
 
 from conftest import _Opaque
@@ -61,8 +61,8 @@ WEIGHTS = _weights()
 
 
 def _cell(w, cond):
-    """Two letters: `_closed_form`'s T / F / . and `_final_ray`'s H / F / ."""
-    exact = conditions._closed_form(w, cond)
+    """Two letters: `core.closed_form`'s T / F / . and `_final_ray`'s H / F / ."""
+    exact = core.closed_form(w, cond)
     ray = conditions._final_ray(w, cond)
     return ({True: "T", False: "F", None: "."}[exact]
             + ("." if ray is None else ray.status.value[0].upper()))
@@ -159,3 +159,35 @@ def test_only_core_names_the_families():
     assert len(paths) >= 8
     found = [r for p in paths for r in _family_reads(p)]
     assert not found, f"family names or parameters read outside core: {found}"
+
+
+def _is_germ(node):
+    return isinstance(node, ast.Attribute) and node.attr == "germ"
+
+
+def _germ_reads(path):
+    """The places that interpret the germ encoding: a comparison with "exp",
+    a comparison of a `.germ` by other than `is` / `is not`, and a max or a
+    min of a `.germ`."""
+    tree = ast.parse(path.read_text(), str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if (any(isinstance(o, ast.Constant) and o.value == "exp" for o in operands)
+                    or any(map(_is_germ, operands))
+                    and not all(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)):
+                found.append(node.lineno)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in ("max", "min") and any(map(_is_germ, node.args))):
+            found.append(node.lineno)
+    return [f"{path.name}:{line}" for line in found]
+
+
+def test_only_core_reads_the_germ_encoding():
+    # the order of germs and the truths read from them live in core alone
+    src = Path(weightlab.__file__).resolve().parent
+    paths = [p for p in sorted(src.glob("*.py")) if p.stem not in ("core", "__init__")]
+    assert len(paths) >= 8
+    found = [r for p in paths for r in _germ_reads(p)]
+    assert not found, f"germs compared or unpacked outside core: {found}"
