@@ -35,7 +35,7 @@ from .core import (ASYMPTOTIC, DEFAULT_GRID, GridSpec, WeightFunction, _BLOCK, _
                    closed_form, decade_starts, dilations, germ_truth)
 from .errors import (ChainViolation, HorizonTooSmall, NonFinite, NotMonotone,
                      UnknownCondition, WeightlabError)
-from .verdict import Verdict, conjunction, fails, holds, inconclusive, report_dict
+from .verdict import Record, Verdict, conjunction, fails, holds, inconclusive
 
 __all__ = [
     "CONDITION_IDS",
@@ -449,14 +449,10 @@ def check_condition(w: WeightFunction, cond: str, grid: GridSpec = DEFAULT_GRID)
         return inconclusive(horizon=grid.describe(), notes=f"{type(exc).__name__}: {exc}")
 
 
-class ClassReport:
+class ClassReport(Record):
+    """The verdict of each condition and of each weight class, by id."""
+
     __slots__ = ("conditions", "classes")
-
-    def __init__(self, conditions: dict, classes: dict):
-        self.conditions = conditions
-        self.classes = classes
-
-    to_dict = report_dict
 
 
 def _zero_at_origin(w):
@@ -522,16 +518,10 @@ def classify(w: WeightFunction, grid: GridSpec = DEFAULT_GRID) -> ClassReport:
     return ClassReport(conditions=conds, classes=classes)
 
 
-class ConsistencyReport:
+class ConsistencyReport(Record):
     """Verdicts and the implications checked between them (a broken one raises)."""
 
     __slots__ = ("items", "edges")
-
-    def __init__(self, items: dict, edges: list):
-        self.items = items
-        self.edges = edges
-
-    to_dict = report_dict
 
 
 def check_implication_chain(w: WeightFunction, grid: GridSpec = DEFAULT_GRID,

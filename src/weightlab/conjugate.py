@@ -24,7 +24,7 @@ import numpy as np
 from .core import _BLOCK, PiecewiseLogLinear, WeightFunction, _hull, _require_count, pl_eval
 from .errors import (EmptyInput, NotMatrixAdmissible, Om3Violated,
                      ValidationFailed, WeightlabError, YHorizonTooSmall)
-from .verdict import inconclusive, report_dict, to_json
+from .verdict import Record, inconclusive, to_json
 
 __all__ = [
     "ConjugateProfile",
@@ -50,7 +50,7 @@ _ZOOM_ROUNDS = 6
 _Y_GROUP = 29
 
 
-class ConjugateProfile:
+class ConjugateProfile(Record):
     """phi* on [0, x_max].
 
     exact=True: closed-form conjugate of a piecewise-linear phi; the hull
@@ -59,28 +59,14 @@ class ConjugateProfile:
     exact=False: per-query supremum against the stored weight, over the
     y-grid [_y_lo, _y_hi]: the grid's first argmax, found by the pruned
     search of _first_argmax, then refined by zooming.  value refuses an x
-    that is negative or NaN.
+    that is negative or NaN.  slope_cap: on the exact path, the sup of the
+    finiteness domain.
     """
 
     __slots__ = ("x_max", "exact", "breakpoints", "values", "envelope_used", "slope_cap",
                  "_hull_us", "_hull_vs", "_weight", "_y_lo", "_y_hi")
-
-    def __init__(self, x_max: float, exact: bool, breakpoints: np.ndarray,
-                 values: np.ndarray, envelope_used: bool = False,
-                 slope_cap: float = math.inf, _hull_us: np.ndarray | None = None,
-                 _hull_vs: np.ndarray | None = None, _weight: WeightFunction | None = None,
-                 _y_lo: float = 0.0, _y_hi: float = 0.0):
-        self.x_max = x_max
-        self.exact = exact
-        self.breakpoints = breakpoints
-        self.values = values
-        self.envelope_used = envelope_used
-        self.slope_cap = slope_cap         # exact path: sup of finiteness domain
-        self._hull_us = _hull_us
-        self._hull_vs = _hull_vs
-        self._weight = _weight
-        self._y_lo = _y_lo
-        self._y_hi = _y_hi
+    _defaults = {"envelope_used": False, "slope_cap": math.inf, "_hull_us": None,
+                 "_hull_vs": None, "_weight": None, "_y_lo": 0.0, "_y_hi": 0.0}
 
     def value(self, x):
         arr = np.atleast_1d(np.asarray(x, dtype=float))
@@ -278,18 +264,9 @@ def _exact_conjugate(w: PiecewiseLogLinear, x_max: float) -> ConjugateProfile:
 # biconjugate
 # ---------------------------------------------------------------------------
 
-class GapReport:
+class GapReport(Record):
     __slots__ = ("max_gap", "argmax_u", "zero_gap", "convexity_consistent", "notes")
-
-    def __init__(self, max_gap: float, argmax_u: float, zero_gap: bool,
-                 convexity_consistent: bool, notes: str = ""):
-        self.max_gap = max_gap
-        self.argmax_u = argmax_u
-        self.zero_gap = zero_gap
-        self.convexity_consistent = convexity_consistent
-        self.notes = notes
-
-    to_dict = report_dict
+    _defaults = {"notes": ""}
 
 
 def double_conjugate(w: WeightFunction, u_grid):
@@ -304,6 +281,8 @@ def double_conjugate(w: WeightFunction, u_grid):
     u = np.asarray(u_grid, dtype=float)
     if u.size == 0:
         raise EmptyInput("empty u grid")
+    if u.ndim != 1:
+        raise ValidationFailed("the u grid must be a 1-d array")
     phi_vals = np.asarray(w.phi(u), dtype=float)
 
     prof = w.profile

@@ -194,7 +194,7 @@ class WeightFunction:
         arr, scalar = _as_array(t)
         # fmin skips NaN, so a NaN beside a negative argument still raises
         if arr.size and np.fmin.reduce(arr, axis=None) < 0:
-            raise ValueError("weight argument must be >= 0")
+            raise ValidationFailed("weight argument must be >= 0")
         try:
             out = np.asarray(self._eval(arr))
         except HorizonTooSmall:
@@ -768,14 +768,16 @@ def _numbers(xs):
 def load_weight(source) -> WeightFunction:
     """Build a weight from a JSON document (dict, JSON string, or file path);
     a malformed document raises ValidationFailed."""
-    if isinstance(source, str):
+    if not isinstance(source, str):
+        return _from_document(source)
+    try:
         if source.lstrip().startswith("{"):
             doc = json.loads(source)
         else:
             with open(source) as fh:
                 doc = json.load(fh)
-    else:
-        doc = source
+    except json.JSONDecodeError as exc:
+        raise ValidationFailed(f"a weight document must be JSON: {exc}") from None
     return _from_document(doc)
 
 

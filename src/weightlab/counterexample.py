@@ -23,9 +23,9 @@ import math
 
 import numpy as np
 
-from .core import PiecewiseLogLinear, WeightFunction, _require_count
+from .core import PiecewiseLogLinear, _require_count
 from .errors import GammaTooLarge, JHorizonTooSmall, NonFinite, OverflowAtJ, ValidationFailed
-from .verdict import Verdict, fails, holds, inconclusive, report_dict, to_json
+from .verdict import Record, Verdict, fails, holds, inconclusive, to_json
 
 __all__ = [
     "AdmissibleDelta",
@@ -107,25 +107,14 @@ def power_delta(delta: AdmissibleDelta, alpha: float) -> AdmissibleDelta:
 # construction
 # ---------------------------------------------------------------------------
 
-class CounterexampleProfile:
+class CounterexampleProfile(Record):
+    """The blocks of the counterexample: t = t_1..t_J, x = x_1..x_{J+1} (one
+    lookahead for gap checks), xbar = xbar_1..xbar_J, y = y_1..y_J, phi_x =
+    phi(x_1)..phi(x_J), phi_y = phi(y_j) = phi(xbar_j), k = the rise slopes
+    k_1..k_J, ell = the connector slopes ell_1..ell_{J-1}."""
+
     __slots__ = ("J", "t1", "delta", "t", "x", "xbar", "y", "phi_x", "phi_y", "k", "ell",
                  "weight")
-
-    def __init__(self, J: int, t1: float, delta: AdmissibleDelta, t: np.ndarray,
-                 x: np.ndarray, xbar: np.ndarray, y: np.ndarray, phi_x: np.ndarray,
-                 phi_y: np.ndarray, k: np.ndarray, ell: np.ndarray, weight: WeightFunction):
-        self.J = J
-        self.t1 = t1
-        self.delta = delta
-        self.t = t              # t_1..t_J
-        self.x = x              # x_1..x_{J+1}  (one lookahead for gap checks)
-        self.xbar = xbar        # xbar_1..xbar_J
-        self.y = y              # y_1..y_J
-        self.phi_x = phi_x      # phi(x_1)..phi(x_J)
-        self.phi_y = phi_y      # phi(y_j) = phi(xbar_j)
-        self.k = k              # rise slopes k_1..k_J
-        self.ell = ell          # connector slopes ell_1..ell_{J-1}
-        self.weight = weight
 
 
 def construct(delta: AdmissibleDelta, t1: float, J: int) -> CounterexampleProfile:
@@ -180,11 +169,8 @@ def construct(delta: AdmissibleDelta, t1: float, J: int) -> CounterexampleProfil
 # verification
 # ---------------------------------------------------------------------------
 
-class CertificateBundle:
+class CertificateBundle(Record):
     __slots__ = ("items",)
-
-    def __init__(self, items: tuple):
-        self.items = items
 
     @property
     def all_ok(self):
@@ -286,20 +272,9 @@ def nonconvexity_certificate(p: CounterexampleProfile, A_max: float):
     return results
 
 
-class SlowVariationReport:
+class SlowVariationReport(Record):
     __slots__ = ("gamma", "j0", "case_bounds", "block_sup_ratios", "certified_K_e",
                  "threshold_j")
-
-    def __init__(self, gamma: float, j0: int, case_bounds: tuple, block_sup_ratios: tuple,
-                 certified_K_e: bool, threshold_j: int | None):
-        self.gamma = gamma
-        self.j0 = j0
-        self.case_bounds = case_bounds
-        self.block_sup_ratios = block_sup_ratios
-        self.certified_K_e = certified_K_e
-        self.threshold_j = threshold_j
-
-    to_dict = report_dict
 
 
 def slow_variation_certificate(p: CounterexampleProfile, gamma_set):

@@ -86,8 +86,8 @@ class GammaTooLarge(WeightlabError):
         super().__init__(f"shift {gamma} exceeds the block gaps available from j0={j0}")
 
 
-class ValidationFailed(WeightlabError):
-    pass
+class ValidationFailed(WeightlabError, ValueError):
+    """Input outside what an entry point accepts."""
 
 
 class UnknownCondition(WeightlabError, ValueError):

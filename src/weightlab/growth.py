@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import _C_GRID, WeightFunction, dilations
 from .errors import EmptyInput, HorizonTooSmall, NotMonotone, QuadratureFailure, ValidationFailed
-from .verdict import Verdict, fails, holds, inconclusive, report_dict
+from .verdict import Record, Verdict, fails, holds, inconclusive
 
 __all__ = [
     "KappaResult",
@@ -88,22 +88,14 @@ _ROUNDOFF = 50.0 * np.finfo(float).eps
 _MAX_PANELS = 4000
 
 
-class KappaResult:
-    __slots__ = ("kind", "value", "tail_low", "tail_high", "evidence")
+class KappaResult(Record):
+    """kind: "finite" | "divergent"."""
 
-    def __init__(self, kind: str, value: float | None, tail_low: float | None,
-                 tail_high: float | None, evidence: dict):
-        self.kind = kind  # "finite" | "divergent"
-        self.value = value
-        self.tail_low = tail_low
-        self.tail_high = tail_high
-        self.evidence = evidence
+    __slots__ = ("kind", "value", "tail_low", "tail_high", "evidence")
 
     @property
     def divergent(self):
         return self.kind == "divergent"
-
-    to_dict = report_dict
 
 
 def _kinked_integral(phi, u0, kinks, slopes, v_max=math.inf):
@@ -352,23 +344,13 @@ def kappa_equivalence_check(w: WeightFunction, y_grid=None, T: float = 1e6) -> V
                         notes="no constant up to 2^40 certifies two-sided equivalence")
 
 
-class IndexEstimate:
+class IndexEstimate(Record):
     __slots__ = ("lower_bound", "upper_bound", "table", "horizon", "refined", "notes")
-
-    def __init__(self, lower_bound: float, upper_bound: float, table: list,
-                 horizon: float, refined: bool = False, notes: str = ""):
-        self.lower_bound = lower_bound
-        self.upper_bound = upper_bound
-        self.table = table
-        self.horizon = horizon
-        self.refined = refined
-        self.notes = notes
+    _defaults = {"refined": False, "notes": ""}
 
     @property
     def infinite(self):
         return math.isinf(self.upper_bound) and self.lower_bound > 0
-
-    to_dict = report_dict
 
 
 def _index_rows(w, gammas, tg, T, wt):

@@ -18,11 +18,11 @@ import math
 import numpy as np
 
 from . import relations
-from .core import _BLOCK, GridSpec, Rows, WeightFunction
+from .core import _BLOCK, GridSpec, Rows, WeightFunction, _require_count
 from .errors import (HorizonTooSmall, NonFinite, ValidationFailed, WeightlabError,
                      WitnessConstructionFailed)
 from .relations import WeightMatrix
-from .verdict import holds, inconclusive, report_dict, to_json
+from .verdict import Record, holds, inconclusive, to_json
 
 __all__ = [
     "SampledFunction",
@@ -60,8 +60,7 @@ class SampledFunction:
             raise ValidationFailed("radii must be strictly increasing")
         if not np.all(np.isfinite(vals)) or np.any(vals < 0):
             raise ValidationFailed("sample values must be finite and >= 0")
-        if d < 1:
-            raise ValidationFailed("dimension must be >= 1")
+        _require_count(d, "dimension", 1)
         ts.flags.writeable = False
         vals.flags.writeable = False
         self.ts = ts
@@ -79,16 +78,11 @@ class SampledFunction:
             return np.log(self.values)
 
 
-class NormResult:
-    __slots__ = ("p", "kind", "value", "error_estimate", "evidence")
+class NormResult(Record):
+    """kind: "finite" | "divergent"."""
 
-    def __init__(self, p: float, kind: str, value: float | None = None,
-                 error_estimate: float | None = None, evidence: str = ""):
-        self.p = p
-        self.kind = kind                   # "finite" | "divergent"
-        self.value = value
-        self.error_estimate = error_estimate
-        self.evidence = evidence
+    __slots__ = ("p", "kind", "value", "error_estimate", "evidence")
+    _defaults = {"value": None, "error_estimate": None, "evidence": ""}
 
     @property
     def divergent(self):
@@ -241,13 +235,11 @@ def _theta(ts, wt, p, d):
 # nontriviality witness
 # ---------------------------------------------------------------------------
 
-class MembershipReport:
-    __slots__ = ("rows", "all_finite", "exponents")
+class MembershipReport(Record):
+    """rows: ((ell, NormResult), ...)."""
 
-    def __init__(self, rows: tuple, all_finite: bool, exponents: dict | None = None):
-        self.rows = rows                   # ((ell, NormResult), ...)
-        self.all_finite = all_finite
-        self.exponents = exponents
+    __slots__ = ("rows", "all_finite", "exponents")
+    _defaults = {"exponents": None}
 
     def to_dict(self):
         return to_json({"rows": [{"ell": l, "norm": r} for l, r in self.rows],
@@ -341,24 +333,13 @@ def _witness_reads(W, ts, starts, blocks, n0, p):
 # inclusion experiment
 # ---------------------------------------------------------------------------
 
-class ExperimentReport:
+class ExperimentReport(Record):
     """The relation, its two doubling hypotheses and the norm rows that test
     it.  degraded: a hypothesis is not certified, or a row of the relation
     cannot be read on its grid, which leaves the relation inconclusive."""
 
     __slots__ = ("relation", "hypotheses", "degraded", "forward_rows", "converse_rows",
                  "all_ok")
-
-    def __init__(self, relation: relations.RelationVerdict, hypotheses: dict,
-                 degraded: bool, forward_rows: tuple, converse_rows: tuple, all_ok: bool):
-        self.relation = relation
-        self.hypotheses = hypotheses
-        self.degraded = degraded
-        self.forward_rows = forward_rows
-        self.converse_rows = converse_rows
-        self.all_ok = all_ok
-
-    to_dict = report_dict
 
 
 def _battery(S: WeightMatrix, p, grid, d):

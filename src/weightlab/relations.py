@@ -27,7 +27,7 @@ from .core import (DEFAULT_GRID, _BLOCK, _C_GRID, Dilated, GridSpec, Rows, Scale
                    WeightFunction, decade_starts, dilations, germ_above, require_decades)
 from .errors import (BridgeViolation, EmptyInput, IndexSearchExhausted, NonFinite,
                      NotMonotone, UnknownRelation, ValidationFailed)
-from .verdict import Verdict, conjunction, fails, holds, inconclusive, report_dict
+from .verdict import Record, Verdict, conjunction, fails, holds, inconclusive
 
 __all__ = [
     "WeightMatrix",
@@ -54,17 +54,13 @@ MATRIX_RELATIONS = ("beurling", "roumieu", "triangle")
 # weight matrices
 # ---------------------------------------------------------------------------
 
-class WeightMatrix:
-    """A family {w^ell : ell > 0}, pointwise nondecreasing in ell."""
+class WeightMatrix(Record):
+    """A family {w^ell : ell > 0}, pointwise nondecreasing in ell.  kind:
+    "exponential" | "dilatation" | "explicit"; entries: ((ell,
+    WeightFunction), ...) for explicit."""
 
     __slots__ = ("kind", "base", "entries", "nondecreasing")
-
-    def __init__(self, kind: str, base: WeightFunction | None = None,
-                 entries: tuple = (), nondecreasing: bool = True):
-        self.kind = kind                   # "exponential" | "dilatation" | "explicit"
-        self.base = base
-        self.entries = entries             # ((ell, WeightFunction), ...) for explicit
-        self.nondecreasing = nondecreasing
+    _defaults = {"base": None, "entries": (), "nondecreasing": True}
 
     @staticmethod
     def exponential(w: WeightFunction) -> "WeightMatrix":
@@ -194,13 +190,9 @@ def _check_order(tg, rows):
         raise ValidationFailed(f"matrix order violated at t={tg[k]:g} between indices")
 
 
-class RelationVerdict:
+class RelationVerdict(Record):
     __slots__ = ("verdict", "rel", "index_map")
-
-    def __init__(self, verdict: Verdict, rel: str, index_map: dict | None = None):
-        self.verdict = verdict
-        self.rel = rel
-        self.index_map = index_map
+    _defaults = {"index_map": None}
 
     @property
     def holds(self):
@@ -213,8 +205,6 @@ class RelationVerdict:
     @property
     def inconclusive(self):
         return self.verdict.inconclusive
-
-    to_dict = report_dict
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,36 @@ def report_dict(report) -> dict:
             for name in type(report).__slots__ if not name.startswith("_")}
 
 
+class Record:
+    """A report whose fields need no check: a subclass lists its fields in
+    ``__slots__`` and the defaults of the trailing ones in ``_defaults``.
+    The fields are set in slot order from the positional arguments, then
+    from the keywords, then from ``_defaults``; a missing, unknown or
+    repeated field raises TypeError."""
+
+    __slots__ = ()
+    _defaults = {}
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        names = cls.__slots__
+        if len(args) > len(names):
+            raise TypeError(f"{cls.__name__} takes {len(names)} fields, got {len(args)}")
+        for name, value in zip(names, args):
+            setattr(self, name, value)
+        for name in names[len(args):]:
+            if name in kwargs:
+                setattr(self, name, kwargs.pop(name))
+            elif name in cls._defaults:
+                setattr(self, name, cls._defaults[name])
+            else:
+                raise TypeError(f"{cls.__name__} is missing the field {name!r}")
+        if kwargs:
+            raise TypeError(f"{cls.__name__} has no further field {next(iter(kwargs))!r}")
+
+    to_dict = report_dict
+
+
 class Status(str, Enum):
     HOLDS = "holds"
     FAILS = "fails"

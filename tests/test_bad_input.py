@@ -2,12 +2,15 @@
 numpy warning on the way: the contract of ROADMAP item 9, case by case."""
 
 import math
+import os
+import tempfile
 import warnings
 
 import pytest
 
-from weightlab import cli, conjugate, counterexample, growth, lpspace, relations
-from weightlab.core import Dilated, Gevrey, GridSpec, Log, LogPower, Power, Scaled
+from weightlab import cli, conditions, conjugate, counterexample, growth, lpspace, relations
+from weightlab.core import (Dilated, Gevrey, GridSpec, Log, LogPower, PiecewiseLogLinear, Power,
+                            Scaled, load_weight)
 from weightlab.errors import (EmptyInput, NonFinite, UnknownRelation, ValidationFailed,
                              WeightlabError)
 from weightlab.relations import WeightMatrix
@@ -17,6 +20,23 @@ _NAN, _INF = math.nan, math.inf
 
 def _profile():
     return counterexample.construct(counterexample.default_delta(8), 0.5, 8)
+
+
+# a valid linear grid from t = -1: every weight is evaluated at t < 0 on it
+_NEGATIVE_GRID = GridSpec(-1.0, 1e6, 600, "linear")
+_CORNERS = PiecewiseLogLinear([(0, 0), (1, 1), (3, 4)])
+
+
+def _sampled(d):
+    return lpspace.SampledFunction([0.0, 1.0, 2.0], [1.0, 1.0, 1.0], d=d)
+
+
+def _load_unparsable_file():
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "w.json")
+        with open(path, "w") as fh:
+            fh.write('{"family": "power",')
+        return load_weight(path)
 
 
 _CASES = {
@@ -75,6 +95,25 @@ _CASES = {
         Power(0.5), 1.0, 2.5), ValidationFailed),
     "matrix-j-max-bool": (lambda: conjugate.associated_weight_matrix(
         Power(0.5), 1.0, True), ValidationFailed),
+    # a grid that reaches below t = 0
+    "condition-negative-grid": (lambda: conditions.check_condition(
+        _CORNERS, "nondecreasing", _NEGATIVE_GRID), ValidationFailed),
+    "classify-negative-grid": (lambda: conditions.classify(_CORNERS, _NEGATIVE_GRID),
+                               ValidationFailed),
+    "compare-negative-grid": (lambda: relations.compare(
+        Power(0.5), Log(), "preceq", _NEGATIVE_GRID), ValidationFailed),
+    "matrix-negative-grid": (lambda: relations.matrix_relation(
+        WeightMatrix.exponential(Power(0.5)), WeightMatrix.exponential(Log()), "beurling",
+        grid=_NEGATIVE_GRID), ValidationFailed),
+    # a dimension that is no integer >= 1
+    "sampled-d-nan": (lambda: _sampled(_NAN), ValidationFailed),
+    "sampled-d-fractional": (lambda: _sampled(1.5), ValidationFailed),
+    "sampled-d-0": (lambda: _sampled(0), ValidationFailed),
+    # a weight document that does not parse, and a u grid that is not 1-d
+    "load-weight-bad-json": (lambda: load_weight("{oops"), ValidationFailed),
+    "load-weight-bad-file": (_load_unparsable_file, ValidationFailed),
+    "double-conjugate-2d": (lambda: conjugate.double_conjugate(
+        Power(0.5), [[1.0, 2.0], [3.0, 4.0]]), ValidationFailed),
 }
 
 

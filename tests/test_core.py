@@ -283,7 +283,7 @@ def _evaluate_checked_one_by_one(w, t):
     """evaluate with one np.any/np.all reduction per check."""
     arr = np.asarray(t, dtype=float)
     if np.any(arr < 0):
-        raise ValueError("weight argument must be >= 0")
+        raise ValidationFailed("weight argument must be >= 0")
     out = np.asarray(w._eval(arr))
     if not np.all(np.isfinite(out)):
         raise NonFinite("non-finite weight value encountered")
