@@ -33,8 +33,7 @@ import numpy as np
 
 from .core import (ASYMPTOTIC, DEFAULT_GRID, GridSpec, WeightFunction, _BLOCK, _C_GRID,
                    closed_form, decade_starts, dilations, germ_truth)
-from .errors import (ChainViolation, HorizonTooSmall, NonFinite, NotMonotone,
-                     UnknownCondition, WeightlabError)
+from .errors import ChainViolation, HorizonTooSmall, NonFinite, NotMonotone, UnknownCondition
 from .verdict import Record, Verdict, conjunction, fails, holds, inconclusive
 
 __all__ = [
@@ -114,6 +113,12 @@ def _sup_ratio_verdict(ratio, top, grid, small_o: bool):
                         notes="ratio still growing between the top decades")
 
 
+# the note of an om6 or alpha0 constant that a finite grid's trend alone
+# gives: om6's slack +H absorbs log growth over any finite grid, and alpha0's
+# cap on lambda bounds the constant of every power
+_TREND_ONLY = "the constant comes from a trend on the finite grid alone"
+
+
 def _ratio_condition(w, cond, grid):
     tg = grid.points()
     skip = int(np.searchsorted(tg, max(grid.t_min, 1e-12)))
@@ -179,7 +184,8 @@ def _check_om6(w, grid):
                 sup_last = float(np.max(gap[last]))
                 sup_prev = float(np.max(gap[prev]))
                 if sup_last <= max(sup_prev * 1.05 + 1e-9, 0.0):
-                    return holds({"H": H}, margin=H - peak, horizon=grid.describe())
+                    return inconclusive(certificate={"H": H}, margin=H - peak,
+                                        horizon=grid.describe(), notes=_TREND_ONLY)
     return inconclusive(horizon=grid.describe(),
                         notes="no H up to 2^40 certified at this horizon")
 
@@ -231,8 +237,9 @@ def _check_alpha0(w, grid):
     sup_prev = float(np.max(prev)) if prev.size else sup_last
     if sup_last <= sup_prev * 1.05 + 1e-9:
         C = float(np.max(needed)) * 1.05
-        return holds({"C": C, "t0": t0, "lambda_max": float(lam[-1])},
-                     margin=C - float(np.max(needed)), horizon=grid.describe())
+        return inconclusive(certificate={"C": C, "t0": t0, "lambda_max": float(lam[-1])},
+                            margin=C - float(np.max(needed)), horizon=grid.describe(),
+                            notes=_TREND_ONLY)
     return inconclusive(margin=sup_last, horizon=grid.describe(),
                         notes="scaling constant still growing at horizon")
 
@@ -502,13 +509,10 @@ def classify(w: WeightFunction, grid: GridSpec = DEFAULT_GRID) -> ClassReport:
 
     # a weight can miss subadditivity itself yet be equivalent to its own
     # kappa transform, which is concave; that rescues membership up to
-    # equivalence
+    # equivalence.  w ~ kappa_w is om_snq for a nondecreasing w, as in
+    # growth.kappa_equivalence_check
     if not bb.holds:
-        from . import growth
-        try:
-            ke = growth.kappa_equivalence_check(w, T=grid.t_max)
-        except WeightlabError as exc:  # evaluation trouble should not sink the report
-            ke = inconclusive(notes=f"kappa equivalence unavailable: {exc}")
+        ke = conds["om_snq"] if w.nondecreasing else inconclusive()
         classes["bb_equivalent"] = conjunction({
             "kappa_equivalence": ke, "om3w": conds["om3w"],
             "continuous": continuous, "zero_at_origin": zero0,

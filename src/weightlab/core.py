@@ -131,8 +131,7 @@ class GridSpec(_Value):
 # the grid the condition checks and the scalar relations sample by default
 DEFAULT_GRID = GridSpec(1e-2, 1e6, 600)
 
-# the constants C = 1, 2, 4, ..., 2^40 the bounded-gap, om6 and kappa
-# equivalence searches try
+# the constants C = 1, 2, 4, ..., 2^40 the bounded-gap and om6 searches try
 _C_GRID = 2.0 ** np.arange(41)
 
 

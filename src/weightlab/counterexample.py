@@ -25,7 +25,7 @@ import numpy as np
 
 from .core import PiecewiseLogLinear, _require_count
 from .errors import GammaTooLarge, JHorizonTooSmall, NonFinite, OverflowAtJ, ValidationFailed
-from .verdict import Record, Verdict, fails, holds, inconclusive, to_json
+from .verdict import Record, Verdict, fails, holds, inconclusive, report_dict, to_json
 
 __all__ = [
     "AdmissibleDelta",
@@ -86,6 +86,8 @@ class AdmissibleDelta:
     def __getitem__(self, j):
         """1-based access: delta[j] is the j-th block parameter."""
         return self.values[j - 1]
+
+    to_dict = report_dict
 
 
 def default_delta(J: int) -> AdmissibleDelta:

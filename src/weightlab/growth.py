@@ -21,9 +21,10 @@ import math
 
 import numpy as np
 
-from .core import _C_GRID, WeightFunction, dilations
-from .errors import EmptyInput, HorizonTooSmall, NotMonotone, QuadratureFailure, ValidationFailed
-from .verdict import Record, Verdict, fails, holds, inconclusive
+from .core import GridSpec, WeightFunction, dilations
+from .errors import (HorizonTooSmall, NotMonotone, QuadratureFailure, ValidationFailed,
+                     WeightlabError)
+from .verdict import Record, Verdict, inconclusive
 
 __all__ = [
     "KappaResult",
@@ -209,8 +210,9 @@ def kappa(w: WeightFunction, y, T: float = 1e6, *,
     gives the list ``[kappa(w, yi, T) for yi in y]`` from one pass: one
     decay test over all y, and one quadrature whose rounds evaluate the
     open panels of every y at once, each y converging as it does alone.
-    An error is the one that loop raises first.  With until_divergent the
-    list ends at the first divergent result, and no later y can raise.
+    A typed error (WeightlabError) is the one that loop raises first; any
+    other propagates from the batch.  With until_divergent the list ends at
+    the first divergent result, and no later y can raise.
     """
     ys = np.asarray(y, dtype=float)
     if ys.ndim == 0:
@@ -219,7 +221,7 @@ def kappa(w: WeightFunction, y, T: float = 1e6, *,
         raise ValidationFailed("y must be a number or a 1-d array")
     try:
         return _kappa(w, ys, T, until_divergent)
-    except Exception:
+    except WeightlabError:
         # the batch raises for whichever y its arrays reach first; y by y,
         # the error is the one the loop over y meets first
         out = []
@@ -311,37 +313,15 @@ def _kappa(w, ys, T, until_divergent):
     return out
 
 
-def kappa_equivalence_check(w: WeightFunction, y_grid=None, T: float = 1e6) -> Verdict:
-    """Two-sided comparison of w with its kappa transform on a y-grid; a
-    number is a grid of one point."""
-    if y_grid is None:
-        y_grid = np.geomspace(1.0, 1e4, 25)
-    y_grid = np.atleast_1d(np.asarray(y_grid, dtype=float))
-    if not y_grid.size:
-        raise EmptyInput("kappa equivalence needs at least one y")
-    res = kappa(w, y_grid, T, until_divergent=True)
-    if res[-1].divergent:
-        return fails({"y": float(y_grid[len(res) - 1]), "evidence": res[-1].evidence},
-                     notes="kappa transform divergent")
-    kv = np.asarray([r.value for r in res])
-    wv = np.asarray(w.evaluate(y_grid))
-
-    if w.nondecreasing:
-        # kappa(y) >= w(y) holds exactly for nondecreasing w; check it
-        slack = float(np.min(kv - wv))
-        if slack < -1e-6 * (1 + np.max(wv)):
-            return fails({"y": float(y_grid[np.argmin(kv - wv)])},
-                         notes="kappa < w for a nondecreasing weight (numerical inconsistency)")
-
-    for C in _C_GRID:
-        if np.all(kv <= C * wv + C) and np.all(wv <= C * kv + C):
-            return holds({"C": float(C)},
-                         margin=float(np.max(kv - C * wv - C)),
-                         horizon={"T": T, "y_min": float(y_grid[0]), "y_max": float(y_grid[-1])})
-    need = np.max((kv - 1) / (wv + 1))
-    return inconclusive(margin=float(need),
-                        horizon={"T": T},
-                        notes="no constant up to 2^40 certifies two-sided equivalence")
+def kappa_equivalence_check(w: WeightFunction, T: float = 1e6) -> Verdict:
+    """Whether w ~ kappa_w, read on GridSpec(1e-2, T, 600), the default grid
+    at the default T.  kappa_w >= w for a nondecreasing w, so w ~ kappa_w
+    exactly when kappa_w <= C w + C, which is om_snq: its verdict is the
+    answer.  For any other w that lower bound is not given."""
+    if not w.nondecreasing:
+        return inconclusive(notes="kappa >= w is given only for a nondecreasing weight")
+    from .conditions import check_condition
+    return check_condition(w, "om_snq", GridSpec(1e-2, T, 600))
 
 
 class IndexEstimate(Record):

@@ -10,11 +10,14 @@ import numpy as np
 
 
 def to_json(obj):
-    """The JSON form of report content: a report's ``to_dict``, an enum's
-    value, numpy values as Python ones, "nan"/"inf"/"-inf" for non-finite
-    floats, lists for tuples, strings for dict keys; TypeError otherwise."""
+    """The JSON form of report content: a report's ``to_dict``, a weight's
+    ``to_json_dict`` document, an enum's value, numpy values as Python ones,
+    "nan"/"inf"/"-inf" for non-finite floats, lists for tuples, strings for
+    dict keys; TypeError otherwise."""
     if hasattr(obj, "to_dict"):
         return obj.to_dict()
+    if hasattr(obj, "to_json_dict"):  # a weight; `core` imports this module
+        return to_json(obj.to_json_dict())
     if isinstance(obj, (np.generic, np.ndarray)):
         obj = obj.tolist()
     if isinstance(obj, Enum):

@@ -11,8 +11,7 @@ import pytest
 from weightlab import cli, conditions, conjugate, counterexample, growth, lpspace, relations
 from weightlab.core import (Dilated, Gevrey, GridSpec, Log, LogPower, PiecewiseLogLinear, Power,
                             Scaled, load_weight)
-from weightlab.errors import (EmptyInput, NonFinite, UnknownRelation, ValidationFailed,
-                             WeightlabError)
+from weightlab.errors import NonFinite, UnknownRelation, ValidationFailed, WeightlabError
 from weightlab.relations import WeightMatrix
 
 _NAN, _INF = math.nan, math.inf
@@ -50,17 +49,14 @@ _CASES = {
     "matrix-unknown": (lambda: relations.matrix_relation(
         WeightMatrix.exponential(Log()), WeightMatrix.exponential(Log()), "nope"),
         UnknownRelation),
-    # non-finite horizons and an empty y grid
+    # non-finite horizons, and a y array of two dimensions
     "kappa-T-nan": (lambda: growth.kappa(Power(0.5), 1.0, T=_NAN), ValidationFailed),
     "kappa-T-inf": (lambda: growth.kappa(Power(0.5), 1.0, T=_INF), ValidationFailed),
     "kappa-T-inf-array": (lambda: growth.kappa(Power(0.5), [1.0, 2.0], T=_INF),
                           ValidationFailed),
+    "kappa-2d": (lambda: growth.kappa(Power(0.5), [[1.0, 4.0]]), ValidationFailed),
     "index-T-nan": (lambda: growth.growth_index(Power(0.5), T=_NAN), ValidationFailed),
     "index-T-inf": (lambda: growth.growth_index(Power(0.5), T=_INF), ValidationFailed),
-    "kappa-equivalence-empty": (lambda: growth.kappa_equivalence_check(Power(0.5), y_grid=[]),
-                                EmptyInput),
-    "kappa-equivalence-2d": (lambda: growth.kappa_equivalence_check(
-        Power(0.5), y_grid=[[1.0, 4.0]]), ValidationFailed),
     # parameters that are NaN or infinite
     "power-nan": (lambda: Power(_NAN), ValidationFailed),
     "gevrey-nan": (lambda: Gevrey(_NAN), ValidationFailed),

@@ -232,8 +232,9 @@ def _alpha0_loop(w, grid):
     sup_prev = float(np.max(prev)) if prev.size else sup_last
     if sup_last <= sup_prev * 1.05 + 1e-9:
         C = float(np.max(needed)) * 1.05
-        return holds({"C": C, "t0": t0, "lambda_max": float(lam[-1])},
-                     margin=C - float(np.max(needed)), horizon=grid.describe())
+        return inconclusive(certificate={"C": C, "t0": t0, "lambda_max": float(lam[-1])},
+                            margin=C - float(np.max(needed)), horizon=grid.describe(),
+                            notes=conditions._TREND_ONLY)
     return inconclusive(margin=sup_last, horizon=grid.describe(),
                         notes="scaling constant still growing at horizon")
 
@@ -251,8 +252,8 @@ def _om6_loop(w, grid):
             sup_last = float(np.max(gap[last]))
             sup_prev = float(np.max(gap[prev]))
             if sup_last <= max(sup_prev * 1.05 + 1e-9, 0.0):
-                return holds({"H": H}, margin=H - float(np.max(gap)),
-                             horizon=grid.describe())
+                return inconclusive(certificate={"H": H}, margin=H - float(np.max(gap)),
+                                    horizon=grid.describe(), notes=conditions._TREND_ONLY)
     return inconclusive(horizon=grid.describe(),
                         notes="no H up to 2^40 certified at this horizon")
 

@@ -94,6 +94,22 @@ def test_classify_and_report(weight_file, tmp_path):
     assert "classification" in doc["results"]
 
 
+@pytest.mark.parametrize("doc, horizon", [
+    ({"family": "power", "params": {"alpha": 0.5}}, None),
+    ({"family": "power", "params": {"alpha": 1.5}}, None),
+    ({"family": "logpower", "params": {"beta": 2.0}}, "1e8"),
+    ({"profile": [[0, 0], [1, 1], [3, 4]]}, None),
+], ids=["sqrt", "t^1.5", "log^2", "profile"])
+def test_the_report_s_kappa_equivalence_is_its_om_snq(doc, horizon, tmp_path):
+    # kappa >= w for a nondecreasing w, so w ~ kappa is om_snq
+    w, out = tmp_path / "w.json", tmp_path / "r.json"
+    w.write_text(json.dumps(doc))
+    extra = ["--horizon", horizon] if horizon else []
+    assert cli.run(["report", "--weight", str(w), "--out", str(out), *extra]) == 0
+    results = _load(out)["results"]
+    assert results["kappa_equivalence"] == results["classification"]["conditions"]["om_snq"]
+
+
 def test_conjugate_csv_emission(weight_file, tmp_path):
     out = tmp_path / "conj.json"
     code = cli.run(["conjugate", "--weight", weight_file, "--xmax", "20",

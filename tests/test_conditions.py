@@ -132,23 +132,16 @@ def test_power_alpha_interior(alpha):
     assert conditions.check_condition(w, "om_sub").holds
 
 
-# the wrapped weights of the oracle test, and the cells the numeric path
-# still gets wrong (ROADMAP item 4): the +H slack absorbs log growth over
-# any finite horizon, and lambda is capped at 2^10
+# the wrapped weights of the oracle test
 ORACLE_WEIGHTS = {
     "t^0.25": Power(0.25), "t^0.5": Power(0.5), "t": Power(1.0),
     "t^1.5": Power(1.5), "t^2": Power(2.0), "log": Log(), "log^2": LogPower(2.0),
     "exp": Exp(), "2t^0.5": Scaled(2.0, Power(0.5)), "log(4t)": Dilated(4.0, Log()),
 }
-ORACLE_WRONG = {("log", "om6"), ("log^2", "om6"), ("log(4t)", "om6"),
-                ("t^1.5", "alpha0"), ("t^2", "alpha0")}
 
 
 @pytest.mark.parametrize("name,cond", [
-    pytest.param(name, cond, marks=pytest.mark.xfail(
-        strict=True, reason="wrong numeric verdict, ROADMAP item 4"))
-    if (name, cond) in ORACLE_WRONG else (name, cond)
-    for name in ORACLE_WEIGHTS for cond in conditions.CONDITION_IDS])
+    (name, cond) for name in ORACLE_WEIGHTS for cond in conditions.CONDITION_IDS])
 def test_numeric_verdicts_agree_with_the_closed_form(name, cond):
     # the opaque wrapper forces the numeric checkers; a definitive verdict
     # must be the closed-form answer for the wrapped family
@@ -163,9 +156,7 @@ def test_numeric_verdicts_agree_with_the_closed_form(name, cond):
 
 
 # finite profiles, log-type at infinity, whose final ray decides the
-# asymptotic conditions exactly; the numeric om6 holds on their opaque copies
-# with H = 16, 2^20, 2^20, 2^35 and 2^20, since the +H slack absorbs log
-# growth over any finite horizon
+# asymptotic conditions exactly
 RAY_PROFILES = {
     "staircase J=60": counterexample.construct(counterexample.default_delta(60), 0.5, 60).weight,
     "(1,1),(3,4)": PiecewiseLogLinear([(0, 0), (1, 1), (3, 4)]),
@@ -176,10 +167,7 @@ RAY_PROFILES = {
 
 
 @pytest.mark.parametrize("name,cond", [
-    pytest.param(name, cond, marks=pytest.mark.xfail(
-        strict=True, reason="wrong numeric verdict, ROADMAP item 4"))
-    if cond == "om6" else (name, cond)
-    for name in RAY_PROFILES for cond in conditions._RAY])
+    (name, cond) for name in RAY_PROFILES for cond in conditions._RAY])
 def test_numeric_verdicts_on_opaque_profiles_agree_with_the_final_ray(name, cond):
     p = RAY_PROFILES[name]
     v = conditions.check_condition(_Opaque(p), cond)
@@ -222,18 +210,38 @@ def _raise(exc):
 
 
 def test_bb_rescue_lets_programming_errors_through(monkeypatch):
-    # t^1.5 is not subadditive, so classify tries the kappa rescue
-    monkeypatch.setattr(growth, "kappa_equivalence_check", _raise(RuntimeError("bug")))
+    # t^1.5 is not subadditive, so classify tries the kappa rescue, which
+    # reads om_snq; the opaque copy has no closed form for om_snq
+    monkeypatch.setattr(conditions, "_check_om_snq", _raise(RuntimeError("bug")))
     with pytest.raises(RuntimeError, match="bug"):
-        conditions.classify(Power(1.5))
+        conditions.classify(_Opaque(Power(1.5)))
 
 
 def test_bb_rescue_horizon_problem_is_inconclusive(monkeypatch):
-    monkeypatch.setattr(growth, "kappa_equivalence_check",
-                        _raise(HorizonTooSmall("too short")))
-    rep = conditions.classify(Power(1.5))
+    monkeypatch.setattr(conditions, "_check_om_snq", _raise(HorizonTooSmall("too short")))
+    rep = conditions.classify(_Opaque(Power(1.5)))
     assert rep.classes["bb"].fails
     assert rep.classes["bb_equivalent"].inconclusive
+
+
+def test_the_bb_rescue_reads_om_snq_without_a_kappa_call(monkeypatch):
+    # om_nq stops at its first, divergent kappa and om_snq makes one batch
+    # call; the rescue adds none
+    calls = []
+    kappa = growth.kappa
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return kappa(*args, **kwargs)
+
+    monkeypatch.setattr(growth, "kappa", counted)
+    rep = conditions.classify(_Opaque(Power(1.5)))
+    assert len(calls) == 2
+    assert rep.classes["bb"].fails and rep.classes["bb_equivalent"].inconclusive
+    # a closed-form om_snq needs no kappa at all
+    calls.clear()
+    assert growth.kappa_equivalence_check(Power(0.5)).holds
+    assert calls == []
 
 
 def test_sequence_unboundedness_is_exact():
@@ -323,5 +331,4 @@ def test_kappa_checks_stop_at_the_first_divergent_y(monkeypatch):
     assert 10.0 < first < 11.0
     v = conditions._check_om_snq(w, conditions.DEFAULT_GRID)
     assert v.inconclusive and v.notes == f"kappa divergent at y={first}"
-    ke = growth.kappa_equivalence_check(w, y_grid=ys)
-    assert ke.fails and ke.witness["y"] == first
+    assert growth.kappa_equivalence_check(w).to_dict() == v.to_dict()

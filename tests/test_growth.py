@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from weightlab import (Dilated, Exp, Log, LogPower, Normalized, PiecewiseLogLinear,
-                       Power, WeightFunction, growth, load_weight)
+from weightlab import (Dilated, Exp, Gevrey, GridSpec, Log, LogPower, Normalized,
+                       PiecewiseLogLinear, Power, Scaled, WeightFunction, conditions, growth,
+                       load_weight)
 from weightlab.errors import (HorizonTooSmall, NonFinite, NotMonotone,
                               QuadratureFailure, ValidationFailed)
 
@@ -234,12 +235,6 @@ def test_kappa_equivalence():
     assert growth.kappa_equivalence_check(Power(1.0)).fails
 
 
-def test_kappa_equivalence_reads_a_number_as_a_one_point_grid():
-    for w in (Power(0.5), Log(), Power(1.0)):
-        one = growth.kappa_equivalence_check(w, y_grid=5.0)
-        assert one.to_dict() == growth.kappa_equivalence_check(w, y_grid=[5.0]).to_dict()
-
-
 class _PowerLog(WeightFunction):
     """t / log(e + t)^b, nondecreasing for b <= 3 (ROADMAP item 12's
     `PowerLog(1, b)`)."""
@@ -251,14 +246,81 @@ class _PowerLog(WeightFunction):
         return t / np.log(math.e + t) ** self.b
 
 
-@pytest.mark.xfail(strict=True, reason="wrong verdict: w ~ kappa certified from finite "
-                   "samples, ROADMAP item 4")
 @pytest.mark.parametrize("b", [2.0, 3.0])
 def test_kappa_equivalence_does_not_hold_on_t_over_a_power_of_log(b):
     # kappa(y) = y * int_1^oo dt / (t log(e + y t)^b) grows like w(y) log y
-    # / (b - 1), so kappa / w is unbounded; the check holds today with C = 8
-    # (b = 2) and C = 4 (b = 3), since kappa is finite on its 25 samples
+    # / (b - 1), so kappa / w is unbounded, although kappa is finite at every y
     assert not growth.kappa_equivalence_check(_PowerLog(b)).holds
+
+
+_SQRT_FACTORIAL = {"sequence": [0.5 * math.lgamma(k + 1) for k in range(60)]}
+_SNQ_WEIGHTS = {
+    "t^0.5": Power(0.5), "t": Power(1.0), "log": Log(), "exp": Exp(),
+    "o_t^0.5": _Opaque(Power(0.5)), "o_t^1.5": _Opaque(Power(1.5)),
+    "o_log^2": _Opaque(LogPower(2.0)), "t/log^2": _PowerLog(2.0),
+    "sqrt(k!)": load_weight(_SQRT_FACTORIAL),
+    "(1,1),(3,4)": PiecewiseLogLinear([(0, 0), (1, 1), (3, 4)]),
+}
+
+
+@pytest.mark.parametrize("name", _SNQ_WEIGHTS)
+@pytest.mark.parametrize("T", [1e6, 1e8])
+def test_kappa_equivalence_is_om_snq(name, T):
+    # kappa >= w for a nondecreasing w, so w ~ kappa iff kappa <= C w + C
+    w, grid = _SNQ_WEIGHTS[name], GridSpec(1e-2, T, 600)
+    assert growth.kappa_equivalence_check(w, T).to_dict() == \
+        conditions.check_condition(w, "om_snq", grid).to_dict()
+
+
+def test_kappa_equivalence_of_a_falling_weight_is_inconclusive(monkeypatch):
+    w = PiecewiseLogLinear([(0.0, 0.0), (1.0, 2.0), (2.0, 1.0)])
+    assert not w.nondecreasing
+    monkeypatch.setattr(growth, "kappa", None)  # no kappa is taken
+    v = growth.kappa_equivalence_check(w)
+    assert v.inconclusive and v.notes == "kappa >= w is given only for a nondecreasing weight"
+
+
+def test_kappa_equivalence_past_a_sequence_s_last_corner_is_inconclusive():
+    # the sqrt(k!) sequence has no phi past u ~ 2.04, short of any y T
+    v = growth.kappa_equivalence_check(load_weight(_SQRT_FACTORIAL))
+    assert v.inconclusive and v.notes.startswith("HorizonTooSmall: ")
+
+
+_KAPPA_LOWER = {
+    "t^0.25": Power(0.25), "t^0.5": Power(0.5), "t^0.8": Power(0.8), "t": Power(1.0),
+    "gevrey2": Gevrey(2.0), "log": Log(), "log^2": LogPower(2.0),
+    "2t^0.5": Scaled(2.0, Power(0.5)), "log(4t)": Dilated(4.0, Log()),
+}
+_KAPPA_LOWER.update({f"o_{k}": _Opaque(w) for k, w in list(_KAPPA_LOWER.items())})
+_KAPPA_LOWER["seq"] = load_weight({"sequence": [0.75 * k * k for k in range(60)]})
+
+
+@pytest.mark.parametrize("name", [*_KAPPA_LOWER, "staircase J=60"])
+def test_kappa_is_at_least_the_weight(name, plateau_profile):
+    # kappa(y) = int_1^oo w(y t)/t^2 dt >= w(y) int_1^oo dt/t^2 = w(y) for a
+    # nondecreasing w, wherever kappa is finite
+    w = plateau_profile.weight if name == "staircase J=60" else _KAPPA_LOWER[name]
+    assert w.nondecreasing
+    ys = np.geomspace(1.0, 1e4, 25)
+    wy = np.asarray(w.evaluate(ys))
+    finite = [(k, r.value) for k, r in enumerate(growth.kappa(w, ys)) if not r.divergent]
+    assert finite or name in ("t", "o_t")  # kappa of t diverges
+    for k, value in finite:
+        assert value >= wy[k] - 1e-6 * (1.0 + wy.max())
+
+
+def test_kappa_lets_an_untyped_error_through_after_one_call(monkeypatch):
+    # a bug in the batch path is not retried y by y, where it could be hidden
+    calls = []
+
+    def broken(*args):
+        calls.append(args)
+        raise RuntimeError("bug")
+
+    monkeypatch.setattr(growth, "_kappa", broken)
+    with pytest.raises(RuntimeError, match="bug"):
+        growth.kappa(Power(0.5), [1.0, 2.0])
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("alpha", [1.0 / 3.0, 0.5, 1.0])

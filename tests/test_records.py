@@ -2,13 +2,16 @@
 no check, and a structural check that no report type writes its own."""
 
 import ast
+import json
 import math
 import pathlib
 
 import numpy as np
 import pytest
 
+from weightlab import Power, counterexample, load_weight
 from weightlab.growth import KappaResult
+from weightlab.relations import WeightMatrix
 from weightlab.verdict import Record, inconclusive, report_dict, to_json
 
 _SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "weightlab"
@@ -62,6 +65,22 @@ def test_a_report_type_keeps_its_field_order_and_properties():
     assert k.to_dict() == {"kind": "divergent", "value": None, "tail_low": None,
                            "tail_high": None, "evidence": {"n": 3}}
     assert k.divergent
+
+
+def test_records_that_hold_a_weight_give_its_document():
+    # a weight's JSON form is the document load_weight reads back
+    m = WeightMatrix.exponential(Power(0.5))
+    d = m.to_dict()
+    assert json.loads(json.dumps(d)) == d
+    assert d == {"kind": "exponential", "base": {"family": "power", "params": {"alpha": 0.5}},
+                 "entries": [], "nondecreasing": True}
+    assert load_weight(d["base"]) == Power(0.5)
+    p = counterexample.construct(counterexample.default_delta(5), 0.5, 5)
+    d = p.to_dict()
+    assert json.loads(json.dumps(d)) == d
+    assert d["delta"] == {"values": list(p.delta.values), "provenance": "default-formula"}
+    assert d["weight"] == p.weight.to_json_dict()
+    assert load_weight(d["weight"]).to_json_dict() == d["weight"]
 
 
 def _copies_its_parameters(init):
