@@ -3,7 +3,9 @@ conjugates, associated matrices, comparison relations, weighted L^p
 experiments, and a plateau-based counterexample generator.
 
 `core`, `errors` and `verdict` load with the package; every other module
-loads on first use, e.g. when `weightlab.relations` is first read."""
+loads on first use, e.g. when `weightlab.relations` is first read.  numpy
+loads at the first sample a call reads (`core.np`), so a call answered from
+closed forms alone, or refused as malformed, never loads it."""
 
 import importlib
 

@@ -15,11 +15,10 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import core
-from .errors import JHorizonTooSmall, ValidationFailed, WeightlabError
-from .verdict import to_json
+from .core import np
+from .errors import HorizonTooSmall, JHorizonTooSmall, NonFinite, ValidationFailed, WeightlabError
+from .verdict import inconclusive, to_json
 
 SCHEMA_VERSION = 1
 
@@ -235,10 +234,14 @@ def _cmd_report(args):
     from . import conditions, growth
     w = _load_weight(args.weight)
     grid = _grid_from(args)
-    out = {"classification": conditions.classify(w, grid),
-           "growth_index": growth.growth_index(w, T=min(grid.t_max, 1e8)),
-           "kappa_equivalence": growth.kappa_equivalence_check(w, T=grid.t_max),
-           "weight": w.to_json_dict()}
+    out = {"classification": conditions.classify(w, grid), "weight": w.to_json_dict()}
+    for key, part, T in (("growth_index", growth.growth_index, min(grid.t_max, 1e8)),
+                         ("kappa_equivalence", growth.kappa_equivalence_check, grid.t_max)):
+        # a horizon problem leaves its own entry undecided, as in check_condition
+        try:
+            out[key] = part(w, T=T)
+        except (HorizonTooSmall, NonFinite) as exc:
+            out[key] = inconclusive(horizon=grid.describe(), notes=f"{type(exc).__name__}: {exc}")
     return out
 
 

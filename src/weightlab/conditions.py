@@ -29,10 +29,8 @@ from __future__ import annotations
 import functools
 import math
 
-import numpy as np
-
 from .core import (ASYMPTOTIC, DEFAULT_GRID, GridSpec, WeightFunction, _BLOCK, _C_GRID,
-                   closed_form, decade_starts, dilations, germ_truth)
+                   closed_form, decade_starts, dilations, germ_truth, np)
 from .errors import ChainViolation, HorizonTooSmall, NonFinite, NotMonotone, UnknownCondition
 from .verdict import Record, Verdict, conjunction, fails, holds, inconclusive
 
@@ -177,7 +175,7 @@ def _check_om6(w, grid):
     last, prev = _split_top(grid.decade_starts())
     # H = 2, 4, ..., 2^40 in chunks of 1, 2, 4, ... rows, so that the scan
     # stops at the first H that holds, and a row past it is never read
-    for Hs, rows in dilations(w, tg).doubling(_C_GRID[1:].tolist()):
+    for Hs, rows in dilations(w, tg).doubling(list(_C_GRID[1:])):
         gaps = 2 * wt - rows
         for H, gap, peak in zip(Hs, gaps, gaps.max(axis=1).tolist()):
             if peak <= H:
@@ -432,7 +430,8 @@ def _check_unbounded_limit(w, grid):
 def check_condition(w: WeightFunction, cond: str, grid: GridSpec = DEFAULT_GRID) -> Verdict:
     if cond not in CONDITION_IDS:
         raise UnknownCondition(f"unknown condition {cond!r}; choose from {CONDITION_IDS}")
-    if cond in ASYMPTOTIC:
+    # counted without the grid's points; a grid too short raises the guard's message
+    if cond in ASYMPTOTIC and grid.decade_count() < 2:
         grid.require_decades(2)
 
     exact = closed_form(w, cond)
@@ -463,7 +462,7 @@ class ClassReport(Record):
 
 
 def _zero_at_origin(w):
-    v = float(w.evaluate(0.0))
+    v = 0.0 if closed_form(w, "zero_at_origin") else float(w.evaluate(0.0))
     if v == 0.0:
         return holds({"value": 0.0})
     return fails({"value": v})

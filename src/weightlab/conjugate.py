@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from .core import _BLOCK, PiecewiseLogLinear, WeightFunction, _hull, _require_count, pl_eval
+from .core import (_BLOCK, PiecewiseLogLinear, WeightFunction, _hull, _require_count, np,
+                   pl_eval)
 from .errors import (EmptyInput, NotMatrixAdmissible, Om3Violated,
                      ValidationFailed, WeightlabError, YHorizonTooSmall)
 from .verdict import Record, inconclusive, to_json

@@ -12,9 +12,9 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 import sys
-
-import numpy as np
+import types
 
 from .errors import (EmptyInput, HorizonTooSmall, NonFinite, NotMonotone, ValidationFailed,
                      WeightlabError)
@@ -39,6 +39,23 @@ __all__ = [
     "dump_weight",
     "pl_eval",
 ]
+
+
+class _Numpy(types.ModuleType):
+    """numpy, imported at the first attribute read, so that a call that
+    reads no sample never loads it.  `import numpy` holds numpy's import
+    lock, so threads that read at once all get the whole module; its names
+    are then copied here, and as a plain module this one is read as fast."""
+
+    def __getattr__(self, name):
+        import numpy
+        self.__dict__.update(numpy.__dict__)
+        self.__class__ = types.ModuleType
+        return getattr(numpy, name)
+
+
+# the numpy of every weightlab module
+np = _Numpy("numpy")
 
 
 class _Value:
@@ -81,7 +98,7 @@ def _require_count(n, name: str, least: int):
     """ValidationFailed unless n is an integer, not a bool, and n >= least."""
     if n < least:
         raise ValidationFailed(f"{name} must be >= {least}")
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
         raise ValidationFailed(f"{name} must be an integer")
 
 
@@ -125,6 +142,19 @@ class GridSpec(_Value):
         n decades."""
         return require_decades(self.decade_starts(), n)
 
+    @functools.lru_cache(maxsize=32)
+    def decade_count(self) -> int:
+        """len(self.decade_starts()), found without the points where they lie
+        less than a factor 9.9 apart on a logarithmic grid: each decade
+        (hi/10, hi] counted down from t_max then holds one."""
+        if self.spacing == "linear" or \
+                (self.t_max / self.t_min) ** (1 / (self.n_points - 1)) >= 9.9:
+            return len(self.decade_starts())
+        hi, count = self.t_max, 0
+        while hi > 10 * self.t_min:
+            hi, count = hi / 10, count + 1
+        return count
+
     describe = report_dict
 
 
@@ -132,7 +162,7 @@ class GridSpec(_Value):
 DEFAULT_GRID = GridSpec(1e-2, 1e6, 600)
 
 # the constants C = 1, 2, 4, ..., 2^40 the bounded-gap and om6 searches try
-_C_GRID = 2.0 ** np.arange(41)
+_C_GRID = tuple(2.0 ** k for k in range(41))
 
 
 def decade_starts(tg):
@@ -611,9 +641,10 @@ def germ_truth(germ, cond: str) -> bool:
 
 
 def closed_form(w: WeightFunction, cond: str):
-    """True / False when an exact answer is known, else None.  An asymptotic
-    condition is read from the germ of a weight with no profile; a profile's
-    germ is its final ray's, which conditions._final_ray reads."""
+    """True / False when an exact answer is known, else None, for a
+    condition id or "zero_at_origin" (w(0) = 0).  An asymptotic condition is
+    read from the germ of a weight with no profile; a profile's germ is its
+    final ray's, which conditions._final_ray reads."""
     if cond in ASYMPTOTIC:
         return None if w.germ is None or w.profile is not None else germ_truth(w.germ, cond)
     if isinstance(w, Associated):
@@ -622,7 +653,7 @@ def closed_form(w: WeightFunction, cond: str):
     if isinstance(w, (Scaled, Dilated)):
         if cond == "normalized" and isinstance(w, Dilated) and w.c > 1:
             return None
-        # om4, om_sub, nondecreasing and otherwise normalized survive exactly
+        # om4, om_sub, nondecreasing, zero_at_origin and otherwise normalized survive exactly
         return closed_form(w.base, cond)
     if isinstance(w, Normalized):
         if cond == "normalized":
@@ -634,8 +665,9 @@ def closed_form(w: WeightFunction, cond: str):
         return True if cond == "om4" and base is True and w.base.nondecreasing else None
     if w.germ is None or w.profile is not None:
         return None
-    # a family: t^a, log(1 + t)^b with b >= 1, or e^t - 1, each nondecreasing,
-    # convex in log scale and positive at t = 1; subadditive when concave
+    # a family: t^a, log(1 + t)^b with b >= 1, or e^t - 1, each zero at the
+    # origin, nondecreasing, convex in log scale and positive at t = 1;
+    # subadditive when concave
     if cond == "om_sub":
         return w.germ != "exp" and max(w.germ) <= 1
     return cond != "normalized"

@@ -21,9 +21,7 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from .core import PiecewiseLogLinear, _require_count
+from .core import PiecewiseLogLinear, _require_count, np
 from .errors import GammaTooLarge, JHorizonTooSmall, NonFinite, OverflowAtJ, ValidationFailed
 from .verdict import Record, Verdict, fails, holds, inconclusive, report_dict, to_json
 

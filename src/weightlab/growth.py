@@ -19,9 +19,7 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from .core import GridSpec, WeightFunction, dilations
+from .core import GridSpec, WeightFunction, dilations, np
 from .errors import (HorizonTooSmall, NotMonotone, QuadratureFailure, ValidationFailed,
                      WeightlabError)
 from .verdict import Record, Verdict, inconclusive

@@ -15,10 +15,8 @@ from __future__ import annotations
 import functools
 import math
 
-import numpy as np
-
 from . import relations
-from .core import _BLOCK, GridSpec, Rows, WeightFunction, _require_count
+from .core import _BLOCK, GridSpec, Rows, WeightFunction, _require_count, np
 from .errors import (HorizonTooSmall, NonFinite, ValidationFailed, WeightlabError,
                      WitnessConstructionFailed)
 from .relations import WeightMatrix

@@ -21,10 +21,9 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .core import (DEFAULT_GRID, _BLOCK, _C_GRID, Dilated, GridSpec, Rows, Scaled,
-                   WeightFunction, decade_starts, dilations, germ_above, require_decades)
+                   WeightFunction, decade_starts, dilations, germ_above, np,
+                   require_decades)
 from .errors import (BridgeViolation, EmptyInput, IndexSearchExhausted, NonFinite,
                      NotMonotone, UnknownRelation, ValidationFailed)
 from .verdict import Record, Verdict, conjunction, fails, holds, inconclusive
@@ -260,7 +259,7 @@ class _Gaps:
 
 
 # the largest C of the bounded-gap rule
-_C_MAX = float(_C_GRID[-1])
+_C_MAX = _C_GRID[-1]
 
 
 def _power_of_two_at_least(x):

@@ -4,9 +4,8 @@ and the JSON form every report takes."""
 from __future__ import annotations
 
 import math
+import sys
 from enum import Enum
-
-import numpy as np
 
 
 def to_json(obj):
@@ -18,7 +17,8 @@ def to_json(obj):
         return obj.to_dict()
     if hasattr(obj, "to_json_dict"):  # a weight; `core` imports this module
         return to_json(obj.to_json_dict())
-    if isinstance(obj, (np.generic, np.ndarray)):
+    np = sys.modules.get("numpy")  # no numpy value exists before numpy loads
+    if np is not None and isinstance(obj, (np.generic, np.ndarray)):
         obj = obj.tolist()
     if isinstance(obj, Enum):
         return obj.value

@@ -110,6 +110,21 @@ def test_the_report_s_kappa_equivalence_is_its_om_snq(doc, horizon, tmp_path):
     assert results["kappa_equivalence"] == results["classification"]["conditions"]["om_snq"]
 
 
+def test_a_horizon_problem_of_the_growth_index_leaves_the_rest_of_the_report(tmp_path):
+    # the 25 triangular numbers: phi ends at u = 24, before the index's window
+    w = tmp_path / "w.json"
+    w.write_text(json.dumps({"sequence": [k * (k + 1) / 2 for k in range(25)]}))
+    assert cli.run(["classify", "--weight", str(w), "--out", str(tmp_path / "c.json")]) == 0
+    assert cli.run(["report", "--weight", str(w), "--out", str(tmp_path / "r.json")]) == 0
+    results = _load(tmp_path / "r.json")["results"]
+    assert results["classification"] == _load(tmp_path / "c.json")["results"]["classification"]
+    index = results["growth_index"]
+    assert index["status"] == "inconclusive"
+    assert index["horizon"] == to_json(cli.core.DEFAULT_GRID.describe())
+    assert index["notes"] == ("HorizonTooSmall: supremum not attained below index P=24 at "
+                              "u=24.0125, past the last corner u=24")
+
+
 def test_conjugate_csv_emission(weight_file, tmp_path):
     out = tmp_path / "conj.json"
     code = cli.run(["conjugate", "--weight", weight_file, "--xmax", "20",

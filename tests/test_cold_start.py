@@ -1,5 +1,6 @@
 """tools/cold_start.py: one cli-cold op in fresh interpreters for two
-sides, ranked, with wlbench's figures and each module's import time."""
+sides, ranked, with wlbench's figures, the ops that import numpy and each
+module's import time."""
 
 import subprocess
 import sys
@@ -13,6 +14,10 @@ def test_one_op_once_per_side():
                         "--ops", "000", "--repeats", "1", "--src", str(ROOT / "src")],
                        capture_output=True, text=True, timeout=120)
     assert (p.returncode, p.stderr) == (0, "")
+    # the counterexample reads samples, so numpy loads on both sides
+    assert [line for line in p.stdout.splitlines() if "imports numpy" in line] == [
+        "# ops whose interpreter imports numpy, this: 000",
+        "# ops whose interpreter imports numpy, src: 000"]
     lines = [line.split() for line in p.stdout.splitlines() if not line.startswith("#")]
     rank, this_ms, src_ms, op_id, cli = lines[0][:5]
     assert (rank, op_id, cli) == ("1", "000", "cli")

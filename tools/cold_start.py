@@ -21,7 +21,9 @@ the p50 and p90 ops marked at the nearest ranks ``wlbench`` takes.  Then
 come ``p50_ms``, ``p90_ms`` and ``ops_per_s`` per side, the figures
 ``wlbench.worker.mix_figures`` makes from the medians; they are raw wall
 times, where ``wlbench`` scales its figures to a reference host speed.
-Last, per weightlab module, the median self time (µs) that
+One comment line per side then lists the ids of the ops whose interpreter
+imports numpy, read from one more, untimed call of each op under
+``python -X importtime``.  Last, per weightlab module, the median self time (µs) that
 ``python -X importtime`` reports when one interpreter imports every module,
 as often as an op runs; ``-`` marks a module a side does not have.
 """
@@ -57,6 +59,15 @@ def cold_call_ms(argv, env, cwd) -> float:
     subprocess.run([sys.executable, "-m", "weightlab.cli", *argv], env=env, cwd=cwd,
                    capture_output=True, timeout=worker.CLI_TIMEOUT_S)
     return (perf_counter() - t0) * 1e3
+
+
+def imports_numpy(argv, env, cwd) -> bool:
+    """Whether a fresh interpreter that runs the CLI call argv imports numpy."""
+    p = subprocess.run([sys.executable, "-X", "importtime", "-m", "weightlab.cli", *argv],
+                       env=env, cwd=cwd, capture_output=True, text=True,
+                       timeout=worker.CLI_TIMEOUT_S)
+    return any(line.startswith("import time:") and line.rsplit("|", 1)[-1].strip() == "numpy"
+               for line in p.stderr.splitlines())
 
 
 def modules(src: str) -> list:
@@ -108,6 +119,7 @@ def main(argv=None) -> int:
             ap.error(f"no cli-cold op of seed {args.seed} has an id in {args.ops}")
 
     medians = {side: [] for side in sides}
+    numpy_ops = {side: [] for side in sides}
     with tempfile.TemporaryDirectory() as tmp:
         files = worker.write_weight_files(spec, Path(tmp))
         for op in ops:
@@ -116,6 +128,8 @@ def main(argv=None) -> int:
                               lambda side: cold_call_ms(call, envs[side], tmp))
             for side in sides:
                 medians[side].append(statistics.median(times[side]))
+                if imports_numpy(call, envs[side], tmp):
+                    numpy_ops[side].append(op["id"])
 
     print(f"# cli-cold seed {args.seed}: {len(ops)} ops, median of {args.repeats} "
           f"fresh interpreters per op and side, in ms; sides: "
@@ -128,6 +142,8 @@ def main(argv=None) -> int:
     figures = {side: worker.mix_figures(medians[side]) for side in sides}
     for name in ("p50_ms", "p90_ms", "ops_per_s"):
         print(name, *(f"{figures[side][name]:.3f}" for side in sides))
+    for side in sides:
+        print(f"# ops whose interpreter imports numpy, {side}:", *numpy_ops[side] or ["-"])
 
     print(f"# -X importtime self time per module, median of {args.repeats}, in µs")
     selfs = alternate(sides, args.repeats, lambda side: import_self_us(srcs[side], envs[side]))
