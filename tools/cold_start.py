@@ -23,9 +23,10 @@ come ``p50_ms``, ``p90_ms`` and ``ops_per_s`` per side, the figures
 times, where ``wlbench`` scales its figures to a reference host speed.
 One comment line per side then lists the ids of the ops whose interpreter
 imports numpy, read from one more, untimed call of each op under
-``python -X importtime``.  Last, per weightlab module, the median self time (µs) that
-``python -X importtime`` reports when one interpreter imports every module,
-as often as an op runs; ``-`` marks a module a side does not have.
+``python -X importtime``.  Last, per weightlab module, the median self
+time (µs) that ``python -X importtime`` reports when one interpreter
+imports every module, as often as an op runs; ``-`` marks a module a side
+does not have.
 """
 
 from __future__ import annotations
